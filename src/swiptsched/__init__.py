@@ -4,23 +4,17 @@ The package simulates an access point that schedules one user per
 fading slot for information decoding while the idle users harvest RF
 energy, and provides:
 
-  * three dual-metric schedulers (max-throughput, proportional-fair,
-    equal-throughput) whose multipliers are calibrated offline against
-    a minimum average harvested-energy constraint,
+  * one linear-metric scheduler covering max-throughput,
+    proportional-fair and equal-throughput, whose multipliers are
+    calibrated offline against a minimum average harvested-energy
+    constraint,
   * three order-based reference schedulers,
   * a Monte-Carlo simulator and rate-energy sweep machinery,
   * an exhaustive finite-horizon optimizer for verification,
   * a command-line interface (``swipt-sched``).
 """
 
-from .baselines import (
-    EtBaselineState,
-    OrderPolicy,
-    make_order_scheduler,
-    order_et_select,
-    order_mt_select,
-    order_pf_select,
-)
+from .baselines import OrderPolicy, make_order_scheduler
 from .calibration import (
     CalibrationSettings,
     ConstraintEstimate,
@@ -38,12 +32,10 @@ from .calibration import (
 from .channel import (
     ConfigError,
     SlotBlock,
-    SlotRealization,
     SystemConfig,
     UserProfile,
     dbm_to_watts,
     draw_block,
-    draw_slot,
     load_config,
     mean_channel_gain,
     place_users,
@@ -56,18 +48,7 @@ from .oracle import (
     dual_mt_schedule,
     random_instance,
 )
-from .scheduling import (
-    DualState,
-    EtScheduler,
-    MtScheduler,
-    PfScheduler,
-    ScheduleDecision,
-    et_metric,
-    make_optimal_scheduler,
-    mt_metric,
-    pf_metric,
-    select,
-)
+from .scheduling import DualState, LinearScheduler, linear_argmax, make_optimal_scheduler
 from .simulator import (
     RunStatistics,
     SweepPoint,

@@ -20,12 +20,12 @@ Ranks are descending and ties break toward the lower user index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channel import SlotBlock, SlotRealization, UserProfile, profile_arrays
-from .scheduling import ScheduleDecision, SlotScheduler
+from .channel import SlotBlock, UserProfile, profile_arrays
+from .scheduling import SlotScheduler
 
 
 @dataclass
@@ -49,95 +49,9 @@ class OrderPolicy:
             raise ValueError(f"unknown order-based variant: {self.variant!r}")
 
 
-@dataclass
-class EtBaselineState:
-    """Running per-user totals of delivered capacity.
-
-    Only the scheduled user's entry grows each slot.  Selection uses
-    argmin of these totals, which orders users exactly like their
-    average throughput over the elapsed slots.
-    """
-
-    cumulative_rate: np.ndarray
-
-    @classmethod
-    def fresh(cls, n_users: int) -> "EtBaselineState":
-        return cls(cumulative_rate=np.zeros(n_users))
-
-
-def _ranks_desc(values: np.ndarray) -> np.ndarray:
-    """Rank of each entry, 1 = largest; ties ranked by lower index first."""
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.int64)
-    ranks[order] = np.arange(1, len(values) + 1)
-    return ranks
-
-
-def _rank_j_user(values: np.ndarray, j: int) -> int:
-    return int(np.argsort(-values, kind="stable")[j - 1])
-
-
 def _check_j(j: int, n_users: int) -> None:
     if not 1 <= j <= n_users:
         raise ValueError(f"selection order j={j} outside [1, {n_users}]")
-
-
-def order_mt_select(slot: SlotRealization, j: int) -> ScheduleDecision:
-    """Schedule the user whose gain has rank j in this slot."""
-    _check_j(j, len(slot.gains))
-    ranks = _ranks_desc(slot.gains)
-    return ScheduleDecision(
-        slot_index=slot.slot_index,
-        selected_user=int(np.argmax(ranks == j)),
-        metric_values=-np.abs(ranks - j).astype(float),
-        scheme_tag="order-mt",
-    )
-
-
-def order_pf_select(
-    slot: SlotRealization, profiles: Sequence[UserProfile], j: int
-) -> ScheduleDecision:
-    """Schedule the user whose normalized gain h_n / omega_n has rank j."""
-    _check_j(j, len(slot.gains))
-    omega, _, _ = profile_arrays(profiles)
-    ranks = _ranks_desc(slot.gains / omega)
-    return ScheduleDecision(
-        slot_index=slot.slot_index,
-        selected_user=int(np.argmax(ranks == j)),
-        metric_values=-np.abs(ranks - j).astype(float),
-        scheme_tag="order-pf",
-    )
-
-
-def order_et_select(
-    slot: SlotRealization,
-    state: EtBaselineState,
-    s_a: Iterable[int],
-    profiles: Sequence[UserProfile],
-) -> ScheduleDecision:
-    """Schedule the lowest-throughput user among the rank-eligible ones.
-
-    Eligibility is decided by the rank of the normalized gain in this
-    slot; the scheduled user's cumulative rate is updated in place.
-    """
-    s_a = frozenset(int(o) for o in s_a)
-    n_users = len(slot.gains)
-    if not s_a:
-        raise ValueError("eligible order set must be non-empty")
-    if any(not 1 <= o <= n_users for o in s_a):
-        raise ValueError(f"eligible orders must be in [1, {n_users}]")
-    omega, _, _ = profile_arrays(profiles)
-    ranks = _ranks_desc(slot.gains / omega)
-    eligible = np.isin(ranks, list(s_a))
-    metrics = np.where(eligible, -state.cumulative_rate, -np.inf)
-    chosen = int(np.argmax(metrics))
-    state.cumulative_rate[chosen] += slot.capacities[chosen]
-    return ScheduleDecision(
-        slot_index=slot.slot_index,
-        selected_user=chosen,
-        metric_values=metrics,
-        scheme_tag="order-et",
-    )
 
 
 @dataclass
@@ -168,7 +82,12 @@ class OrderPfScheduler(SlotScheduler):
 
 @dataclass
 class OrderEtScheduler(SlotScheduler):
-    """Stateful baseline: needs one EtBaselineState per run."""
+    """Stateful baseline: per-run state is each user's cumulative delivered rate.
+
+    Only the scheduled user's total grows each slot.  Selection uses the
+    argmin of these totals, which orders users exactly like their average
+    throughput over the elapsed slots.
+    """
 
     s_a: frozenset[int]
     mean_gains: np.ndarray
@@ -179,12 +98,12 @@ class OrderEtScheduler(SlotScheduler):
         self.s_a = frozenset(int(o) for o in self.s_a)
         self.mean_gains = np.asarray(self.mean_gains, dtype=float)
 
-    def start(self, n_users: int) -> EtBaselineState:
+    def start(self, n_users: int) -> np.ndarray:
         if not self.s_a or any(not 1 <= o <= n_users for o in self.s_a):
             raise ValueError(f"eligible orders must be a non-empty subset of [1, {n_users}]")
-        return EtBaselineState.fresh(n_users)
+        return np.zeros(n_users)
 
-    def select_block(self, block: SlotBlock, state: EtBaselineState | None = None) -> np.ndarray:
+    def select_block(self, block: SlotBlock, state: np.ndarray | None = None) -> np.ndarray:
         if state is None:
             raise ValueError("order-et needs per-run state from start()")
         normalized = block.gains / self.mean_gains
@@ -194,12 +113,11 @@ class OrderEtScheduler(SlotScheduler):
         eligible_rank = np.zeros(block.n_users + 1, dtype=bool)
         eligible_rank[list(self.s_a)] = True
         selections = np.empty(block.n_slots, dtype=np.int64)
-        totals = state.cumulative_rate
         for i in range(block.n_slots):
             candidates = rank_sorted[i][eligible_rank[1 : block.n_users + 1]]
             candidates.sort()
-            chosen = candidates[np.argmin(totals[candidates])]
-            totals[chosen] += block.capacities[i, chosen]
+            chosen = candidates[np.argmin(state[candidates])]
+            state[chosen] += block.capacities[i, chosen]
             selections[i] = chosen
         return selections
 

@@ -9,8 +9,12 @@ meet their targets.
 
   * MT has the single multiplier nu; the pool estimate of harvested
     energy is non-decreasing in nu, so nu is found by bisection.
-  * PF and ET add one multiplier per user (gamma / theta) and use a
-    projected subgradient ascent with step c/sqrt(k).
+  * PF and ET add one multiplier per user (gamma / theta) and share
+    one projected subgradient loop with step c/sqrt(k); each scheme
+    supplies only its multiplier step, fairness gap and final duals.
+
+Every pass schedules the pool with ``scheduling.linear_argmax``, the
+kernel the online schedulers use, on the pool's normalized arrays.
 
 The same slot pool is reused across all dual iterates (common random
 numbers); fresh slots are drawn only for out-of-sample validation via
@@ -40,8 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from . import seeds
-from .channel import SystemConfig, UserProfile, draw_block
-from .scheduling import DualState, make_optimal_scheduler
+from .channel import ConfigError, SystemConfig, UserProfile, draw_block
+from .scheduling import DualState, linear_argmax, make_optimal_scheduler
 
 _NU_CAP = 1e6  # normalized; beyond this the selection is pure minimum-harvest
 _STALL_WINDOW = 400
@@ -136,6 +140,9 @@ class _Pool:
     def n_users(self) -> int:
         return self.caps.shape[1]
 
+    def evaluate(self, selections: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        return _evaluate(self.caps, self.harvests, self.qsum, self.rows, selections)
+
 
 def _build_pool(
     profiles: Sequence[UserProfile],
@@ -163,27 +170,20 @@ def _build_pool(
     )
 
 
-def _evaluate(pool: _Pool, selections: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Average harvest, access frequencies and per-user rates of a selection."""
-    m = len(selections)
-    qbar = float(np.mean(pool.qsum - pool.harvests[pool.rows, selections]))
-    counts = np.bincount(selections, minlength=pool.n_users)
-    rate_sums = np.bincount(
-        selections, weights=pool.caps[pool.rows, selections], minlength=pool.n_users
-    )
+def _evaluate(
+    caps: np.ndarray, harvests: np.ndarray, qsum: np.ndarray, rows: np.ndarray,
+    selections: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Average harvest, access frequencies and per-user rates of a selection.
+
+    ``qsum`` holds each slot's total harvest and ``rows`` is
+    ``arange(slots)``; both are passed in so a pool computes them once.
+    """
+    m, n = caps.shape
+    qbar = float(np.mean(qsum - harvests[rows, selections]))
+    counts = np.bincount(selections, minlength=n)
+    rate_sums = np.bincount(selections, weights=caps[rows, selections], minlength=n)
     return qbar, counts / m, rate_sums / m
-
-
-def _mt_selections(pool: _Pool, nu_t: float) -> np.ndarray:
-    return np.argmax(pool.cn - nu_t * pool.qn, axis=1)
-
-
-def _pf_selections(pool: _Pool, nu_t: float, gamma_t: np.ndarray) -> np.ndarray:
-    return np.argmax(pool.cn - nu_t * pool.qn - gamma_t, axis=1)
-
-
-def _et_selections(pool: _Pool, nu_t: float, theta: np.ndarray) -> np.ndarray:
-    return np.argmax(theta * pool.cn - nu_t * pool.qn, axis=1)
 
 
 def _resolve_tol_energy(settings: CalibrationSettings, pool: _Pool) -> float:
@@ -210,7 +210,7 @@ def feasible_range(
 ) -> FeasibleRange:
     """Estimate the reachable [greedy, maximum] average-harvest interval."""
     pool = _build_pool(profiles, config, settings, rng)
-    greedy, _, _ = _evaluate(pool, _mt_selections(pool, 0.0))
+    greedy, _, _ = pool.evaluate(linear_argmax(pool.cn, pool.qn, 0.0))
     per_slot_max = pool.qsum - pool.harvests.min(axis=1)
     stderr = float(per_slot_max.std(ddof=1) / math.sqrt(settings.mc_slots))
     return FeasibleRange(greedy=greedy, maximum=pool.q_scale, stderr_maximum=stderr)
@@ -233,19 +233,11 @@ def estimate_constraints(
         rng = seeds.substream(settings.seed, seeds.VALIDATION)
     scheduler = make_optimal_scheduler(scheme, duals)
     block = draw_block(profiles, config, rng, settings.mc_slots)
-    selections = scheduler.select_block(block)
-    rows = np.arange(settings.mc_slots)
-    qsum = block.harvests.sum(axis=1)
-    qbar = float(np.mean(qsum - block.harvests[rows, selections]))
-    counts = np.bincount(selections, minlength=len(profiles))
-    rate_sums = np.bincount(
-        selections, weights=block.capacities[rows, selections], minlength=len(profiles)
+    qbar, access, rates = _evaluate(
+        block.capacities, block.harvests, block.harvests.sum(axis=1),
+        np.arange(settings.mc_slots), scheduler.select_block(block),
     )
-    return ConstraintEstimate(
-        mean_sum_harvest=qbar,
-        access_freq=counts / settings.mc_slots,
-        per_user_rate=rate_sums / settings.mc_slots,
-    )
+    return ConstraintEstimate(mean_sum_harvest=qbar, access_freq=access, per_user_rate=rates)
 
 
 def calibrate_mt(
@@ -270,7 +262,7 @@ def calibrate_mt(
     def qbar_at(nu_t: float) -> float:
         nonlocal evals
         evals += 1
-        qbar, _, _ = _evaluate(pool, _mt_selections(pool, nu_t))
+        qbar, _, _ = pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))
         return qbar
 
     qbar_zero = qbar_at(0.0)
@@ -298,8 +290,7 @@ def calibrate_mt(
                 lo = mid
         nu_t, qbar = hi, qbar_hi
 
-    selections = _mt_selections(pool, nu_t)
-    qbar, access, rates = _evaluate(pool, selections)
+    qbar, access, rates = pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))
     residuals = {
         "scheme": "mt",
         "q_req": q_req,
@@ -348,6 +339,168 @@ class _StallDetector:
         return self.best < self.target and (k - self.last_improvement) >= _STALL_WINDOW
 
 
+class _PfRule:
+    """Equal channel access: per-user offsets g = gamma, kept zero-mean."""
+
+    scheme = "pf"
+    constraint = "equal channel access"  # wording of InfeasibleError
+    kernel_arg = "g"
+    gap_key, tol_key = "access_gap", "tol_access"
+    fields = ("access_freq_pool", "per_user_rate_pool")
+
+    def start(self, pool: _Pool, warm: DualState | None) -> np.ndarray:
+        if warm is None or warm.gamma is None:
+            return np.zeros(pool.n_users)
+        gamma_t = np.asarray(warm.gamma, dtype=float) / pool.c_scale
+        return gamma_t - gamma_t.mean()
+
+    def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
+        return float(np.max(np.abs(access - 1.0 / len(access))))
+
+    def step(self, gamma_t, step, access, rates) -> np.ndarray:
+        gamma_t = gamma_t + step * (access - 1.0 / len(access))
+        gamma_t -= gamma_t.mean()
+        return gamma_t
+
+    def average(self, gamma_sum: np.ndarray, count: int) -> np.ndarray:
+        return gamma_sum / count
+
+    def duals(self, gamma_t: np.ndarray, pool: _Pool) -> dict:
+        return {"gamma": (gamma_t - gamma_t.mean()) * pool.c_scale}
+
+
+class _EtRule:
+    """Equal throughput: per-user rate weights w = theta on the unit simplex."""
+
+    scheme = "et"
+    constraint = "equal throughput"
+    kernel_arg = "w"
+    gap_key, tol_key = "rate_spread", "tol_rate"
+    fields = ("per_user_rate_pool", "theta_sum")
+
+    def start(self, pool: _Pool, warm: DualState | None) -> np.ndarray:
+        # inverse mean capacity starts the search close to equal throughput
+        inv_cap = 1.0 / np.maximum(pool.caps.mean(axis=0), 1e-30)
+        if warm is None or warm.theta is None:
+            return inv_cap / inv_cap.sum()
+        theta = np.maximum(np.asarray(warm.theta, dtype=float), 0.0)
+        return theta / theta.sum() if theta.sum() > 0 else inv_cap / inv_cap.sum()
+
+    def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
+        mean = float(rates.mean())
+        if mean <= 0:
+            return math.inf
+        return float((rates.max() - rates.min()) / mean)
+
+    def step(self, theta, step, access, rates) -> np.ndarray:
+        r_min = float(rates.min())
+        rate_scale = max(float(rates.mean()), 1e-30)
+        delta = step * (r_min - rates) / rate_scale
+        # keep every weight strictly positive: a user whose weight hits
+        # zero is never scheduled again and its rate cannot recover
+        delta = np.maximum(delta, -0.5 * theta)
+        theta = np.maximum(theta + delta, 0.0)
+        return theta / theta.sum()
+
+    def average(self, theta_sum: np.ndarray, count: int) -> np.ndarray:
+        theta = theta_sum / count
+        return theta / theta.sum()
+
+    def duals(self, theta: np.ndarray, pool: _Pool) -> dict:
+        return {"theta": theta / theta.sum()}
+
+
+def _subgradient(
+    rule: _PfRule | _EtRule,
+    q_req: float,
+    profiles: Sequence[UserProfile],
+    config: SystemConfig,
+    settings: CalibrationSettings,
+    warm_start: DualState | None,
+) -> DualState:
+    """Projected subgradient ascent on nu and one multiplier per user.
+
+    Every iteration schedules the fixed pool, stops once the fairness
+    gap and the harvest target both hold, and otherwise steps with
+    ``step_size / sqrt(k)``: nu += step * (q_req - harvest), clamped
+    to [0, _NU_CAP], and the multiplier by ``rule.step``.  ``rule``
+    supplies all that differs between PF and ET: the start and warm
+    start, where the multiplier enters the score, its step, the
+    fairness gap and tolerance, the residual fields and the duals.
+    """
+    pool = _build_pool(profiles, config, settings)
+    tol_e = _resolve_tol_energy(settings, pool)
+    _check_q_req(q_req, pool, tol_e)
+    tol = getattr(settings, rule.tol_key)
+    nu_t = 0.0 if warm_start is None else warm_start.nu * pool.q_scale / pool.c_scale
+    mult = rule.start(pool, warm_start)
+
+    def evaluate(nu_t: float, mult: np.ndarray):
+        selections = linear_argmax(pool.cn, pool.qn, nu_t, **{rule.kernel_arg: mult})
+        qbar, access, rates = pool.evaluate(selections)
+        ok = rule.gap(access, rates) <= tol and _energy_ok(qbar, q_req, tol_e, nu_t)
+        return qbar, access, rates, ok
+
+    tail_nu, tail_mult, tail_count = 0.0, np.zeros(pool.n_users), 0
+    tail_from = settings.max_iters // 2
+    stall = _StallDetector(target=q_req - tol_e, margin=0.1 * tol_e)
+    averaged = False
+    for k in range(1, settings.max_iters + 1):
+        qbar, access, rates, ok = evaluate(nu_t, mult)
+        if ok:
+            break
+        if stall.stalled(k, qbar):
+            raise InfeasibleError(
+                f"harvest target {q_req:.6g} W is not reachable under {rule.constraint} "
+                f"(best average harvest observed: {stall.best:.6g} W)",
+                q_req=q_req,
+                achievable=stall.best,
+            )
+
+        step = settings.step_size / math.sqrt(k)
+        nu_t = min(max(0.0, nu_t + step * (q_req - qbar) / pool.q_scale), _NU_CAP)
+        mult = rule.step(mult, step, access, rates)
+
+        if k >= tail_from:
+            tail_nu += nu_t
+            tail_mult += mult
+            tail_count += 1
+    else:
+        # Fallback: the averaged tail iterate often sits at the constraint
+        # set even when the raw iterate keeps hopping across it.
+        nu_t, mult = tail_nu / tail_count, rule.average(tail_mult, tail_count)
+        qbar, access, rates, ok = evaluate(nu_t, mult)
+        averaged = True
+
+    # the scheme's residual fields are picked from these, in its order
+    reported = {"access_freq_pool": access.tolist(), "per_user_rate_pool": rates.tolist(),
+                "theta_sum": float(mult.sum())}
+    res = {
+        "scheme": rule.scheme,
+        "q_req": q_req,
+        "tol_energy": tol_e,
+        rule.tol_key: tol,
+        "energy_gap": qbar - q_req,
+        rule.gap_key: rule.gap(access, rates),
+        "qbar_pool": qbar,
+        **{key: reported[key] for key in rule.fields},
+        "iterations": k,
+        "converged": ok,
+        "averaged": averaged,
+        "c_scale": pool.c_scale,
+        "q_scale": pool.q_scale,
+    }
+    if not ok:
+        raise ConvergenceError(
+            f"{rule.scheme} calibration did not converge in {k} iterations "
+            f"({rule.gap_key.replace('_', ' ')} {res[rule.gap_key]:.4g}, "
+            f"energy gap {res['energy_gap']:.4g} W)",
+            residuals=res,
+        )
+    nu = nu_t * pool.c_scale / pool.q_scale
+    return DualState(nu=nu, calibration_residuals=res, **rule.duals(mult, pool))
+
+
 def calibrate_pf(
     q_req: float,
     profiles: Sequence[UserProfile],
@@ -357,99 +510,11 @@ def calibrate_pf(
 ) -> DualState:
     """Calibrate (nu, gamma) so access is uniform and the harvest target binds.
 
-    Projected subgradient with step ``step_size / sqrt(k)``:
+    Runs the shared subgradient loop with the offset step
 
         gamma_n += step * (access_n - 1/N)          (then recentred)
-        nu      += step * (q_req - harvest)         (clamped at 0)
-
-    evaluated on the fixed pool every iteration.  If the loop budget
-    runs out, the tail-averaged iterate is tried before giving up.
     """
-    pool = _build_pool(profiles, config, settings)
-    tol_e = _resolve_tol_energy(settings, pool)
-    _check_q_req(q_req, pool, tol_e)
-    n = pool.n_users
-
-    nu_t = 0.0
-    gamma_t = np.zeros(n)
-    if warm_start is not None:
-        nu_t = warm_start.nu * pool.q_scale / pool.c_scale
-        if warm_start.gamma is not None:
-            gamma_t = np.asarray(warm_start.gamma, dtype=float) / pool.c_scale
-            gamma_t = gamma_t - gamma_t.mean()
-
-    def residuals_for(qbar, access, rates, k, converged, averaged=False) -> dict:
-        return {
-            "scheme": "pf",
-            "q_req": q_req,
-            "tol_energy": tol_e,
-            "tol_access": settings.tol_access,
-            "energy_gap": qbar - q_req,
-            "access_gap": float(np.max(np.abs(access - 1.0 / n))),
-            "qbar_pool": qbar,
-            "access_freq_pool": access.tolist(),
-            "per_user_rate_pool": rates.tolist(),
-            "iterations": k,
-            "converged": converged,
-            "averaged": averaged,
-            "c_scale": pool.c_scale,
-            "q_scale": pool.q_scale,
-        }
-
-    def finish(qbar, access, rates, k, averaged=False) -> DualState:
-        return DualState(
-            nu=nu_t * pool.c_scale / pool.q_scale,
-            gamma=(gamma_t - gamma_t.mean()) * pool.c_scale,
-            calibration_residuals=residuals_for(qbar, access, rates, k, True, averaged),
-        )
-
-    tail_nu, tail_gamma, tail_count = 0.0, np.zeros(n), 0
-    tail_from = settings.max_iters // 2
-    stall = _StallDetector(target=q_req - tol_e, margin=0.1 * tol_e)
-    last = None
-    for k in range(1, settings.max_iters + 1):
-        selections = _pf_selections(pool, nu_t, gamma_t)
-        qbar, access, rates = _evaluate(pool, selections)
-        last = (qbar, access, rates, k)
-        acc_gap = float(np.max(np.abs(access - 1.0 / n)))
-        if acc_gap <= settings.tol_access and _energy_ok(qbar, q_req, tol_e, nu_t):
-            return finish(qbar, access, rates, k)
-        if stall.stalled(k, qbar):
-            raise InfeasibleError(
-                f"harvest target {q_req:.6g} W is not reachable under equal "
-                f"channel access (best average harvest observed: {stall.best:.6g} W)",
-                q_req=q_req,
-                achievable=stall.best,
-            )
-
-        step = settings.step_size / math.sqrt(k)
-        nu_t = min(max(0.0, nu_t + step * (q_req - qbar) / pool.q_scale), _NU_CAP)
-        gamma_t = gamma_t + step * (access - 1.0 / n)
-        gamma_t -= gamma_t.mean()
-
-        if k >= tail_from:
-            tail_nu += nu_t
-            tail_gamma += gamma_t
-            tail_count += 1
-
-    # Fallback: the averaged tail iterate often sits at the constraint
-    # set even when the raw iterate keeps hopping across it.
-    if tail_count:
-        nu_t = tail_nu / tail_count
-        gamma_t = tail_gamma / tail_count
-        selections = _pf_selections(pool, nu_t, gamma_t)
-        qbar, access, rates = _evaluate(pool, selections)
-        acc_gap = float(np.max(np.abs(access - 1.0 / n)))
-        if acc_gap <= settings.tol_access and _energy_ok(qbar, q_req, tol_e, nu_t):
-            return finish(qbar, access, rates, settings.max_iters, averaged=True)
-        last = (qbar, access, rates, settings.max_iters)
-
-    res = residuals_for(*last, converged=False, averaged=bool(tail_count))
-    raise ConvergenceError(
-        f"pf calibration did not converge in {settings.max_iters} iterations "
-        f"(access gap {res['access_gap']:.4g}, energy gap {res['energy_gap']:.4g} W)",
-        residuals=res,
-    )
+    return _subgradient(_PfRule(), q_req, profiles, config, settings, warm_start)
 
 
 def calibrate_et(
@@ -461,109 +526,17 @@ def calibrate_et(
 ) -> DualState:
     """Calibrate (nu, theta) so per-user throughputs equalize under the target.
 
-    theta is updated by a projected subgradient against the gap
+    Runs the shared subgradient loop; theta steps against the gap
     between each user's pool rate and the minimum rate, clamped at
-    zero and renormalized to the unit simplex after every step; nu is
-    updated as in the PF calibration.  The initial theta weights each
-    user by the inverse of its mean pool capacity, which starts the
-    search close to the equal-throughput region.
+    zero and renormalized to the unit simplex after every step.  The
+    initial theta weights each user by the inverse of its mean pool
+    capacity, which starts the search close to the equal-throughput
+    region.
     """
-    pool = _build_pool(profiles, config, settings)
-    tol_e = _resolve_tol_energy(settings, pool)
-    _check_q_req(q_req, pool, tol_e)
-    n = pool.n_users
+    return _subgradient(_EtRule(), q_req, profiles, config, settings, warm_start)
 
-    nu_t = 0.0
-    inv_cap = 1.0 / np.maximum(pool.caps.mean(axis=0), 1e-30)
-    theta = inv_cap / inv_cap.sum()
-    if warm_start is not None:
-        nu_t = warm_start.nu * pool.q_scale / pool.c_scale
-        if warm_start.theta is not None:
-            theta = np.asarray(warm_start.theta, dtype=float)
-            theta = np.maximum(theta, 0.0)
-            theta = theta / theta.sum() if theta.sum() > 0 else inv_cap / inv_cap.sum()
 
-    def spread_of(rates: np.ndarray) -> float:
-        mean = float(rates.mean())
-        if mean <= 0:
-            return math.inf
-        return float((rates.max() - rates.min()) / mean)
-
-    def residuals_for(qbar, rates, k, converged, averaged=False) -> dict:
-        return {
-            "scheme": "et",
-            "q_req": q_req,
-            "tol_energy": tol_e,
-            "tol_rate": settings.tol_rate,
-            "energy_gap": qbar - q_req,
-            "rate_spread": spread_of(rates),
-            "qbar_pool": qbar,
-            "per_user_rate_pool": rates.tolist(),
-            "theta_sum": float(theta.sum()),
-            "iterations": k,
-            "converged": converged,
-            "averaged": averaged,
-            "c_scale": pool.c_scale,
-            "q_scale": pool.q_scale,
-        }
-
-    def finish(qbar, rates, k, averaged=False) -> DualState:
-        return DualState(
-            nu=nu_t * pool.c_scale / pool.q_scale,
-            theta=theta / theta.sum(),
-            calibration_residuals=residuals_for(qbar, rates, k, True, averaged),
-        )
-
-    tail_nu, tail_theta, tail_count = 0.0, np.zeros(n), 0
-    tail_from = settings.max_iters // 2
-    stall = _StallDetector(target=q_req - tol_e, margin=0.1 * tol_e)
-    last = None
-    for k in range(1, settings.max_iters + 1):
-        selections = _et_selections(pool, nu_t, theta)
-        qbar, _, rates = _evaluate(pool, selections)
-        last = (qbar, rates, k)
-        if spread_of(rates) <= settings.tol_rate and _energy_ok(qbar, q_req, tol_e, nu_t):
-            return finish(qbar, rates, k)
-        if stall.stalled(k, qbar):
-            raise InfeasibleError(
-                f"harvest target {q_req:.6g} W is not reachable under equal "
-                f"throughput (best average harvest observed: {stall.best:.6g} W)",
-                q_req=q_req,
-                achievable=stall.best,
-            )
-
-        step = settings.step_size / math.sqrt(k)
-        nu_t = min(max(0.0, nu_t + step * (q_req - qbar) / pool.q_scale), _NU_CAP)
-        r_min = float(rates.min())
-        rate_scale = max(float(rates.mean()), 1e-30)
-        delta = step * (r_min - rates) / rate_scale
-        # keep every weight strictly positive: a user whose weight hits
-        # zero is never scheduled again and its rate cannot recover
-        delta = np.maximum(delta, -0.5 * theta)
-        theta = np.maximum(theta + delta, 0.0)
-        theta = theta / theta.sum()
-
-        if k >= tail_from:
-            tail_nu += nu_t
-            tail_theta += theta
-            tail_count += 1
-
-    if tail_count:
-        nu_t = tail_nu / tail_count
-        theta = tail_theta / tail_count
-        theta = theta / theta.sum()
-        selections = _et_selections(pool, nu_t, theta)
-        qbar, _, rates = _evaluate(pool, selections)
-        if spread_of(rates) <= settings.tol_rate and _energy_ok(qbar, q_req, tol_e, nu_t):
-            return finish(qbar, rates, settings.max_iters, averaged=True)
-        last = (qbar, rates, settings.max_iters)
-
-    res = residuals_for(*last, converged=False, averaged=bool(tail_count))
-    raise ConvergenceError(
-        f"et calibration did not converge in {settings.max_iters} iterations "
-        f"(rate spread {res['rate_spread']:.4g}, energy gap {res['energy_gap']:.4g} W)",
-        residuals=res,
-    )
+_CALIBRATORS = {"mt": calibrate_mt, "pf": calibrate_pf, "et": calibrate_et}
 
 
 def settings_hash(settings: CalibrationSettings) -> str:
@@ -588,12 +561,33 @@ def save_duals(
 
 
 def load_duals(path: str | Path) -> tuple[str, DualState]:
-    """Read back a calibration record written by ``save_duals``."""
-    record = json.loads(Path(path).read_text())
-    duals = DualState(
-        nu=float(record["nu"]),
-        gamma=None if record.get("gamma") is None else np.asarray(record["gamma"], dtype=float),
-        theta=None if record.get("theta") is None else np.asarray(record["theta"], dtype=float),
-        calibration_residuals=record.get("residuals", {}),
-    )
-    return record["scheme"], duals
+    """Read back a calibration record written by ``save_duals``.
+
+    Raises ConfigError when the record is not a JSON object, names no
+    known scheme, has a negative or non-finite nu, or lacks the finite
+    multiplier vector its scheme needs (gamma for pf, nonnegative
+    theta for et).
+    """
+    try:
+        record = json.loads(Path(path).read_text())
+        scheme, nu = record["scheme"], float(record["nu"])
+        gamma, theta = (
+            None if record.get(key) is None else np.asarray(record[key], dtype=float)
+            for key in ("gamma", "theta")
+        )
+        residuals = record.get("residuals", {})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed duals file {path}: {type(exc).__name__}: {exc}") from exc
+    if scheme not in ("mt", "pf", "et") or not isinstance(residuals, dict):
+        raise ConfigError(f"duals file {path}: unknown scheme {scheme!r} or bad residuals")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ConfigError(f"duals file {path}: nu must be finite and nonnegative, got {nu}")
+    if scheme == "pf" and not _finite_vector(gamma):
+        raise ConfigError(f"duals file {path}: pf duals need a finite gamma vector")
+    if scheme == "et" and not (_finite_vector(theta) and np.all(theta >= 0)):
+        raise ConfigError(f"duals file {path}: et duals need a finite nonnegative theta vector")
+    return scheme, DualState(nu=nu, gamma=gamma, theta=theta, calibration_residuals=residuals)
+
+
+def _finite_vector(x: np.ndarray | None) -> bool:
+    return x is not None and x.ndim == 1 and bool(np.all(np.isfinite(x)))

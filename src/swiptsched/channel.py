@@ -127,16 +127,6 @@ class UserProfile:
 
 
 @dataclass
-class SlotRealization:
-    """Channel state of one time slot across all users."""
-
-    slot_index: int
-    gains: np.ndarray
-    capacities: np.ndarray
-    harvests: np.ndarray
-
-
-@dataclass
 class SlotBlock:
     """Channel state of a contiguous block of slots, one row per slot."""
 
@@ -151,15 +141,6 @@ class SlotBlock:
     @property
     def n_users(self) -> int:
         return self.gains.shape[1]
-
-    def slot(self, i: int, slot_index: int | None = None) -> SlotRealization:
-        """Extract row ``i`` as a single-slot realization."""
-        return SlotRealization(
-            slot_index=i if slot_index is None else slot_index,
-            gains=self.gains[i],
-            capacities=self.capacities[i],
-            harvests=self.harvests[i],
-        )
 
 
 def mean_channel_gain(distance_m: float, config: SystemConfig) -> float:
@@ -229,8 +210,9 @@ def draw_block(
     """Draw ``n_slots`` independent fading slots for all users at once.
 
     The exponential variates are consumed from ``rng`` in slot-major
-    order, so drawing one block of T slots and drawing T single slots
-    from the same generator state produce identical realizations.
+    order, so drawing one block of T slots and drawing consecutive
+    blocks of a and T - a slots from the same generator state produce
+    identical realizations.
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
@@ -238,17 +220,6 @@ def draw_block(
     gains = omega * rng.standard_exponential((n_slots, len(profiles)))
     capacities, harvests = _derive(gains, config.tx_power, xi, sigma2)
     return SlotBlock(gains=gains, capacities=capacities, harvests=harvests)
-
-
-def draw_slot(
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    rng: np.random.Generator,
-    slot_index: int = 0,
-) -> SlotRealization:
-    """Draw the channel state of a single slot."""
-    block = draw_block(profiles, config, rng, 1)
-    return block.slot(0, slot_index=slot_index)
 
 
 # Keys accepted in configuration files, with the units used.
@@ -321,24 +292,26 @@ def load_config(path: str | Path) -> SystemConfig:
         values = _parse_keyvalue(text)
 
     fields: dict = {}
-    for key, value in values.items():
-        if key in _DBM_KEYS:
-            target = _DBM_KEYS[key]
-            if target in values:
-                raise ConfigError(f"both {key} and {target} given")
-            if isinstance(value, list):
-                fields[target] = [dbm_to_watts(float(v)) for v in value]
-            else:
-                fields[target] = dbm_to_watts(float(value))
-        elif key in _CONFIG_KEYS:
-            fields[key] = int(value) if key in _INT_KEYS else value
-        else:
-            raise ConfigError(f"unknown config key: {key!r}")
-    if "n_users" not in fields:
-        raise ConfigError("config must set n_users")
     try:
+        for key, value in values.items():
+            if key in _DBM_KEYS:
+                target = _DBM_KEYS[key]
+                if target in values:
+                    raise ConfigError(f"both {key} and {target} given")
+                if isinstance(value, list):
+                    fields[target] = [dbm_to_watts(float(v)) for v in value]
+                else:
+                    fields[target] = dbm_to_watts(float(value))
+            elif key in _CONFIG_KEYS:
+                fields[key] = int(value) if key in _INT_KEYS else value
+            else:
+                raise ConfigError(f"unknown config key: {key!r}")
+        if "n_users" not in fields:
+            raise ConfigError("config must set n_users")
         return SystemConfig(**fields)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 

@@ -27,18 +27,16 @@ import numpy as np
 from . import seeds
 from .baselines import OrderPolicy, make_order_scheduler
 from .calibration import (
+    _CALIBRATORS,
     CalibrationSettings,
     ConvergenceError,
     InfeasibleError,
-    calibrate_et,
-    calibrate_mt,
-    calibrate_pf,
     feasible_range,
     load_duals,
     save_duals,
 )
-from .channel import ConfigError, SystemConfig, load_config, place_users
-from .oracle import brute_force_mt, dual_mt_schedule, random_instance
+from .channel import ConfigError, SystemConfig, UserProfile, load_config, place_users
+from .oracle import FiniteInstance, brute_force_mt, dual_mt_schedule, random_instance
 from .scheduling import make_optimal_scheduler
 from .simulator import (
     OPTIMAL_SCHEMES,
@@ -133,39 +131,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> SystemConfig:
+def _setup(args) -> tuple[SystemConfig, list[UserProfile], CalibrationSettings]:
+    """Config with the command-line overrides, user placement and calibration settings."""
     config = load_config(args.config)
     overrides = {}
-    if args.users is not None:
-        overrides["n_users"] = args.users
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "slots", None) is not None:
-        overrides["n_slots"] = args.slots
-    return replace(config, **overrides) if overrides else config
-
-
-def _settings(args, seed: int) -> CalibrationSettings:
-    return CalibrationSettings(
-        mc_slots=args.mc_slots,
-        max_iters=args.max_iters,
-        step_size=args.step_size,
-        tol_energy=args.tol_energy,
-        tol_access=args.tol_access,
-        tol_rate=args.tol_rate,
-        seed=seed,
-    )
-
-
-_CALIBRATORS = {"mt": calibrate_mt, "pf": calibrate_pf, "et": calibrate_et}
+    for key, attr in (
+        ("n_users", "users"), ("seed", "seed"), ("n_slots", "slots"), ("q_req", "q_req")
+    ):
+        if getattr(args, attr, None) is not None:
+            overrides[key] = getattr(args, attr)
+    config = replace(config, **overrides) if overrides else config
+    profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))
+    try:
+        settings = CalibrationSettings(
+            mc_slots=args.mc_slots,
+            max_iters=args.max_iters,
+            step_size=args.step_size,
+            tol_energy=args.tol_energy,
+            tol_access=args.tol_access,
+            tol_rate=args.tol_rate,
+            seed=config.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config, profiles, settings
 
 
 def _cmd_calibrate(args) -> int:
-    config = _load(args)
-    profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))
-    settings = _settings(args, config.seed)
-    q_req = config.q_req if args.q_req is None else args.q_req
-    duals = _CALIBRATORS[args.scheme](q_req, profiles, config, settings)
+    config, profiles, settings = _setup(args)
+    duals = _CALIBRATORS[args.scheme](config.q_req, profiles, config, settings)
     save_duals(args.out, args.scheme, duals, settings)
     print(f"calibrated {args.scheme}: nu={duals.nu:.6g} -> {args.out}")
     return EXIT_OK
@@ -182,12 +176,17 @@ def _build_scheduler(args, config, profiles, settings):
     """Returns (scheduler, point metadata) for the run subcommand."""
     scheme = args.scheme
     if scheme in OPTIMAL_SCHEMES:
-        q_req = config.q_req if args.q_req is None else args.q_req
+        q_req = config.q_req
         if args.duals:
             saved_scheme, duals = load_duals(args.duals)
             if saved_scheme != scheme:
                 raise ConfigError(
                     f"duals file holds scheme {saved_scheme!r}, requested {scheme!r}"
+                )
+            mult = duals.gamma if scheme == "pf" else duals.theta
+            if scheme != "mt" and len(mult) != config.n_users:
+                raise ConfigError(
+                    f"duals file holds {len(mult)} multipliers, config has {config.n_users} users"
                 )
             q_req = duals.calibration_residuals.get("q_req", q_req)
         else:
@@ -225,9 +224,7 @@ def _emit(args, config, points) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = _load(args)
-    profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))
-    settings = _settings(args, config.seed)
+    config, profiles, settings = _setup(args)
     scheduler, meta = _build_scheduler(args, config, profiles, settings)
     stats = run_simulation(scheduler, profiles, config, config.n_slots, config.seed)
     point = SweepPoint(scheme=scheduler.tag, stats=stats, feasible=True, **meta)
@@ -239,22 +236,23 @@ def _parse_grid(text: str, profiles, config, settings) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be lo:hi:count, got {text!r}")
-    lo = float(parts[0])
-    count = int(parts[2])
-    if parts[1] == "auto":
+    try:
+        lo, count = float(parts[0]), int(parts[2])
+        hi = None if parts[1] == "auto" else float(parts[1])
+    except ValueError:
+        raise ConfigError(f"cannot parse grid {text!r}") from None
+    if lo < 0:
+        raise ConfigError(f"grid targets must be nonnegative: {text!r}")
+    if hi is None:
         fr = feasible_range(profiles, config, settings)
         hi = fr.maximum - fr.stderr_maximum
-    else:
-        hi = float(parts[1])
     if count < 1 or hi < lo:
         raise ConfigError(f"empty grid: {text!r}")
     return list(np.linspace(lo, hi, count))
 
 
 def _cmd_sweep(args) -> int:
-    config = _load(args)
-    profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))
-    settings = _settings(args, config.seed)
+    config, profiles, settings = _setup(args)
     if args.scheme in OPTIMAL_SCHEMES:
         grid = _parse_grid(args.grid, profiles, config, settings)
         points = sweep_q_req(
@@ -274,6 +272,11 @@ def _cmd_oracle_check(args) -> int:
         config = replace(config, n_users=args.users, seed=args.seed)
     else:
         config = SystemConfig(n_users=args.users, seed=args.seed)
+    shape = (args.slots_per_instance, args.users)
+    try:
+        FiniteInstance(np.zeros(shape), np.zeros(shape), 0.0).check_budget()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))
     rng = seeds.substream(config.seed, seeds.VALIDATION)
     worst_gap, worst_bound = 0.0, 0.0
@@ -314,9 +317,6 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleError as exc:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import SystemConfig, UserProfile, draw_block
+from .scheduling import linear_argmax
 
 ENUMERATION_BUDGET = 1_000_000
 _BATCH = 1 << 14
@@ -160,26 +161,23 @@ def dual_mt_schedule(instance: FiniteInstance) -> tuple[np.ndarray, float] | Non
     """
     caps, harv = instance.capacities, instance.harvests
 
-    def schedule_at(nu: float) -> np.ndarray:
-        return np.argmax(caps - nu * harv, axis=1)
-
-    if instance.harvest_of(schedule_at(0.0)) >= instance.q_req:
-        return schedule_at(0.0), 0.0
+    if instance.harvest_of(linear_argmax(caps, harv, 0.0)) >= instance.q_req:
+        return linear_argmax(caps, harv, 0.0), 0.0
     if instance.max_harvest() < instance.q_req:
         return None
 
     scale = float(caps.max()) / max(float(np.mean(harv.sum(axis=1))), 1e-300)
     lo, hi = 0.0, scale
     for _ in range(200):
-        if instance.harvest_of(schedule_at(hi)) >= instance.q_req:
+        if instance.harvest_of(linear_argmax(caps, harv, hi)) >= instance.q_req:
             break
         lo, hi = hi, hi * 2.0
     for _ in range(200):
         if (hi - lo) <= 1e-14 * hi:
             break
         mid = 0.5 * (lo + hi)
-        if instance.harvest_of(schedule_at(mid)) >= instance.q_req:
+        if instance.harvest_of(linear_argmax(caps, harv, mid)) >= instance.q_req:
             hi = mid
         else:
             lo = mid
-    return schedule_at(hi), hi
+    return linear_argmax(caps, harv, hi), hi

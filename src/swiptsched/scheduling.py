@@ -1,11 +1,14 @@
-"""Per-slot user selection metrics for the dual-metric schedulers.
+"""Per-slot user selection of the dual-metric schedulers.
 
-Each scheme scores every user with a linear combination of the slot's
-capacity C_n and harvest Q_n and schedules the argmax:
+Every scheme scores each user with one linear combination of the
+slot's capacity C_n and harvest Q_n and schedules the argmax:
 
-    max-throughput (MT):      L_n = C_n - nu * Q_n
-    proportional-fair (PF):   L_n = C_n - nu * Q_n - gamma_n
-    equal-throughput (ET):    L_n = theta_n * C_n - nu * Q_n
+    L_n = w_n * C_n - nu * Q_n - g_n
+
+    scheme                    w_n        g_n
+    max-throughput (MT)       1          0
+    proportional-fair (PF)    1          gamma_n
+    equal-throughput (ET)     theta_n    0
 
 nu >= 0 prices harvested energy against rate, gamma_n equalizes
 long-run channel-access shares, and theta_n (nonnegative, summing to
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SlotBlock, SlotRealization
+from .channel import SlotBlock
 
 
 @dataclass
@@ -43,64 +46,27 @@ class DualState:
     calibration_residuals: dict = field(default_factory=dict)
 
 
-@dataclass
-class ScheduleDecision:
-    """Outcome of one slot: which user decodes, and the metrics behind it."""
+def linear_argmax(
+    caps: np.ndarray,
+    harvests: np.ndarray,
+    nu: float,
+    w: np.ndarray | None = None,
+    g: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-row argmax of ``w * caps - nu * harvests - g``, ties to the lowest index.
 
-    slot_index: int
-    selected_user: int
-    metric_values: np.ndarray
-    scheme_tag: str
-
-
-def _check_nu(nu: float) -> None:
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-
-
-def mt_metric(slot: SlotRealization, nu: float) -> np.ndarray:
-    """Max-throughput metrics C_n - nu * Q_n for one slot."""
-    _check_nu(nu)
-    return slot.capacities - nu * slot.harvests
-
-
-def pf_metric(slot: SlotRealization, nu: float, gamma: np.ndarray) -> np.ndarray:
-    """Proportional-fair metrics C_n - nu * Q_n - gamma_n for one slot."""
-    _check_nu(nu)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != slot.capacities.shape:
-        raise ValueError(
-            f"gamma has shape {gamma.shape}, expected {slot.capacities.shape}"
-        )
-    return slot.capacities - nu * slot.harvests - gamma
-
-
-def et_metric(slot: SlotRealization, nu: float, theta: np.ndarray) -> np.ndarray:
-    """Equal-throughput metrics theta_n * C_n - nu * Q_n for one slot."""
-    _check_nu(nu)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != slot.capacities.shape:
-        raise ValueError(
-            f"theta has shape {theta.shape}, expected {slot.capacities.shape}"
-        )
-    if np.any(theta < 0):
-        raise ValueError("theta must be nonnegative")
-    return theta * slot.capacities - nu * slot.harvests
-
-
-def select(
-    metrics: np.ndarray, slot_index: int = 0, scheme_tag: str = ""
-) -> ScheduleDecision:
-    """Pick the metric-maximizing user; ties go to the lowest index."""
-    metrics = np.asarray(metrics, dtype=float)
-    if metrics.size == 0:
-        raise ValueError("cannot select from an empty metric vector")
-    return ScheduleDecision(
-        slot_index=slot_index,
-        selected_user=int(np.argmax(metrics)),
-        metric_values=metrics,
-        scheme_tag=scheme_tag,
-    )
+    ``caps`` and ``harvests`` are (slots, users) arrays.  An absent
+    ``w`` means unit weights and an absent ``g`` zero offsets; absent
+    terms are skipped, not computed with ones or zeros.
+    """
+    if w is None:
+        scores = caps - nu * harvests
+    else:
+        scores = caps * w
+        scores -= nu * harvests
+    if g is not None:
+        scores -= g
+    return np.argmax(scores, axis=1)
 
 
 class SlotScheduler:
@@ -111,7 +77,7 @@ class SlotScheduler:
     return None and may be shared across concurrent runs.
     """
 
-    tag: str = "?"
+    tag: str
 
     def start(self, n_users: int):
         return None
@@ -119,97 +85,50 @@ class SlotScheduler:
     def select_block(self, block: SlotBlock, state=None) -> np.ndarray:
         raise NotImplementedError
 
-    def decide(self, slot: SlotRealization, state=None) -> ScheduleDecision:
-        """Single-slot convenience wrapper around ``select_block``."""
-        block = SlotBlock(
-            gains=slot.gains[None, :],
-            capacities=slot.capacities[None, :],
-            harvests=slot.harvests[None, :],
-        )
-        chosen = int(self.select_block(block, state)[0])
-        metrics = self.metrics_block(block)[0]
-        return ScheduleDecision(
-            slot_index=slot.slot_index,
-            selected_user=chosen,
-            metric_values=metrics,
-            scheme_tag=self.tag,
-        )
-
-    def metrics_block(self, block: SlotBlock) -> np.ndarray:
-        raise NotImplementedError
-
 
 @dataclass
-class MtScheduler(SlotScheduler):
-    """Rate-maximizing scheduler with an energy price nu."""
+class LinearScheduler(SlotScheduler):
+    """Schedules the argmax of ``w * C - nu * Q - g`` in every slot.
 
+    ``tag`` names the scheme (mt, pf or et).  ``w`` must be
+    nonnegative; ``w`` and ``g`` need one entry per user.
+    """
+
+    tag: str
     nu: float
-    tag = "mt"
+    w: np.ndarray | None = None
+    g: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _check_nu(self.nu)
-
-    def metrics_block(self, block: SlotBlock) -> np.ndarray:
-        return block.capacities - self.nu * block.harvests
-
-    def select_block(self, block: SlotBlock, state=None) -> np.ndarray:
-        return np.argmax(self.metrics_block(block), axis=1)
-
-
-@dataclass
-class PfScheduler(SlotScheduler):
-    """Equal-channel-access scheduler; gamma penalizes over-served users."""
-
-    nu: float
-    gamma: np.ndarray
-    tag = "pf"
-
-    def __post_init__(self) -> None:
-        _check_nu(self.nu)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-
-    def metrics_block(self, block: SlotBlock) -> np.ndarray:
-        if self.gamma.shape[0] != block.n_users:
-            raise ValueError("gamma length does not match the number of users")
-        return block.capacities - self.nu * block.harvests - self.gamma
+        if self.nu < 0:
+            raise ValueError(f"nu must be nonnegative, got {self.nu}")
+        if self.w is not None:
+            self.w = np.asarray(self.w, dtype=float)
+            if np.any(self.w < 0):
+                raise ValueError("weights w must be nonnegative")
+        if self.g is not None:
+            self.g = np.asarray(self.g, dtype=float)
 
     def select_block(self, block: SlotBlock, state=None) -> np.ndarray:
-        return np.argmax(self.metrics_block(block), axis=1)
+        for name in ("w", "g"):
+            value = getattr(self, name)
+            if value is not None and value.shape != (block.n_users,):
+                raise ValueError(
+                    f"{name} has shape {value.shape}, expected ({block.n_users},)"
+                )
+        return linear_argmax(block.capacities, block.harvests, self.nu, self.w, self.g)
 
 
-@dataclass
-class EtScheduler(SlotScheduler):
-    """Equal-throughput scheduler; theta reweights each user's rate."""
-
-    nu: float
-    theta: np.ndarray
-    tag = "et"
-
-    def __post_init__(self) -> None:
-        _check_nu(self.nu)
-        self.theta = np.asarray(self.theta, dtype=float)
-        if np.any(self.theta < 0):
-            raise ValueError("theta must be nonnegative")
-
-    def metrics_block(self, block: SlotBlock) -> np.ndarray:
-        if self.theta.shape[0] != block.n_users:
-            raise ValueError("theta length does not match the number of users")
-        return self.theta * block.capacities - self.nu * block.harvests
-
-    def select_block(self, block: SlotBlock, state=None) -> np.ndarray:
-        return np.argmax(self.metrics_block(block), axis=1)
-
-
-def make_optimal_scheduler(scheme: str, duals: DualState) -> SlotScheduler:
+def make_optimal_scheduler(scheme: str, duals: DualState) -> LinearScheduler:
     """Build the MT/PF/ET scheduler for a calibrated dual state."""
     if scheme == "mt":
-        return MtScheduler(nu=duals.nu)
+        return LinearScheduler("mt", duals.nu)
     if scheme == "pf":
         if duals.gamma is None:
             raise ValueError("pf scheduling needs calibrated gamma")
-        return PfScheduler(nu=duals.nu, gamma=duals.gamma)
+        return LinearScheduler("pf", duals.nu, g=duals.gamma)
     if scheme == "et":
         if duals.theta is None:
             raise ValueError("et scheduling needs calibrated theta")
-        return EtScheduler(nu=duals.nu, theta=duals.theta)
+        return LinearScheduler("et", duals.nu, w=duals.theta)
     raise ValueError(f"unknown optimal scheme: {scheme!r}")

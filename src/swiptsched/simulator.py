@@ -29,14 +29,7 @@ import numpy as np
 
 from . import seeds
 from .baselines import OrderPolicy, make_order_scheduler
-from .calibration import (
-    CalibrationSettings,
-    ConvergenceError,
-    InfeasibleError,
-    calibrate_et,
-    calibrate_mt,
-    calibrate_pf,
-)
+from .calibration import _CALIBRATORS, CalibrationSettings, ConvergenceError, InfeasibleError
 from .channel import SystemConfig, UserProfile, draw_block
 from .scheduling import DualState, SlotScheduler, make_optimal_scheduler
 
@@ -126,6 +119,13 @@ class _Accumulator:
         )
 
 
+def _blocks(profiles: Sequence[UserProfile], config: SystemConfig, seed: int, n_slots: int):
+    """The run substream of ``seed`` as consecutive blocks of at most CHUNK_SLOTS."""
+    rng = seeds.substream(seed, seeds.RUN)
+    for start in range(0, n_slots, CHUNK_SLOTS):
+        yield start, draw_block(profiles, config, rng, min(CHUNK_SLOTS, n_slots - start))
+
+
 def run(
     scheduler: SlotScheduler,
     profiles: Sequence[UserProfile],
@@ -141,19 +141,14 @@ def run(
     """
     if n_slots < 1:
         raise ValueError("n_slots must be positive")
-    rng = seeds.substream(seed, seeds.RUN)
     state = scheduler.start(len(profiles))
     acc = _Accumulator(len(profiles))
     log: list[np.ndarray] = []
-    remaining = int(n_slots)
-    while remaining > 0:
-        take = min(CHUNK_SLOTS, remaining)
-        block = draw_block(profiles, config, rng, take)
+    for _, block in _blocks(profiles, config, seed, int(n_slots)):
         selections = scheduler.select_block(block, state)
         acc.add(block, selections)
         if keep_log:
             log.append(selections)
-        remaining -= take
     return acc.finish(scheduler.tag, np.concatenate(log) if keep_log else None)
 
 
@@ -173,13 +168,8 @@ def replay(
     if len(selections) < 1:
         raise ValueError("selections must be non-empty")
     acc = _Accumulator(len(profiles))
-    rng = seeds.substream(seed, seeds.RUN)
-    offset = 0
-    while offset < len(selections):
-        take = min(CHUNK_SLOTS, len(selections) - offset)
-        block = draw_block(profiles, config, rng, take)
-        acc.add(block, selections[offset : offset + take])
-        offset += take
+    for start, block in _blocks(profiles, config, seed, len(selections)):
+        acc.add(block, selections[start : start + block.n_slots])
     return acc.finish(scheme, None)
 
 
@@ -206,35 +196,6 @@ class SweepPoint:
         return self.scheme
 
 
-_CALIBRATORS = {"mt": calibrate_mt, "pf": calibrate_pf, "et": calibrate_et}
-
-
-def _sweep_one(
-    scheme: str,
-    q_req: float,
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    settings: CalibrationSettings,
-    n_slots: int,
-    seed: int,
-    warm: DualState | None,
-) -> SweepPoint:
-    calibrate = _CALIBRATORS[scheme]
-    try:
-        if scheme == "mt":
-            duals = calibrate(q_req, profiles, config, settings)
-        else:
-            duals = calibrate(q_req, profiles, config, settings, warm_start=warm)
-    except (InfeasibleError, ConvergenceError) as exc:
-        return SweepPoint(
-            scheme=scheme, q_req=q_req, duals=None, stats=None,
-            feasible=False, error=str(exc),
-        )
-    scheduler = make_optimal_scheduler(scheme, duals)
-    stats = run(scheduler, profiles, config, n_slots, seed)
-    return SweepPoint(scheme=scheme, q_req=q_req, duals=duals, stats=stats, feasible=True)
-
-
 def sweep_q_req(
     scheme: str,
     q_req_grid: Sequence[float],
@@ -249,29 +210,42 @@ def sweep_q_req(
 
     The calibration pool and the run stream are shared across grid
     points (common random numbers), so the traced curve is smooth in
-    the targets.  Sequential sweeps warm-start each calibration from
-    the previous feasible point; with ``workers > 1`` the points are
-    independent and dispatched to a thread pool, output order is the
-    grid order either way.  Infeasible points are recorded, not fatal.
+    the targets.  The grid is calibrated in order, each point
+    warm-started from the previous feasible one; then the feasible
+    points are run, on a thread pool when ``workers > 1``.  The output
+    is in grid order and does not depend on ``workers``.  Infeasible
+    points are recorded, not fatal.
     """
     if scheme not in OPTIMAL_SCHEMES:
         raise ValueError(f"sweep_q_req expects one of {OPTIMAL_SCHEMES}, got {scheme!r}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _sweep_one, scheme, q, profiles, config, settings, n_slots, seed, None
-                )
-                for q in q_req_grid
-            ]
-            return [f.result() for f in futures]
+    calibrate = _CALIBRATORS[scheme]
     points: list[SweepPoint] = []
     warm: DualState | None = None
     for q in q_req_grid:
-        point = _sweep_one(scheme, q, profiles, config, settings, n_slots, seed, warm)
-        points.append(point)
-        if point.feasible:
-            warm = point.duals
+        try:
+            if scheme == "mt":
+                duals = calibrate(q, profiles, config, settings)
+            else:
+                duals = calibrate(q, profiles, config, settings, warm_start=warm)
+        except (InfeasibleError, ConvergenceError) as exc:
+            points.append(SweepPoint(scheme=scheme, q_req=q, duals=None, stats=None,
+                                     feasible=False, error=str(exc)))
+        else:
+            warm = duals
+            points.append(SweepPoint(scheme=scheme, q_req=q, duals=duals, stats=None,
+                                     feasible=True))
+
+    def simulate(point: SweepPoint) -> None:
+        scheduler = make_optimal_scheduler(scheme, point.duals)
+        point.stats = run(scheduler, profiles, config, n_slots, seed)
+
+    feasible = [p for p in points if p.feasible]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(simulate, feasible))
+    else:
+        for point in feasible:
+            simulate(point)
     return points
 
 
@@ -306,9 +280,10 @@ def default_order_policies(scheme: str, n_users: int) -> list[OrderPolicy]:
     return [OrderPolicy(scheme, j=j) for j in range(1, n_users + 1)]
 
 
-def csv_header(n_users: int) -> list[str]:
+def csv_header(n_users: int, rate_unit: str = "bpcu") -> list[str]:
+    """Column names shared by the CSV and JSON-lines outputs."""
     return (
-        ["scheme", "n_users", "q_req_watts", "nu", "avg_sum_rate_bpcu",
+        ["scheme", "n_users", "q_req_watts", "nu", f"avg_sum_rate_{rate_unit}",
          "avg_sum_harvest_watts", "jain_index"]
         + [f"per_user_rate_{n}" for n in range(n_users)]
         + [f"access_freq_{n}" for n in range(n_users)]
@@ -345,12 +320,9 @@ def write_csv(
     ``rate_scale`` together with ``rate_unit`` converts rate columns,
     e.g. scale by the bandwidth to report bits/s.
     """
-    header = csv_header(n_users)
-    if rate_unit != "bpcu":
-        header = [h.replace("_bpcu", f"_{rate_unit}") for h in header]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(csv_header(n_users, rate_unit))
         for point in points:
             writer.writerow(_point_row(point, n_users, rate_scale))
 
@@ -363,16 +335,10 @@ def write_jsonl(
     rate_unit: str = "bpcu",
 ) -> None:
     """JSON-lines alternative to ``write_csv`` with the same fields."""
-    header = csv_header(n_users)
-    if rate_unit != "bpcu":
-        header = [h.replace("_bpcu", f"_{rate_unit}") for h in header]
+    header = csv_header(n_users, rate_unit)
     with open(path, "w") as fh:
         for point in points:
-            row = _point_row(point, n_users, rate_scale)
-            record = {
-                key: (value if key == "scheme" else _parse_cell(value))
-                for key, value in zip(header, row)
-            }
+            record = _typed(zip(header, _point_row(point, n_users, rate_scale)))
             fh.write(json.dumps(record) + "\n")
 
 
@@ -385,16 +351,12 @@ def _parse_cell(text: str):
         return float(text)
 
 
+def _typed(items) -> dict:
+    """Cells as written, parsed back: scheme labels stay text, numbers exact."""
+    return {key: (value if key == "scheme" else _parse_cell(value)) for key, value in items}
+
+
 def read_csv(path: str | Path) -> list[dict]:
     """Parse a sweep CSV back into dicts with exact float values."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            rows.append(
-                {
-                    key: (value if key == "scheme" else _parse_cell(value))
-                    for key, value in raw.items()
-                }
-            )
-    return rows
+        return [_typed(raw.items()) for raw in csv.DictReader(fh)]

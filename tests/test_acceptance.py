@@ -13,7 +13,7 @@ import pytest
 
 from swiptsched import (
     CalibrationSettings,
-    MtScheduler,
+    LinearScheduler,
     SystemConfig,
     brute_force_mt,
     calibrate_et,
@@ -105,7 +105,7 @@ def et_duals(q_matched, profiles5, config5):
 
 @pytest.fixture(scope="module")
 def mt_run(mt_duals, profiles5, config5):
-    return run(MtScheduler(nu=mt_duals.nu), profiles5, config5, 1_000_000, ROOT_SEED)
+    return run(LinearScheduler("mt", nu=mt_duals.nu), profiles5, config5, 1_000_000, ROOT_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ def et_run(et_duals, profiles5, config5):
 
 def test_criterion_1_greedy_equivalence(config8, profiles8):
     started = time.perf_counter()
-    greedy = run(MtScheduler(nu=0.0), profiles8, config8, 100_000, ROOT_SEED, keep_log=True)
+    greedy = run(LinearScheduler("mt", nu=0.0), profiles8, config8, 100_000, ROOT_SEED, keep_log=True)
     ranked = run(
         make_order_scheduler(OrderPolicy("order-mt", j=1), profiles8),
         profiles8, config8, 100_000, ROOT_SEED, keep_log=True,
@@ -194,7 +194,7 @@ def _sweep_checks(config, profiles, n_slots=150_000):
     for bp in base_points:
         target = min(bp.stats.avg_sum_harvest, float(grid[-1]))
         duals = calibrate_mt(target, profiles, config, settings)
-        opt = run(MtScheduler(nu=duals.nu), profiles, config, n_slots, ROOT_SEED)
+        opt = run(LinearScheduler("mt", nu=duals.nu), profiles, config, n_slots, ROOT_SEED)
         # The curve's rate at exactly the baseline's harvest level: the
         # run lands within Monte-Carlo jitter of the target, so evaluate
         # the frontier at the baseline harvest via its local slope -nu.
@@ -257,14 +257,14 @@ def test_criterion_7_multiuser_diversity(
     # profiles8 extends profiles5 (same placement stream), so the gain
     # must come from genuinely added users, not a luckier geometry
     assert [p.distance_m for p in profiles5] == [p.distance_m for p in profiles8[:5]]
-    rate5 = run(MtScheduler(nu=0.0), profiles5, config5, 200_000, ROOT_SEED)
-    rate8 = run(MtScheduler(nu=0.0), profiles8, config8, 200_000, ROOT_SEED)
+    rate5 = run(LinearScheduler("mt", nu=0.0), profiles5, config5, 200_000, ROOT_SEED)
+    rate8 = run(LinearScheduler("mt", nu=0.0), profiles8, config8, 200_000, ROOT_SEED)
     rate_gain = rate8.avg_sum_rate - rate5.avg_sum_rate
     rate_sig = combined_2se(rate5.stderr_sum_rate, rate8.stderr_sum_rate)
 
     nu_m = mt_duals.nu
-    harv5 = run(MtScheduler(nu=nu_m), profiles5, config5, 200_000, ROOT_SEED)
-    harv8 = run(MtScheduler(nu=nu_m), profiles8, config8, 200_000, ROOT_SEED)
+    harv5 = run(LinearScheduler("mt", nu=nu_m), profiles5, config5, 200_000, ROOT_SEED)
+    harv8 = run(LinearScheduler("mt", nu=nu_m), profiles8, config8, 200_000, ROOT_SEED)
     harvest_gain = harv8.avg_sum_harvest - harv5.avg_sum_harvest
     harvest_sig = combined_2se(harv5.stderr_sum_harvest, harv8.stderr_sum_harvest)
     report(

@@ -2,22 +2,38 @@ import numpy as np
 import pytest
 
 from swiptsched import (
-    EtBaselineState,
-    MtScheduler,
+    LinearScheduler,
     OrderPolicy,
+    SlotBlock,
     SystemConfig,
     draw_block,
-    draw_slot,
     make_order_scheduler,
-    order_et_select,
-    order_mt_select,
-    order_pf_select,
     run,
 )
 from swiptsched import seeds
 from swiptsched.baselines import OrderMtScheduler, OrderPfScheduler, OrderEtScheduler
 
 from conftest import profiles_at
+
+
+def mean_gains(profiles) -> np.ndarray:
+    return np.array([p.mean_gain for p in profiles])
+
+
+def ranks_desc(values: np.ndarray) -> np.ndarray:
+    """Rank of each entry, 1 = largest; ties ranked by lower index first."""
+    order = np.argsort(-values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[order] = np.arange(1, len(values) + 1)
+    return ranks
+
+
+def order_et_reference(gains, capacities, omega, s_a, totals) -> int:
+    """One order-ET slot written out: lowest running total among rank-eligible users."""
+    eligible = np.isin(ranks_desc(gains / omega), list(s_a))
+    chosen = int(np.argmax(np.where(eligible, -totals, -np.inf)))
+    totals[chosen] += capacities[chosen]
+    return chosen
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +50,7 @@ def iid_profiles(iid_config):
 class TestOrderMt:
     def test_rank_one_is_greedy(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(1), 20_000)
-        greedy = MtScheduler(nu=0.0).select_block(block)
+        greedy = LinearScheduler("mt", nu=0.0).select_block(block)
         ranked = OrderMtScheduler(j=1).select_block(block)
         assert np.array_equal(greedy, ranked)
 
@@ -44,23 +60,30 @@ class TestOrderMt:
         assert np.array_equal(weakest, np.argmin(block.gains, axis=1))
 
     def test_rank_coverage(self, table_config, table_profiles):
-        # over one slot, ranks 1..N select all N users exactly once
-        slot = draw_slot(table_profiles, table_config, np.random.default_rng(3))
-        chosen = {order_mt_select(slot, j).selected_user for j in range(1, 6)}
-        assert chosen == set(range(5))
+        # in every slot, ranks 1..N select all N users exactly once
+        block = draw_block(table_profiles, table_config, np.random.default_rng(3), 200)
+        chosen = np.stack([OrderMtScheduler(j=j).select_block(block) for j in range(1, 6)])
+        assert np.all(np.sort(chosen, axis=0) == np.arange(5)[:, None])
+
+    def test_matches_per_slot_ranks(self, table_config, table_profiles):
+        block = draw_block(table_profiles, table_config, np.random.default_rng(3), 200)
+        for j in (1, 3, 5):
+            chosen = OrderMtScheduler(j=j).select_block(block)
+            for i in range(200):
+                assert ranks_desc(block.gains[i])[chosen[i]] == j
 
     def test_single_user(self):
         config = SystemConfig(n_users=1)
         profiles = profiles_at([10.0], config)
-        slot = draw_slot(profiles, config, np.random.default_rng(4))
-        assert order_mt_select(slot, 1).selected_user == 0
+        block = draw_block(profiles, config, np.random.default_rng(4), 10)
+        assert OrderMtScheduler(j=1).select_block(block).tolist() == [0] * 10
 
     def test_j_out_of_range(self, table_config, table_profiles):
-        slot = draw_slot(table_profiles, table_config, np.random.default_rng(5))
+        block = draw_block(table_profiles, table_config, np.random.default_rng(5), 1)
         with pytest.raises(ValueError):
-            order_mt_select(slot, 0)
+            OrderMtScheduler(j=0).select_block(block)
         with pytest.raises(ValueError):
-            order_mt_select(slot, 6)
+            OrderMtScheduler(j=6).select_block(block)
 
 
 class TestOrderPf:
@@ -91,28 +114,43 @@ class TestOrderPf:
     def test_single_user(self):
         config = SystemConfig(n_users=1)
         profiles = profiles_at([10.0], config)
-        slot = draw_slot(profiles, config, np.random.default_rng(8))
-        assert order_pf_select(slot, profiles, 1).selected_user == 0
+        block = draw_block(profiles, config, np.random.default_rng(8), 10)
+        scheduler = OrderPfScheduler(j=1, mean_gains=mean_gains(profiles))
+        assert scheduler.select_block(block).tolist() == [0] * 10
+
+    def test_matches_per_slot_ranks(self, table_config, table_profiles):
+        block = draw_block(table_profiles, table_config, np.random.default_rng(8), 200)
+        omega = mean_gains(table_profiles)
+        for j in (1, 4):
+            chosen = OrderPfScheduler(j=j, mean_gains=omega).select_block(block)
+            for i in range(200):
+                assert ranks_desc(block.gains[i] / omega)[chosen[i]] == j
 
 
 class TestOrderEt:
     def test_all_ties_start_picks_lowest_index(self, table_config, table_profiles):
-        slot = draw_slot(table_profiles, table_config, np.random.default_rng(9))
-        state = EtBaselineState.fresh(5)
-        decision = order_et_select(slot, state, range(1, 6), table_profiles)
-        assert decision.selected_user == 0
-        assert state.cumulative_rate[0] > 0
-        assert np.all(state.cumulative_rate[1:] == 0)
+        block = draw_block(table_profiles, table_config, np.random.default_rng(9), 1)
+        scheduler = OrderEtScheduler(
+            s_a=frozenset(range(1, 6)), mean_gains=mean_gains(table_profiles)
+        )
+        totals = scheduler.start(5)
+        assert scheduler.select_block(block, totals).tolist() == [0]
+        assert totals[0] > 0
+        assert np.all(totals[1:] == 0)
 
     def test_updates_only_selected_user(self, table_config, table_profiles):
-        rng = np.random.default_rng(10)
-        state = EtBaselineState.fresh(5)
+        block = draw_block(table_profiles, table_config, np.random.default_rng(10), 20)
+        scheduler = OrderEtScheduler(
+            s_a=frozenset({1, 2}), mean_gains=mean_gains(table_profiles)
+        )
+        totals = scheduler.start(5)
         for i in range(20):
-            before = state.cumulative_rate.copy()
-            slot = draw_slot(table_profiles, table_config, rng, slot_index=i)
-            decision = order_et_select(slot, state, {1, 2}, table_profiles)
-            changed = state.cumulative_rate != before
-            assert changed.sum() == 1 and changed[decision.selected_user]
+            before = totals.copy()
+            one_slot = SlotBlock(block.gains[i : i + 1], block.capacities[i : i + 1],
+                                 block.harvests[i : i + 1])
+            chosen = scheduler.select_block(one_slot, totals)[0]
+            changed = totals != before
+            assert changed.sum() == 1 and changed[chosen]
 
     def test_eligibility_restricted_to_orders(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(11), 2000)
@@ -134,22 +172,24 @@ class TestOrderEt:
         assert spreads[1] < spreads[0]
         assert spreads[1] < 0.02
 
-    def test_empty_order_set_rejected(self, table_config, table_profiles):
-        slot = draw_slot(table_profiles, table_config, np.random.default_rng(13))
+    def test_empty_order_set_rejected(self, table_profiles):
+        scheduler = OrderEtScheduler(s_a=frozenset(), mean_gains=mean_gains(table_profiles))
         with pytest.raises(ValueError):
-            order_et_select(slot, EtBaselineState.fresh(5), set(), table_profiles)
+            scheduler.start(5)
 
     def test_block_matches_slot_by_slot(self, table_config, table_profiles):
-        # the vectorized path and the single-slot selector share state
+        # the vectorized path and the per-slot reference share state
         # semantics, including tie handling
         block = draw_block(table_profiles, table_config, np.random.default_rng(14), 300)
-        omega = np.array([p.mean_gain for p in table_profiles])
+        omega = mean_gains(table_profiles)
         scheduler = OrderEtScheduler(s_a=frozenset({2, 3}), mean_gains=omega)
         vectorized = scheduler.select_block(block, scheduler.start(5))
-        state = EtBaselineState.fresh(5)
+        totals = np.zeros(5)
         for i in range(300):
-            decision = order_et_select(block.slot(i), state, {2, 3}, table_profiles)
-            assert decision.selected_user == vectorized[i]
+            chosen = order_et_reference(
+                block.gains[i], block.capacities[i], omega, {2, 3}, totals
+            )
+            assert chosen == vectorized[i]
 
     def test_state_persists_across_chunks(self, table_config, table_profiles):
         # CHUNK_SLOTS boundary must not reset the cumulative throughput

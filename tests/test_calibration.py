@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from swiptsched import (
     load_duals,
     save_duals,
 )
-from swiptsched.calibration import _build_pool, _evaluate, _mt_selections, settings_hash
+from swiptsched import ConfigError, linear_argmax
+from swiptsched.calibration import _build_pool, settings_hash
 
 from conftest import make_profiles, profiles_at
 
@@ -102,7 +105,7 @@ class TestCalibrateMt:
 
     def test_large_price_limit_selects_min_harvest(self, config5, profiles5, settings):
         pool = _build_pool(profiles5, config5, settings)
-        selections = _mt_selections(pool, 1e9)
+        selections = linear_argmax(pool.cn, pool.qn, 1e9)
         assert np.array_equal(selections, np.argmin(pool.harvests, axis=1))
 
     def test_near_maximum_target_reached(self, config5, profiles5, settings, q_range):
@@ -124,7 +127,7 @@ class TestCalibrateMt:
         pool = _build_pool(profiles5, config5, settings)
         qbars = []
         for nu_t in np.logspace(-3, 4, 30):
-            qbar, _, _ = _evaluate(pool, _mt_selections(pool, nu_t))
+            qbar, _, _ = pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))
             qbars.append(qbar)
         assert np.all(np.diff(qbars) >= 0)
 
@@ -240,6 +243,35 @@ class TestDualsIO:
         assert np.array_equal(loaded.gamma, duals.gamma)
         assert loaded.theta is None
         assert loaded.calibration_residuals == duals.calibration_residuals
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"scheme": None},
+            {"scheme": "rr"},
+            {"nu": -1.0},
+            {"nu": float("nan")},
+            {"nu": float("inf")},
+            {"nu": "cheap"},
+            {"gamma": None},
+            {"scheme": "et"},
+            {"scheme": "et", "theta": [0.5, -0.1, 0.2, 0.2, 0.2]},
+            {"residuals": [1, 2]},
+        ],
+    )
+    def test_malformed_record_rejected(self, tmp_path, change):
+        record = {"scheme": "pf", "nu": 1.0, "gamma": [0.0] * 5, "theta": None, "residuals": {}}
+        record.update(change)
+        path = tmp_path / "duals.json"
+        path.write_text(json.dumps({k: v for k, v in record.items() if v is not None}))
+        with pytest.raises(ConfigError):
+            load_duals(path)
+
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "duals.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigError):
+            load_duals(path)
 
     def test_settings_hash_stable(self, settings):
         assert settings_hash(settings) == settings_hash(

@@ -9,7 +9,6 @@ from swiptsched import (
     SystemConfig,
     dbm_to_watts,
     draw_block,
-    draw_slot,
     load_config,
     mean_channel_gain,
     place_users,
@@ -101,13 +100,16 @@ class TestDrawing:
         assert np.all(np.diff(caps, axis=1) > 0)
         assert np.all(np.diff(harv, axis=1) > 0)
 
-    def test_block_matches_repeated_slots(self, table_config, table_profiles):
+    def test_block_matches_consecutive_blocks(self, table_config, table_profiles):
+        # the property chunked runs rely on: splitting a block changes no draw
         block = draw_block(table_profiles, table_config, np.random.default_rng(42), 64)
-        rng = np.random.default_rng(42)
-        for i in range(64):
-            slot = draw_slot(table_profiles, table_config, rng, slot_index=i)
-            assert np.array_equal(slot.gains, block.gains[i])
-            assert slot.slot_index == i
+        for a in (1, 17, 63):
+            rng = np.random.default_rng(42)
+            head = draw_block(table_profiles, table_config, rng, a)
+            tail = draw_block(table_profiles, table_config, rng, 64 - a)
+            for name in ("gains", "capacities", "harvests"):
+                joined = np.concatenate([getattr(head, name), getattr(tail, name)])
+                assert np.array_equal(joined, getattr(block, name))
 
     def test_deterministic_by_seed(self, table_config, table_profiles):
         a = draw_block(table_profiles, table_config, seeds.substream(4, seeds.RUN), 100)

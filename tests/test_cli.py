@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from swiptsched import read_csv
+from swiptsched import cli, read_csv
 from swiptsched.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -131,6 +131,29 @@ class TestCalibrateCommand:
         )
         assert code == EXIT_CONFIG
 
+    def test_duals_without_scheme_is_config_error(self, config_file, tmp_path, capsys):
+        duals_path = tmp_path / "pf.json"
+        duals_path.write_text(json.dumps({"nu": 0.0, "gamma": [0.0] * 4}))
+        code = run_cli(
+            "run", "--config", config_file, "--scheme", "pf", "--duals", str(duals_path)
+        )
+        assert code == EXIT_CONFIG
+        assert "scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["pf", "et"])
+    def test_multiplier_length_mismatch_rejected(self, scheme, config_file, tmp_path, capsys):
+        duals_path = tmp_path / f"{scheme}.json"
+        assert run_cli(
+            "calibrate", "--config", config_file, "--scheme", scheme, "--q-req", "0",
+            "--mc-slots", "5000", "--out", str(duals_path),
+        ) == EXIT_OK
+        code = run_cli(
+            "run", "--config", config_file, "--scheme", scheme, "--users", "3",
+            "--duals", str(duals_path),
+        )
+        assert code == EXIT_CONFIG
+        assert "multipliers" in capsys.readouterr().err
+
     def test_infeasible_exit_code(self, config_file, tmp_path, capsys):
         out = tmp_path / "unused_duals.json"
         code = run_cli(
@@ -188,6 +211,13 @@ class TestSweepCommand:
             "sweep", "--config", config_file, "--scheme", "mt", "--grid", "0-1-5"
         ) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("grid", ["zero:auto:5", "0:high:5", "0:1e-6:five", "-1e-7:auto:3"])
+    def test_unparsable_or_negative_grid_is_config_error(self, config_file, grid, capsys):
+        assert run_cli(
+            "sweep", "--config", config_file, "--scheme", "pf", f"--grid={grid}",
+            "--mc-slots", "5000",
+        ) == EXIT_CONFIG
+
     def test_unwritable_output_is_config_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "curve.csv"
         code = run_cli(
@@ -213,3 +243,26 @@ class TestOracleCheckCommand:
     def test_passes(self, capsys):
         assert run_cli("oracle-check", "--instances", "10", "--seed", "23") == EXIT_OK
         assert "10/10 instances ok" in capsys.readouterr().out
+
+    def test_instance_beyond_enumeration_budget_is_config_error(self, capsys):
+        assert run_cli("oracle-check", "--users", "5", "--instances", "1") == EXIT_CONFIG
+        assert run_cli("oracle-check", "--slots-per-instance", "9") == EXIT_CONFIG
+
+
+class TestErrorMapping:
+    def test_bad_settings_are_config_errors(self, config_file, tmp_path, capsys):
+        out = tmp_path / "unused.json"
+        for flags in (["--mc-slots", "10"], ["--max-iters", "0"], ["--tol-energy=-1"]):
+            code = run_cli("calibrate", "--config", config_file, "--scheme", "mt",
+                           "--out", str(out), *flags)
+            assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_internal_value_error_is_not_config_error(self, config_file, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli, "run_simulation", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            run_cli("run", "--config", config_file, "--scheme", "order-mt", "--j", "1")
+        assert "config error" not in capsys.readouterr().err

@@ -1,128 +1,180 @@
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swiptsched import (
     DualState,
-    EtScheduler,
-    MtScheduler,
-    PfScheduler,
+    LinearScheduler,
+    SlotBlock,
     draw_block,
-    draw_slot,
-    et_metric,
+    linear_argmax,
     make_optimal_scheduler,
-    mt_metric,
-    pf_metric,
-    select,
 )
-from swiptsched.channel import SlotBlock, SlotRealization
 
 
-def slot_of(capacities, harvests, index=0) -> SlotRealization:
-    capacities = np.asarray(capacities, dtype=float)
-    harvests = np.asarray(harvests, dtype=float)
-    return SlotRealization(
-        slot_index=index, gains=np.ones_like(capacities),
-        capacities=capacities, harvests=harvests,
-    )
+def rows(*values) -> np.ndarray:
+    """One slot per argument, as a (slots, users) float array."""
+    return np.atleast_2d(np.asarray(values, dtype=float))
+
+
+def block_of(capacities, harvests) -> SlotBlock:
+    capacities, harvests = rows(capacities), rows(harvests)
+    return SlotBlock(gains=np.ones_like(capacities), capacities=capacities, harvests=harvests)
+
+
+def reference_scores(caps, harvests, nu, w=None, g=None) -> np.ndarray:
+    """The score written out term by term, with explicit unit weights and zero offsets."""
+    n = caps.shape[1]
+    w = np.ones(n) if w is None else w
+    g = np.zeros(n) if g is None else g
+    return w * caps - nu * harvests - g
 
 
 class TestMtMetric:
     def test_zero_price_is_capacity(self):
-        slot = slot_of([3.0, 2.0, 5.0], [1e-5, 2e-5, 3e-5])
-        assert np.array_equal(mt_metric(slot, 0.0), slot.capacities)
+        caps, harv = rows([3.0, 2.0, 5.0]), rows([1e-5, 2e-5, 3e-5])
+        assert linear_argmax(caps, harv, 0.0).tolist() == [2]
 
     def test_worked_example(self):
-        slot = slot_of([3.0, 2.0], [1e-5, 1e-6])
-        metrics = mt_metric(slot, 1e5)
-        assert metrics == pytest.approx([2.0, 1.9])
-        assert select(metrics).selected_user == 0
+        # metrics 3 - 1e5 * 1e-5 = 2.0 and 2 - 1e5 * 1e-6 = 1.9
+        assert linear_argmax(rows([3.0, 2.0]), rows([1e-5, 1e-6]), 1e5).tolist() == [0]
+        assert linear_argmax(rows([3.0, 2.0]), rows([1e-5, 1e-6]), 2e5).tolist() == [1]
 
     def test_price_rescaling_invariance(self):
-        slot = slot_of([3.0, 2.0, 4.0], [1e-5, 1e-6, 2e-5])
-        scaled = slot_of(slot.capacities, slot.harvests * 30.0)
-        assert np.allclose(mt_metric(slot, 1e5), mt_metric(scaled, 1e5 / 30.0))
+        caps, harv = rows([3.0, 2.0, 4.0]), rows([1e-5, 1e-6, 2e-5])
+        for nu in (0.0, 1e4, 1e5, 3e5):
+            assert np.array_equal(
+                linear_argmax(caps, harv, nu), linear_argmax(caps, harv * 30.0, nu / 30.0)
+            )
 
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
-            mt_metric(slot_of([1.0], [1.0]), -0.1)
+            LinearScheduler("mt", nu=-0.1)
 
 
 class TestPfMetric:
     def test_zero_offsets_reduce_to_mt(self):
-        slot = slot_of([3.0, 2.0], [1e-5, 1e-6])
-        assert np.array_equal(pf_metric(slot, 2.0, np.zeros(2)), mt_metric(slot, 2.0))
+        caps, harv = rows([3.0, 2.0], [1.0, 4.0]), rows([1e-5, 1e-6], [1e-6, 1e-5])
+        assert np.array_equal(
+            linear_argmax(caps, harv, 2e5, g=np.zeros(2)), linear_argmax(caps, harv, 2e5)
+        )
 
     def test_uniform_shift_keeps_argmax(self):
-        slot = slot_of([3.0, 2.0, 2.9], [1e-5, 1e-6, 3e-6])
+        caps, harv = rows([3.0, 2.0, 2.9]), rows([1e-5, 1e-6, 3e-6])
         gamma = np.array([0.4, -0.2, 0.1])
-        base = select(pf_metric(slot, 1e4, gamma)).selected_user
-        shifted = select(pf_metric(slot, 1e4, gamma + 7.7)).selected_user
-        assert base == shifted
+        base = linear_argmax(caps, harv, 1e4, g=gamma)
+        assert np.array_equal(linear_argmax(caps, harv, 1e4, g=gamma + 7.7), base)
 
     def test_dimension_mismatch(self):
+        scheduler = LinearScheduler("pf", nu=0.0, g=np.zeros(3))
         with pytest.raises(ValueError):
-            pf_metric(slot_of([1.0, 2.0], [0.0, 0.0]), 0.0, np.zeros(3))
+            scheduler.select_block(block_of([1.0, 2.0], [0.0, 0.0]))
 
 
 class TestEtMetric:
     def test_unit_weights_reduce_to_mt(self):
-        slot = slot_of([3.0, 2.0], [1e-5, 1e-6])
-        assert np.array_equal(et_metric(slot, 2.0, np.ones(2)), mt_metric(slot, 2.0))
+        caps, harv = rows([3.0, 2.0], [1.0, 4.0]), rows([1e-5, 1e-6], [1e-6, 1e-5])
+        assert np.array_equal(
+            linear_argmax(caps, harv, 2e5, w=np.ones(2)), linear_argmax(caps, harv, 2e5)
+        )
 
     def test_zero_weight_gives_nonpositive_metric(self):
-        slot = slot_of([3.0, 2.0], [1e-5, 1e-6])
-        metrics = et_metric(slot, 1e3, np.array([0.0, 1.0]))
-        assert metrics[0] <= 0.0
-        assert select(metrics).selected_user == 1
+        # a zero-weight user scores -nu * Q <= 0 and loses to any positive score
+        caps, harv = rows([3.0, 2.0]), rows([1e-5, 1e-6])
+        assert linear_argmax(caps, harv, 1e3, w=np.array([0.0, 1.0])).tolist() == [1]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            et_metric(slot_of([1.0], [1.0]), 0.0, np.array([-0.5]))
+            LinearScheduler("et", nu=0.0, w=np.array([-0.5]))
+
+    def test_weight_length_mismatch(self):
+        scheduler = LinearScheduler("et", nu=0.0, w=np.ones(3) / 3)
+        with pytest.raises(ValueError):
+            scheduler.select_block(block_of([1.0, 2.0], [0.0, 0.0]))
 
 
 class TestSelect:
     def test_argmax(self):
-        assert select(np.array([1.0, 2.0, 3.0])).selected_user == 2
+        assert linear_argmax(rows([1.0, 2.0, 3.0]), rows([0.0, 0.0, 0.0]), 0.0).tolist() == [2]
 
     def test_tie_breaks_low_index(self):
-        assert select(np.array([5.0, 5.0])).selected_user == 0
+        assert linear_argmax(rows([5.0, 5.0]), rows([1.0, 1.0]), 1.0).tolist() == [0]
+        assert linear_argmax(
+            rows([5.0, 4.0, 5.0]), rows([0.0, 0.0, 0.0]), 0.0, g=np.array([1.0, 0.0, 1.0])
+        ).tolist() == [0]
 
     def test_single_user(self):
-        assert select(np.array([-3.0])).selected_user == 0
+        assert linear_argmax(rows([-3.0]), rows([1.0]), 1.0).tolist() == [0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            select(np.array([]))
+            linear_argmax(np.empty((1, 0)), np.empty((1, 0)), 0.0)
 
-    def test_decision_fields(self):
-        decision = select(np.array([1.0, 9.0]), slot_index=17, scheme_tag="mt")
-        assert decision.slot_index == 17
-        assert decision.scheme_tag == "mt"
-        assert decision.metric_values[decision.selected_user] == 9.0
+
+small_ints = st.integers(min_value=-50, max_value=50).map(float)
+
+
+@st.composite
+def integer_slots(draw):
+    """Scores on small integers are exact in floating point, ties included."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=8))
+    caps = np.array(draw(st.lists(small_ints, min_size=m * n, max_size=m * n))).reshape(m, n)
+    harv = np.array(draw(st.lists(small_ints, min_size=m * n, max_size=m * n))).reshape(m, n)
+    w = np.array(draw(st.lists(small_ints.map(abs), min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(small_ints, min_size=n, max_size=n)))
+    nu = abs(draw(small_ints))
+    return caps, harv, nu, w, g
+
+
+class TestLinearArgmaxProperties:
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @given(integer_slots(), small_ints)
+    def test_shifting_offsets_keeps_argmax(self, slots, c):
+        caps, harv, nu, w, g = slots
+        assert np.array_equal(
+            linear_argmax(caps, harv, nu, w, g + c), linear_argmax(caps, harv, nu, w, g)
+        )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @given(integer_slots(), st.integers(min_value=1, max_value=64))
+    def test_scaling_weights_and_price_keeps_argmax(self, slots, c):
+        caps, harv, nu, w, _ = slots
+        assert np.array_equal(
+            linear_argmax(caps, harv, c * nu, w=c * w), linear_argmax(caps, harv, nu, w=w)
+        )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @given(integer_slots())
+    def test_matches_reference_scores(self, slots):
+        # absent terms are skipped, which must equal unit weights and zero offsets
+        caps, harv, nu, w, g = slots
+        for kw in ({}, {"w": w}, {"g": g}, {"w": w, "g": g}):
+            expected = np.argmax(reference_scores(caps, harv, nu, **kw), axis=1)
+            assert np.array_equal(linear_argmax(caps, harv, nu, **kw), expected)
 
 
 class TestSchedulerProperties:
     def test_selected_user_dominates(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(2), 5000)
-        for scheduler in (
-            MtScheduler(nu=1e5),
-            PfScheduler(nu=1e5, gamma=np.linspace(-1, 1, 5)),
-            EtScheduler(nu=1e5, theta=np.linspace(0.1, 0.3, 5)),
-        ):
-            metrics = scheduler.metrics_block(block)
+        for kw in ({}, {"g": np.linspace(-1, 1, 5)}, {"w": np.linspace(0.1, 0.3, 5)}):
+            scheduler = LinearScheduler("x", nu=1e5, **kw)
+            metrics = reference_scores(block.capacities, block.harvests, 1e5, **kw)
             chosen = scheduler.select_block(block)
             assert np.all(metrics[np.arange(5000), chosen] >= metrics.max(axis=1) - 0.0)
 
     def test_every_slot_selects_exactly_one_user(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(3), 1_000_000)
-        chosen = MtScheduler(nu=3e5).select_block(block)
+        chosen = LinearScheduler("mt", nu=3e5).select_block(block)
         assert chosen.shape == (1_000_000,)
         assert chosen.min() >= 0 and chosen.max() < 5
 
     def test_decisions_depend_only_on_slot(self, table_config, table_profiles):
         # permuting the slot sequence permutes the decisions with it
         block = draw_block(table_profiles, table_config, np.random.default_rng(4), 4000)
-        scheduler = PfScheduler(nu=2e5, gamma=np.linspace(-0.5, 0.5, 5))
+        scheduler = LinearScheduler("pf", nu=2e5, g=np.linspace(-0.5, 0.5, 5))
         base = scheduler.select_block(block)
         perm = np.random.default_rng(5).permutation(4000)
         permuted = SlotBlock(
@@ -132,25 +184,24 @@ class TestSchedulerProperties:
         )
         assert np.array_equal(scheduler.select_block(permuted), base[perm])
 
-    def test_decide_matches_block_path(self, table_config, table_profiles):
-        rng = np.random.default_rng(6)
-        scheduler = EtScheduler(nu=1e4, theta=np.array([0.3, 0.2, 0.2, 0.2, 0.1]))
+    def test_block_matches_per_slot_reference(self, table_config, table_profiles):
+        block = draw_block(table_profiles, table_config, np.random.default_rng(6), 50)
+        theta = np.array([0.3, 0.2, 0.2, 0.2, 0.1])
+        chosen = LinearScheduler("et", nu=1e4, w=theta).select_block(block)
         for i in range(50):
-            slot = draw_slot(table_profiles, table_config, rng, slot_index=i)
-            decision = scheduler.decide(slot)
-            expected = select(et_metric(slot, 1e4, scheduler.theta)).selected_user
-            assert decision.selected_user == expected
-            assert decision.scheme_tag == "et"
+            scores = theta * block.capacities[i] - 1e4 * block.harvests[i]
+            assert chosen[i] == int(np.argmax(scores))
 
 
 class TestFactory:
     def test_make_optimal_scheduler(self):
         mt = make_optimal_scheduler("mt", DualState(nu=1.0))
-        assert isinstance(mt, MtScheduler)
+        assert isinstance(mt, LinearScheduler)
+        assert (mt.tag, mt.nu, mt.w, mt.g) == ("mt", 1.0, None, None)
         pf = make_optimal_scheduler("pf", DualState(nu=0.0, gamma=np.zeros(3)))
-        assert isinstance(pf, PfScheduler)
+        assert pf.tag == "pf" and pf.w is None and np.array_equal(pf.g, np.zeros(3))
         et = make_optimal_scheduler("et", DualState(nu=0.0, theta=np.ones(3) / 3))
-        assert isinstance(et, EtScheduler)
+        assert et.tag == "et" and et.g is None and np.array_equal(et.w, np.ones(3) / 3)
 
     def test_missing_duals_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,14 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swiptsched import (
     CalibrationSettings,
-    MtScheduler,
+    LinearScheduler,
     OrderPolicy,
     SystemConfig,
     default_order_policies,
@@ -19,7 +24,7 @@ from swiptsched import (
     write_csv,
     write_jsonl,
 )
-from swiptsched import seeds
+from swiptsched import seeds, simulator
 from swiptsched.simulator import SweepPoint
 
 from conftest import make_profiles, profiles_at
@@ -37,7 +42,7 @@ class TestRun:
     def test_single_user_degenerate(self):
         config = SystemConfig(n_users=1, seed=4)
         profiles = profiles_at([15.0], config)
-        stats = run(MtScheduler(nu=0.0), profiles, config, 20_000, seed=4)
+        stats = run(LinearScheduler("mt", nu=0.0), profiles, config, 20_000, seed=4)
         assert stats.avg_sum_harvest == 0.0
         assert stats.access_freq.tolist() == [1.0]
         # the average rate is the empirical mean capacity of the only user
@@ -47,19 +52,19 @@ class TestRun:
     def test_zero_efficiency_zero_harvest(self):
         config = SystemConfig(n_users=3, seed=5, rf_dc_efficiency_per_user=0.0)
         profiles = make_profiles(config)
-        stats = run(MtScheduler(nu=0.0), profiles, config, 10_000, seed=5)
+        stats = run(LinearScheduler("mt", nu=0.0), profiles, config, 10_000, seed=5)
         assert stats.avg_sum_harvest == 0.0
 
     def test_multiuser_diversity_gain(self):
         config = SystemConfig(n_users=8, seed=6)
         profiles = make_profiles(config)
-        stats = run(MtScheduler(nu=0.0), profiles, config, 100_000, seed=6)
+        stats = run(LinearScheduler("mt", nu=0.0), profiles, config, 100_000, seed=6)
         block = draw_block(profiles, config, seeds.substream(6, seeds.RUN), 100_000)
         marginals = block.capacities.mean(axis=0)
         assert stats.avg_sum_rate > marginals.max()
 
     def test_statistics_identities(self, table_config, table_profiles):
-        stats = run(MtScheduler(nu=2e5), table_profiles, table_config, 50_000, seed=7)
+        stats = run(LinearScheduler("mt", nu=2e5), table_profiles, table_config, 50_000, seed=7)
         assert stats.avg_sum_rate == pytest.approx(stats.per_user_rate.sum(), abs=0)
         assert stats.access_freq.sum() == pytest.approx(1.0, abs=1e-12)
         assert 1 / 5 <= stats.jain_index <= 1.0
@@ -68,8 +73,8 @@ class TestRun:
         assert stats.stderr_sum_harvest > 0
 
     def test_reproducible(self, table_config, table_profiles):
-        a = run(MtScheduler(nu=1e5), table_profiles, table_config, 30_000, seed=8)
-        b = run(MtScheduler(nu=1e5), table_profiles, table_config, 30_000, seed=8)
+        a = run(LinearScheduler("mt", nu=1e5), table_profiles, table_config, 30_000, seed=8)
+        b = run(LinearScheduler("mt", nu=1e5), table_profiles, table_config, 30_000, seed=8)
         assert a.avg_sum_rate == b.avg_sum_rate
         assert a.avg_sum_harvest == b.avg_sum_harvest
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
@@ -78,7 +83,7 @@ class TestRun:
         # crosses a chunk boundary to exercise identical accumulation order
         n = (1 << 16) + 513
         stats = run(
-            MtScheduler(nu=3e5), table_profiles, table_config, n, seed=9, keep_log=True
+            LinearScheduler("mt", nu=3e5), table_profiles, table_config, n, seed=9, keep_log=True
         )
         again = replay(stats.selections, table_profiles, table_config, seed=9)
         assert again.avg_sum_rate == stats.avg_sum_rate
@@ -86,6 +91,25 @@ class TestRun:
         assert np.array_equal(again.per_user_rate, stats.per_user_rate)
         assert np.array_equal(again.access_freq, stats.access_freq)
         assert again.stderr_sum_rate == stats.stderr_sum_rate
+
+    @hypothesis.settings(max_examples=15, deadline=None)
+    @given(chunk=st.integers(min_value=1, max_value=5000))
+    def test_chunk_size_invariance(self, chunk, table_config, table_profiles):
+        # chunking redraws no slot: decisions and counts are identical, and
+        # the float accumulators differ only by summation order
+        schedulers = [
+            LinearScheduler("pf", nu=1e5, g=np.linspace(-0.5, 0.5, 5)),
+            make_order_scheduler(OrderPolicy("order-et", s_a=frozenset({1, 2})), table_profiles),
+        ]
+        for scheduler in schedulers:
+            base = run(scheduler, table_profiles, table_config, 3000, seed=17, keep_log=True)
+            with patch.object(simulator, "CHUNK_SLOTS", chunk):
+                other = run(scheduler, table_profiles, table_config, 3000, seed=17, keep_log=True)
+            assert np.array_equal(other.selections, base.selections)
+            assert np.array_equal(other.access_freq, base.access_freq)
+            assert other.avg_sum_rate == pytest.approx(base.avg_sum_rate, rel=1e-12)
+            assert other.avg_sum_harvest == pytest.approx(base.avg_sum_harvest, rel=1e-12)
+            assert other.per_user_rate == pytest.approx(base.per_user_rate, rel=1e-12)
 
     def test_stateful_baseline_runs(self, table_config, table_profiles):
         scheduler = make_order_scheduler(
@@ -138,20 +162,24 @@ class TestSweep:
         assert not points[-1].feasible
         assert points[-1].error is not None
 
-    def test_parallel_matches_row_order(self, table_config, table_profiles, small_settings):
-        fr = feasible_range(table_profiles, table_config, small_settings)
-        grid = np.linspace(0.0, 0.8 * fr.maximum, 4)
-        seq = sweep_q_req(
-            "mt", grid, table_profiles, table_config, small_settings, 10_000, seed=12
-        )
-        par = sweep_q_req(
-            "mt", grid, table_profiles, table_config, small_settings, 10_000, seed=12,
-            workers=3,
-        )
-        assert [p.q_req for p in par] == [p.q_req for p in seq]
-        # mt calibration takes no warm start, so points agree exactly
-        for a, b in zip(seq, par):
-            assert a.stats.avg_sum_rate == b.stats.avg_sum_rate
+    def test_parallel_matches_row_order(self, table_config, table_profiles, tmp_path):
+        # calibration is sequential and warm-started whatever the worker count,
+        # so a threaded sweep writes exactly the rows of a sequential one
+        settings = CalibrationSettings(mc_slots=10_000, seed=12)
+        fr = feasible_range(table_profiles, table_config, settings)
+        grid = np.linspace(0.0, 0.6 * fr.maximum, 4)
+        for scheme in ("mt", "pf", "et"):
+            rows = []
+            for workers in (1, 3):
+                points = sweep_q_req(
+                    scheme, grid, table_profiles, table_config, settings, 10_000, seed=12,
+                    workers=workers,
+                )
+                path = tmp_path / f"{scheme}_{workers}.csv"
+                write_csv(path, points, table_config.n_users)
+                rows.append(read_csv(path))
+            assert [row["q_req_watts"] for row in rows[0]] == list(grid)
+            assert rows[0] == rows[1]
 
     def test_fairness_scheme_sweep_warm_starts(self, table_config, table_profiles):
         settings = CalibrationSettings(mc_slots=20_000, seed=15)
