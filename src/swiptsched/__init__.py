@@ -28,6 +28,7 @@ from .calibration import (
     feasible_range,
     load_duals,
     save_duals,
+    system_fingerprint,
 )
 from .channel import (
     ConfigError,

@@ -8,13 +8,15 @@ empirical average, and the duals are adjusted until the estimates
 meet their targets.
 
   * MT has the single multiplier nu; the pool estimate of harvested
-    energy is non-decreasing in nu, so nu is found by bisection.
+    energy is non-decreasing in nu, so nu is found by bisection
+    (``_mt_price``, which the oracle also runs on its instances).
   * PF and ET add one multiplier per user (gamma / theta) and share
     one projected subgradient loop with step c/sqrt(k); each scheme
     supplies only its multiplier step, fairness gap and final duals.
 
 Every pass schedules the pool with ``scheduling.linear_argmax``, the
-kernel the online schedulers use, on the pool's normalized arrays.
+kernel the online schedulers use, on the pool's normalized arrays, and
+scores the selection with ``SlotBlock.summary`` like every caller.
 
 The same slot pool is reused across all dual iterates (common random
 numbers); fresh slots are drawn only for out-of-sample validation via
@@ -37,14 +39,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import seeds
-from .channel import ConfigError, SystemConfig, UserProfile, draw_block
+from .channel import ConfigError, SlotBlock, SystemConfig, UserProfile, draw_block
 from .scheduling import DualState, linear_argmax, make_optimal_scheduler
 
 _NU_CAP = 1e6  # normalized; beyond this the selection is pure minimum-harvest
@@ -92,12 +94,12 @@ class CalibrationSettings:
             raise ValueError("mc_slots must be at least 1000")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.tol_energy is not None and self.tol_energy <= 0:
-            raise ValueError("tol_energy must be positive")
-        if self.tol_access <= 0 or self.tol_rate <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
+        if self.tol_energy is not None and not 0 < self.tol_energy < math.inf:
+            raise ValueError("tol_energy must be positive and finite")
+        if not (0 < self.tol_access < math.inf and 0 < self.tol_rate < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -125,23 +127,29 @@ class FeasibleRange:
 
 @dataclass
 class _Pool:
-    """Fixed slot pool with precomputed normalized quantities."""
+    """Fixed slot pool with its normalized capacities and harvests."""
 
-    caps: np.ndarray       # (M, N) capacities
-    harvests: np.ndarray   # (M, N)
-    qsum: np.ndarray       # (M,) per-slot total harvestable power
-    rows: np.ndarray       # arange(M), reused for fancy indexing
+    block: SlotBlock
+    total: np.ndarray      # per-slot harvest sum, reused by every pass
     c_scale: float         # typical per-slot max capacity
     q_scale: float         # maximum achievable average harvest
-    cn: np.ndarray         # caps / c_scale
+    cn: np.ndarray         # capacities / c_scale
     qn: np.ndarray         # harvests / q_scale
 
-    @property
-    def n_users(self) -> int:
-        return self.caps.shape[1]
-
     def evaluate(self, selections: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        return _evaluate(self.caps, self.harvests, self.qsum, self.rows, selections)
+        return self.block.summary(selections, self.total)
+
+
+def _pool_of(block: SlotBlock) -> _Pool:
+    """Normalize a block by its mean maximum capacity and maximum average harvest."""
+    q_scale = float(np.mean(block.max_harvest()))
+    c_scale = float(np.mean(block.capacities.max(axis=1)))
+    if q_scale <= 0:  # all-zero efficiencies: price energy against capacity 1:1
+        q_scale = 1.0
+    # No pass reads the gains; dropping them also frees their memory
+    # for the passes' temporaries, which keeps a pass from page-faulting.
+    return _Pool(SlotBlock(None, block.capacities, block.harvests), block.harvests.sum(axis=1),
+                 c_scale, q_scale, block.capacities / c_scale, block.harvests / q_scale)
 
 
 def _build_pool(
@@ -152,38 +160,7 @@ def _build_pool(
 ) -> _Pool:
     if rng is None:
         rng = seeds.substream(settings.seed, seeds.CALIBRATION)
-    block = draw_block(profiles, config, rng, settings.mc_slots)
-    qsum = block.harvests.sum(axis=1)
-    q_scale = float(np.mean(qsum - block.harvests.min(axis=1)))
-    c_scale = float(np.mean(block.capacities.max(axis=1)))
-    if q_scale <= 0:  # all-zero efficiencies: price energy against capacity 1:1
-        q_scale = 1.0
-    return _Pool(
-        caps=block.capacities,
-        harvests=block.harvests,
-        qsum=qsum,
-        rows=np.arange(settings.mc_slots),
-        c_scale=c_scale,
-        q_scale=q_scale,
-        cn=block.capacities / c_scale,
-        qn=block.harvests / q_scale,
-    )
-
-
-def _evaluate(
-    caps: np.ndarray, harvests: np.ndarray, qsum: np.ndarray, rows: np.ndarray,
-    selections: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Average harvest, access frequencies and per-user rates of a selection.
-
-    ``qsum`` holds each slot's total harvest and ``rows`` is
-    ``arange(slots)``; both are passed in so a pool computes them once.
-    """
-    m, n = caps.shape
-    qbar = float(np.mean(qsum - harvests[rows, selections]))
-    counts = np.bincount(selections, minlength=n)
-    rate_sums = np.bincount(selections, weights=caps[rows, selections], minlength=n)
-    return qbar, counts / m, rate_sums / m
+    return _pool_of(draw_block(profiles, config, rng, settings.mc_slots))
 
 
 def _resolve_tol_energy(settings: CalibrationSettings, pool: _Pool) -> float:
@@ -211,7 +188,7 @@ def feasible_range(
     """Estimate the reachable [greedy, maximum] average-harvest interval."""
     pool = _build_pool(profiles, config, settings, rng)
     greedy, _, _ = pool.evaluate(linear_argmax(pool.cn, pool.qn, 0.0))
-    per_slot_max = pool.qsum - pool.harvests.min(axis=1)
+    per_slot_max = pool.block.max_harvest()
     stderr = float(per_slot_max.std(ddof=1) / math.sqrt(settings.mc_slots))
     return FeasibleRange(greedy=greedy, maximum=pool.q_scale, stderr_maximum=stderr)
 
@@ -233,11 +210,46 @@ def estimate_constraints(
         rng = seeds.substream(settings.seed, seeds.VALIDATION)
     scheduler = make_optimal_scheduler(scheme, duals)
     block = draw_block(profiles, config, rng, settings.mc_slots)
-    qbar, access, rates = _evaluate(
-        block.capacities, block.harvests, block.harvests.sum(axis=1),
-        np.arange(settings.mc_slots), scheduler.select_block(block),
-    )
+    qbar, access, rates = block.summary(scheduler.select_block(block))
     return ConstraintEstimate(mean_sum_harvest=qbar, access_freq=access, per_user_rate=rates)
+
+
+def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
+    """Smallest normalized energy price whose pool harvest reaches ``q_req - tol``.
+
+    The harvest is non-decreasing in the price: bracket by doubling from
+    1, then bisect until the harvest is at most ``q_req + tol`` or the
+    bracket is 1e-13 of its top.  Returns the price (0 when the unpriced
+    schedule reaches the target) and the number of pool evaluations.
+    """
+    target = q_req - tol
+    evals = 0
+
+    def qbar_at(nu_t: float) -> float:
+        nonlocal evals
+        evals += 1
+        return pool.block.mean_harvest(linear_argmax(pool.cn, pool.qn, nu_t), pool.total)
+
+    if qbar_at(0.0) >= target:
+        return 0.0, evals
+    lo, hi = 0.0, 1.0
+    qbar_hi = qbar_at(hi)
+    for _ in range(81):  # beyond that no price is resolvable
+        if qbar_hi >= target:
+            break
+        lo, hi = hi, hi * 2.0
+        qbar_hi = qbar_at(hi)
+    # invariant: qbar(lo) < target <= qbar(hi)
+    for _ in range(200):
+        if qbar_hi <= q_req + tol or (hi - lo) <= 1e-13 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        qbar_mid = qbar_at(mid)
+        if qbar_mid >= target:
+            hi, qbar_hi = mid, qbar_mid
+        else:
+            lo = mid
+    return hi, evals
 
 
 def calibrate_mt(
@@ -248,48 +260,14 @@ def calibrate_mt(
 ) -> DualState:
     """Find the smallest energy price nu meeting the harvest target.
 
-    The pool estimate of average harvest is non-decreasing in nu, so
-    the search brackets the target by doubling and then bisects.  If
-    the unconstrained scheduler already meets the target, nu = 0 is
+    ``_mt_price`` searches the pool with the energy tolerance.  If the
+    unconstrained scheduler already meets the target, nu = 0 is
     returned (the harvest constraint is slack at the optimum).
     """
     pool = _build_pool(profiles, config, settings)
     tol_e = _resolve_tol_energy(settings, pool)
     _check_q_req(q_req, pool, tol_e)
-    target = q_req - tol_e
-    evals = 0
-
-    def qbar_at(nu_t: float) -> float:
-        nonlocal evals
-        evals += 1
-        qbar, _, _ = pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))
-        return qbar
-
-    qbar_zero = qbar_at(0.0)
-    nu_t = 0.0
-    qbar = qbar_zero
-    if qbar_zero < target:
-        lo, hi = 0.0, 1.0
-        qbar_hi = qbar_at(hi)
-        doublings = 0
-        while qbar_hi < target:
-            lo, hi = hi, hi * 2.0
-            qbar_hi = qbar_at(hi)
-            doublings += 1
-            if doublings > 80:  # beyond any resolvable price; pool met target check above
-                break
-        # invariant: qbar(lo) < target <= qbar(hi)
-        for _ in range(200):
-            if qbar_hi <= q_req + tol_e or (hi - lo) <= 1e-13 * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            qbar_mid = qbar_at(mid)
-            if qbar_mid >= target:
-                hi, qbar_hi = mid, qbar_mid
-            else:
-                lo = mid
-        nu_t, qbar = hi, qbar_hi
-
+    nu_t, evals = _mt_price(pool, q_req, tol_e)
     qbar, access, rates = pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))
     residuals = {
         "scheme": "mt",
@@ -304,7 +282,8 @@ def calibrate_mt(
         "c_scale": pool.c_scale,
         "q_scale": pool.q_scale,
     }
-    return DualState(nu=nu_t * pool.c_scale / pool.q_scale, calibration_residuals=residuals)
+    return DualState(nu=nu_t * pool.c_scale / pool.q_scale, calibration_residuals=residuals,
+                     fingerprint=system_fingerprint(config, profiles))
 
 
 def _energy_ok(qbar: float, q_req: float, tol_e: float, nu_t: float) -> bool:
@@ -350,7 +329,7 @@ class _PfRule:
 
     def start(self, pool: _Pool, warm: DualState | None) -> np.ndarray:
         if warm is None or warm.gamma is None:
-            return np.zeros(pool.n_users)
+            return np.zeros(pool.block.n_users)
         gamma_t = np.asarray(warm.gamma, dtype=float) / pool.c_scale
         return gamma_t - gamma_t.mean()
 
@@ -380,7 +359,7 @@ class _EtRule:
 
     def start(self, pool: _Pool, warm: DualState | None) -> np.ndarray:
         # inverse mean capacity starts the search close to equal throughput
-        inv_cap = 1.0 / np.maximum(pool.caps.mean(axis=0), 1e-30)
+        inv_cap = 1.0 / np.maximum(pool.block.capacities.mean(axis=0), 1e-30)
         if warm is None or warm.theta is None:
             return inv_cap / inv_cap.sum()
         theta = np.maximum(np.asarray(warm.theta, dtype=float), 0.0)
@@ -441,7 +420,7 @@ def _subgradient(
         ok = rule.gap(access, rates) <= tol and _energy_ok(qbar, q_req, tol_e, nu_t)
         return qbar, access, rates, ok
 
-    tail_nu, tail_mult, tail_count = 0.0, np.zeros(pool.n_users), 0
+    tail_nu, tail_mult, tail_count = 0.0, np.zeros(pool.block.n_users), 0
     tail_from = settings.max_iters // 2
     stall = _StallDetector(target=q_req - tol_e, margin=0.1 * tol_e)
     averaged = False
@@ -498,7 +477,8 @@ def _subgradient(
             residuals=res,
         )
     nu = nu_t * pool.c_scale / pool.q_scale
-    return DualState(nu=nu, calibration_residuals=res, **rule.duals(mult, pool))
+    return DualState(nu=nu, calibration_residuals=res, **rule.duals(mult, pool),
+                     fingerprint=system_fingerprint(config, profiles))
 
 
 def calibrate_pf(
@@ -545,6 +525,14 @@ def settings_hash(settings: CalibrationSettings) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def system_fingerprint(config: SystemConfig, profiles: Sequence[UserProfile]) -> str:
+    """Stable hash of the system duals are calibrated for: the transmit
+    power and every field of every user profile, floats written by repr."""
+    values = [config.tx_power] + [getattr(p, f.name) for p in profiles for f in fields(p)]
+    payload = " ".join(repr(float(v)) for v in values)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
 def save_duals(
     path: str | Path, scheme: str, duals: DualState, settings: CalibrationSettings
 ) -> None:
@@ -556,6 +544,7 @@ def save_duals(
         "theta": None if duals.theta is None else np.asarray(duals.theta).tolist(),
         "residuals": duals.calibration_residuals,
         "settings_hash": settings_hash(settings),
+        "fingerprint": duals.fingerprint,
     }
     Path(path).write_text(json.dumps(record, indent=2) + "\n")
 
@@ -576,6 +565,7 @@ def load_duals(path: str | Path) -> tuple[str, DualState]:
             for key in ("gamma", "theta")
         )
         residuals = record.get("residuals", {})
+        fingerprint = record.get("fingerprint")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed duals file {path}: {type(exc).__name__}: {exc}") from exc
     if scheme not in ("mt", "pf", "et") or not isinstance(residuals, dict):
@@ -586,7 +576,8 @@ def load_duals(path: str | Path) -> tuple[str, DualState]:
         raise ConfigError(f"duals file {path}: pf duals need a finite gamma vector")
     if scheme == "et" and not (_finite_vector(theta) and np.all(theta >= 0)):
         raise ConfigError(f"duals file {path}: et duals need a finite nonnegative theta vector")
-    return scheme, DualState(nu=nu, gamma=gamma, theta=theta, calibration_residuals=residuals)
+    return scheme, DualState(nu=nu, gamma=gamma, theta=theta,
+                             calibration_residuals=residuals, fingerprint=fingerprint)
 
 
 def _finite_vector(x: np.ndarray | None) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -73,6 +73,9 @@ class SystemConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in _FLOAT_FIELDS:
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise ConfigError(f"{name} must be finite")
         if self.n_users < 1:
             raise ConfigError("n_users must be at least 1")
         if self.tx_power <= 0:
@@ -116,6 +119,9 @@ class SystemConfig:
         return self._per_user(self.rf_dc_efficiency_per_user, "rf_dc_efficiency_per_user")
 
 
+_FLOAT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type != "int")
+
+
 @dataclass
 class UserProfile:
     """Static per-user parameters fixed for a whole simulation run."""
@@ -128,19 +134,54 @@ class UserProfile:
 
 @dataclass
 class SlotBlock:
-    """Channel state of a contiguous block of slots, one row per slot."""
+    """Channel state of a contiguous block of slots, one row per slot.
 
-    gains: np.ndarray
+    ``gains`` may be None for a block given only by capacities and
+    harvests (the oracle's instances); the order schedulers need it.
+    """
+
+    gains: np.ndarray | None
     capacities: np.ndarray
     harvests: np.ndarray
 
     @property
     def n_slots(self) -> int:
-        return self.gains.shape[0]
+        return self.capacities.shape[0]
 
     @property
     def n_users(self) -> int:
-        return self.gains.shape[1]
+        return self.capacities.shape[1]
+
+    def outcome(self, selections: np.ndarray, total: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slot capacity of the scheduled user and summed harvest of the idle users.
+
+        One user per slot decodes, every other user harvests.  ``total``
+        is ``harvests.sum(axis=1)``, computed here when absent; a pool
+        scored many times passes it in.  Caching it on per-chunk blocks
+        raised the peak memory of long runs.
+        """
+        rows = np.arange(len(selections))
+        if total is None:
+            total = self.harvests.sum(axis=1)
+        return self.capacities[rows, selections], total - self.harvests[rows, selections]
+
+    def summary(self, selections: np.ndarray, total: np.ndarray | None = None
+                ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Mean idle harvest, access shares and per-user rates of a selection."""
+        rate, idle = self.outcome(selections, total)
+        m, n = self.capacities.shape
+        counts = np.bincount(selections, minlength=n)
+        return float(idle.sum()) / m, counts / m, np.bincount(selections, rate, n) / m
+
+    def mean_harvest(self, selections: np.ndarray, total: np.ndarray | None = None) -> float:
+        """The mean idle harvest of ``summary`` alone, for searches that need no more."""
+        idle = self.outcome(selections, total)[1]
+        return float(idle.sum()) / len(idle)
+
+    def max_harvest(self) -> np.ndarray:
+        """Largest idle harvest of each slot: the weakest harvester is scheduled."""
+        return self.harvests.sum(axis=1) - self.harvests.min(axis=1)
 
 
 def mean_channel_gain(distance_m: float, config: SystemConfig) -> float:
@@ -222,28 +263,13 @@ def draw_block(
     return SlotBlock(gains=gains, capacities=capacities, harvests=harvests)
 
 
-# Keys accepted in configuration files, with the units used.
-_CONFIG_KEYS = {
-    "n_users": "count",
-    "tx_power": "Watts",
-    "noise_power_per_user": "Watts (scalar or list)",
-    "rf_dc_efficiency_per_user": "fraction in [0,1] (scalar or list)",
-    "path_loss_exponent": "dimensionless",
-    "ref_distance_m": "meters",
-    "max_distance_m": "meters",
-    "ap_antenna_gain_dbi": "dBi",
-    "ut_antenna_gain_dbi": "dBi",
-    "carrier_hz": "Hertz",
-    "q_req": "Watts",
-    "n_slots": "count",
-    "seed": "integer",
-    "bandwidth_hz": "Hertz",
-}
+# Keys accepted in configuration files: the SystemConfig fields.
+_CONFIG_KEYS = {f.name for f in fields(SystemConfig)}
+_INT_KEYS = _CONFIG_KEYS - set(_FLOAT_FIELDS)
 _DBM_KEYS = {
     "tx_power_dbm": "tx_power",
     "noise_power_per_user_dbm": "noise_power_per_user",
 }
-_INT_KEYS = {"n_users", "n_slots", "seed"}
 
 
 def _parse_scalar(text: str):
@@ -291,7 +317,7 @@ def load_config(path: str | Path) -> SystemConfig:
     else:
         values = _parse_keyvalue(text)
 
-    fields: dict = {}
+    kwargs: dict = {}
     try:
         for key, value in values.items():
             if key in _DBM_KEYS:
@@ -299,28 +325,18 @@ def load_config(path: str | Path) -> SystemConfig:
                 if target in values:
                     raise ConfigError(f"both {key} and {target} given")
                 if isinstance(value, list):
-                    fields[target] = [dbm_to_watts(float(v)) for v in value]
+                    kwargs[target] = [dbm_to_watts(float(v)) for v in value]
                 else:
-                    fields[target] = dbm_to_watts(float(value))
+                    kwargs[target] = dbm_to_watts(float(value))
             elif key in _CONFIG_KEYS:
-                fields[key] = int(value) if key in _INT_KEYS else value
+                kwargs[key] = int(value) if key in _INT_KEYS else value
             else:
                 raise ConfigError(f"unknown config key: {key!r}")
-        if "n_users" not in fields:
+        if "n_users" not in kwargs:
             raise ConfigError("config must set n_users")
-        return SystemConfig(**fields)
+        return SystemConfig(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
-
-def config_to_dict(config: SystemConfig) -> dict:
-    """Flat dict of config fields, with per-user values as lists."""
-    out = {}
-    for key in _CONFIG_KEYS:
-        value = getattr(config, key)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        out[key] = value
-    return out

@@ -19,8 +19,9 @@ are reproducible component by component.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .calibration import (
     feasible_range,
     load_duals,
     save_duals,
+    system_fingerprint,
 )
 from .channel import ConfigError, SystemConfig, UserProfile, load_config, place_users
 from .oracle import FiniteInstance, brute_force_mt, dual_mt_schedule, random_instance
@@ -66,13 +68,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--slots", type=int, help="override n_slots")
 
 
+# Every CalibrationSettings field but the seed is a flag (--mc-slots, ...).
+_SETTINGS = [f for f in fields(CalibrationSettings) if f.name != "seed"]
+
+
 def _add_settings(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mc-slots", type=int, default=100_000)
-    parser.add_argument("--max-iters", type=int, default=6000)
-    parser.add_argument("--step-size", type=float, default=0.5)
-    parser.add_argument("--tol-energy", type=float, default=None)
-    parser.add_argument("--tol-access", type=float, default=0.005)
-    parser.add_argument("--tol-rate", type=float, default=0.01)
+    for f in _SETTINGS:
+        parser.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                            type=int if f.type == "int" else float)
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -144,13 +147,7 @@ def _setup(args) -> tuple[SystemConfig, list[UserProfile], CalibrationSettings]:
     profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))
     try:
         settings = CalibrationSettings(
-            mc_slots=args.mc_slots,
-            max_iters=args.max_iters,
-            step_size=args.step_size,
-            tol_energy=args.tol_energy,
-            tol_access=args.tol_access,
-            tol_rate=args.tol_rate,
-            seed=config.seed,
+            **{f.name: getattr(args, f.name) for f in _SETTINGS}, seed=config.seed
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -188,6 +185,9 @@ def _build_scheduler(args, config, profiles, settings):
                 raise ConfigError(
                     f"duals file holds {len(mult)} multipliers, config has {config.n_users} users"
                 )
+            if duals.fingerprint != system_fingerprint(config, profiles):
+                raise ConfigError(f"duals file was calibrated for another system (fingerprint "
+                                  f"{duals.fingerprint!r}): other tx_power or users")
             q_req = duals.calibration_residuals.get("q_req", q_req)
         else:
             duals = _CALIBRATORS[scheme](q_req, profiles, config, settings)
@@ -241,8 +241,8 @@ def _parse_grid(text: str, profiles, config, settings) -> list[float]:
         hi = None if parts[1] == "auto" else float(parts[1])
     except ValueError:
         raise ConfigError(f"cannot parse grid {text!r}") from None
-    if lo < 0:
-        raise ConfigError(f"grid targets must be nonnegative: {text!r}")
+    if not (math.isfinite(lo) and lo >= 0) or (hi is not None and not math.isfinite(hi)):
+        raise ConfigError(f"grid targets must be finite and nonnegative: {text!r}")
     if hi is None:
         fr = feasible_range(profiles, config, settings)
         hi = fr.maximum - fr.stderr_maximum

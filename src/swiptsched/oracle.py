@@ -4,10 +4,13 @@ For a handful of slots and users, every assignment of one scheduled
 user per slot can be enumerated, giving the exact optimum of the
 constrained scheduling problem on that instance.  This is the ground
 truth the dual-metric schedulers are checked against: on a finite
-instance the per-slot argmax schedule (with the energy price tuned on
-the same slots) must be feasible, integral and reach the optimum up
-to a gap of at most one slot's maximum capacity divided by the
-horizon, the worst case a single fractional time-share could recover.
+instance the per-slot argmax schedule, with the energy price found on
+the same slots by ``calibrate_mt``'s price search, must be feasible,
+integral and reach the optimum up to a gap of at most one slot's
+maximum capacity divided by the horizon, the worst case a single
+fractional time-share could recover.  Instance harvests and rates come
+from ``SlotBlock.outcome``; the enumeration keeps its own batch
+arithmetic as the independent reference.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SystemConfig, UserProfile, draw_block
+from .calibration import _mt_price, _pool_of
+from .channel import SlotBlock, SystemConfig, UserProfile, draw_block
 from .scheduling import linear_argmax
 
 ENUMERATION_BUDGET = 1_000_000
@@ -49,20 +53,21 @@ class FiniteInstance:
                 f"enumeration budget exceeded: {self.n_users}^{self.n_slots} assignments"
             )
 
+    @property
+    def block(self) -> SlotBlock:
+        return SlotBlock(None, self.capacities, self.harvests)
+
     def harvest_of(self, assignment: np.ndarray) -> float:
         """Average sum harvest when ``assignment[i]`` is scheduled in slot i."""
-        rows = np.arange(self.n_slots)
-        total = self.harvests.sum() - self.harvests[rows, assignment].sum()
-        return float(total) / self.n_slots
+        return self.block.mean_harvest(assignment)
 
     def rate_of(self, assignment: np.ndarray) -> float:
         """Average sum rate of an assignment."""
-        rows = np.arange(self.n_slots)
-        return float(self.capacities[rows, assignment].sum()) / self.n_slots
+        return float(self.block.outcome(assignment)[0].sum()) / self.n_slots
 
     def max_harvest(self) -> float:
         """Largest reachable average harvest (schedule the min-harvest user)."""
-        return float(np.mean(self.harvests.sum(axis=1) - self.harvests.min(axis=1)))
+        return float(np.mean(self.block.max_harvest()))
 
     def gap_bound(self) -> float:
         """Worst-case optimality gap of the per-slot argmax schedule."""
@@ -153,31 +158,15 @@ def brute_force_et(instance: FiniteInstance) -> BruteForceResult:
 
 
 def dual_mt_schedule(instance: FiniteInstance) -> tuple[np.ndarray, float] | None:
-    """Per-slot argmax schedule with nu tuned by bisection on this instance.
+    """Per-slot argmax schedule with nu tuned on this instance.
 
-    Returns (schedule, nu), or None when even the maximum-harvest
-    schedule misses the target.  The returned schedule always meets
-    the harvest requirement exactly as stated (no tolerance).
+    The price comes from calibration's MT search on the instance's
+    slots with zero tolerance.  Returns (schedule, nu), or None when
+    even the maximum-harvest schedule misses the target.  The returned
+    schedule always meets the harvest requirement exactly as stated.
     """
-    caps, harv = instance.capacities, instance.harvests
-
-    if instance.harvest_of(linear_argmax(caps, harv, 0.0)) >= instance.q_req:
-        return linear_argmax(caps, harv, 0.0), 0.0
     if instance.max_harvest() < instance.q_req:
         return None
-
-    scale = float(caps.max()) / max(float(np.mean(harv.sum(axis=1))), 1e-300)
-    lo, hi = 0.0, scale
-    for _ in range(200):
-        if instance.harvest_of(linear_argmax(caps, harv, hi)) >= instance.q_req:
-            break
-        lo, hi = hi, hi * 2.0
-    for _ in range(200):
-        if (hi - lo) <= 1e-14 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if instance.harvest_of(linear_argmax(caps, harv, mid)) >= instance.q_req:
-            hi = mid
-        else:
-            lo = mid
-    return linear_argmax(caps, harv, hi), hi
+    pool = _pool_of(instance.block)
+    nu_t, _ = _mt_price(pool, instance.q_req, 0.0)
+    return linear_argmax(pool.cn, pool.qn, nu_t), nu_t * pool.c_scale / pool.q_scale

@@ -37,13 +37,15 @@ class DualState:
 
     ``gamma`` is used by PF only and ``theta`` by ET only; both are
     None otherwise.  ``calibration_residuals`` records the constraint
-    gaps and iteration diagnostics observed at convergence.
+    gaps and iteration diagnostics observed at convergence, and
+    ``fingerprint`` the system calibrated for (None when unknown).
     """
 
     nu: float
     gamma: np.ndarray | None = None
     theta: np.ndarray | None = None
     calibration_residuals: dict = field(default_factory=dict)
+    fingerprint: str | None = None
 
 
 def linear_argmax(

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import seeds
-from .baselines import OrderPolicy, make_order_scheduler
+from .baselines import ORDER_SCHEMES, OrderPolicy, make_order_scheduler
 from .calibration import _CALIBRATORS, CalibrationSettings, ConvergenceError, InfeasibleError
 from .channel import SystemConfig, UserProfile, draw_block
 from .scheduling import DualState, SlotScheduler, make_optimal_scheduler
@@ -36,7 +36,6 @@ from .scheduling import DualState, SlotScheduler, make_optimal_scheduler
 CHUNK_SLOTS = 1 << 16
 
 OPTIMAL_SCHEMES = ("mt", "pf", "et")
-ORDER_SCHEMES = ("order-mt", "order-pf", "order-et")
 
 
 def jain_index(values: np.ndarray) -> float:
@@ -82,10 +81,7 @@ class _Accumulator:
         self.slots = 0
 
     def add(self, block, selections: np.ndarray) -> None:
-        rows = np.arange(len(selections))
-        picked_c = block.capacities[rows, selections]
-        picked_q = block.harvests[rows, selections]
-        harvest = block.harvests.sum(axis=1) - picked_q
+        picked_c, harvest = block.outcome(selections)
         n = self.rate_sums.shape[0]
         self.rate_sums += np.bincount(selections, weights=picked_c, minlength=n)
         self.counts += np.bincount(selections, minlength=n)

@@ -11,7 +11,7 @@ from swiptsched import (
     run,
 )
 from swiptsched import seeds
-from swiptsched.baselines import OrderMtScheduler, OrderPfScheduler, OrderEtScheduler
+from swiptsched.baselines import OrderScheduler
 
 from conftest import profiles_at
 
@@ -26,6 +26,18 @@ def ranks_desc(values: np.ndarray) -> np.ndarray:
     ranks = np.empty(len(values), dtype=np.int64)
     ranks[order] = np.arange(1, len(values) + 1)
     return ranks
+
+
+def order_mt(j: int) -> OrderScheduler:
+    return OrderScheduler("order-mt", frozenset({j}))
+
+
+def order_pf(j: int, omega: np.ndarray) -> OrderScheduler:
+    return OrderScheduler("order-pf", frozenset({j}), omega)
+
+
+def order_et(s_a, omega: np.ndarray) -> OrderScheduler:
+    return OrderScheduler("order-et", frozenset(s_a), omega)
 
 
 def order_et_reference(gains, capacities, omega, s_a, totals) -> int:
@@ -51,24 +63,24 @@ class TestOrderMt:
     def test_rank_one_is_greedy(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(1), 20_000)
         greedy = LinearScheduler("mt", nu=0.0).select_block(block)
-        ranked = OrderMtScheduler(j=1).select_block(block)
+        ranked = order_mt(1).select_block(block)
         assert np.array_equal(greedy, ranked)
 
     def test_rank_n_is_weakest(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(2), 5000)
-        weakest = OrderMtScheduler(j=5).select_block(block)
+        weakest = order_mt(5).select_block(block)
         assert np.array_equal(weakest, np.argmin(block.gains, axis=1))
 
     def test_rank_coverage(self, table_config, table_profiles):
         # in every slot, ranks 1..N select all N users exactly once
         block = draw_block(table_profiles, table_config, np.random.default_rng(3), 200)
-        chosen = np.stack([OrderMtScheduler(j=j).select_block(block) for j in range(1, 6)])
+        chosen = np.stack([order_mt(j).select_block(block) for j in range(1, 6)])
         assert np.all(np.sort(chosen, axis=0) == np.arange(5)[:, None])
 
     def test_matches_per_slot_ranks(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(3), 200)
         for j in (1, 3, 5):
-            chosen = OrderMtScheduler(j=j).select_block(block)
+            chosen = order_mt(j).select_block(block)
             for i in range(200):
                 assert ranks_desc(block.gains[i])[chosen[i]] == j
 
@@ -76,14 +88,14 @@ class TestOrderMt:
         config = SystemConfig(n_users=1)
         profiles = profiles_at([10.0], config)
         block = draw_block(profiles, config, np.random.default_rng(4), 10)
-        assert OrderMtScheduler(j=1).select_block(block).tolist() == [0] * 10
+        assert order_mt(1).select_block(block).tolist() == [0] * 10
 
     def test_j_out_of_range(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(5), 1)
         with pytest.raises(ValueError):
-            OrderMtScheduler(j=0).select_block(block)
+            order_mt(0).select_block(block)
         with pytest.raises(ValueError):
-            OrderMtScheduler(j=6).select_block(block)
+            order_mt(6).select_block(block)
 
 
 class TestOrderPf:
@@ -98,7 +110,7 @@ class TestOrderPf:
     def test_mean_gain_scaling_invariance(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(7), 5000)
         omega = np.array([p.mean_gain for p in table_profiles])
-        base = OrderPfScheduler(j=2, mean_gains=omega).select_block(block)
+        base = order_pf(2, omega).select_block(block)
         # scaling user 0's mean gain rescales its fading draws identically,
         # so normalized gains and hence decisions are unchanged
         scaled_block = type(block)(
@@ -106,23 +118,21 @@ class TestOrderPf:
             capacities=block.capacities,
             harvests=block.harvests,
         )
-        scaled = OrderPfScheduler(
-            j=2, mean_gains=omega * np.array([10.0, 1, 1, 1, 1])
-        ).select_block(scaled_block)
+        scaled = order_pf(2, omega * np.array([10.0, 1, 1, 1, 1])).select_block(scaled_block)
         assert np.array_equal(base, scaled)
 
     def test_single_user(self):
         config = SystemConfig(n_users=1)
         profiles = profiles_at([10.0], config)
         block = draw_block(profiles, config, np.random.default_rng(8), 10)
-        scheduler = OrderPfScheduler(j=1, mean_gains=mean_gains(profiles))
+        scheduler = order_pf(1, mean_gains(profiles))
         assert scheduler.select_block(block).tolist() == [0] * 10
 
     def test_matches_per_slot_ranks(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(8), 200)
         omega = mean_gains(table_profiles)
         for j in (1, 4):
-            chosen = OrderPfScheduler(j=j, mean_gains=omega).select_block(block)
+            chosen = order_pf(j, omega).select_block(block)
             for i in range(200):
                 assert ranks_desc(block.gains[i] / omega)[chosen[i]] == j
 
@@ -130,9 +140,7 @@ class TestOrderPf:
 class TestOrderEt:
     def test_all_ties_start_picks_lowest_index(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(9), 1)
-        scheduler = OrderEtScheduler(
-            s_a=frozenset(range(1, 6)), mean_gains=mean_gains(table_profiles)
-        )
+        scheduler = order_et(range(1, 6), mean_gains(table_profiles))
         totals = scheduler.start(5)
         assert scheduler.select_block(block, totals).tolist() == [0]
         assert totals[0] > 0
@@ -140,9 +148,7 @@ class TestOrderEt:
 
     def test_updates_only_selected_user(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(10), 20)
-        scheduler = OrderEtScheduler(
-            s_a=frozenset({1, 2}), mean_gains=mean_gains(table_profiles)
-        )
+        scheduler = order_et({1, 2}, mean_gains(table_profiles))
         totals = scheduler.start(5)
         for i in range(20):
             before = totals.copy()
@@ -155,7 +161,7 @@ class TestOrderEt:
     def test_eligibility_restricted_to_orders(self, table_config, table_profiles):
         block = draw_block(table_profiles, table_config, np.random.default_rng(11), 2000)
         omega = np.array([p.mean_gain for p in table_profiles])
-        scheduler = OrderEtScheduler(s_a=frozenset({1}), mean_gains=omega)
+        scheduler = order_et({1}, omega)
         chosen = scheduler.select_block(block, scheduler.start(5))
         best_normalized = np.argmax(block.gains / omega, axis=1)
         assert np.array_equal(chosen, best_normalized)
@@ -172,17 +178,18 @@ class TestOrderEt:
         assert spreads[1] < spreads[0]
         assert spreads[1] < 0.02
 
-    def test_empty_order_set_rejected(self, table_profiles):
-        scheduler = OrderEtScheduler(s_a=frozenset(), mean_gains=mean_gains(table_profiles))
+    def test_empty_order_set_rejected(self, table_config, table_profiles):
+        block = draw_block(table_profiles, table_config, np.random.default_rng(13), 1)
+        scheduler = order_et(set(), mean_gains(table_profiles))
         with pytest.raises(ValueError):
-            scheduler.start(5)
+            scheduler.select_block(block, scheduler.start(5))
 
     def test_block_matches_slot_by_slot(self, table_config, table_profiles):
         # the vectorized path and the per-slot reference share state
         # semantics, including tie handling
         block = draw_block(table_profiles, table_config, np.random.default_rng(14), 300)
         omega = mean_gains(table_profiles)
-        scheduler = OrderEtScheduler(s_a=frozenset({2, 3}), mean_gains=omega)
+        scheduler = order_et({2, 3}, omega)
         vectorized = scheduler.select_block(block, scheduler.start(5))
         totals = np.zeros(5)
         for i in range(300):
@@ -209,6 +216,42 @@ class TestOrderEt:
         assert np.array_equal(stats.selections, expected)
 
 
+    def test_singleton_set_equals_order_pf(self, table_config, table_profiles):
+        # order-et with {j} schedules the rank-j user, as order-pf with j does
+        for j in range(1, 6):
+            logs = [
+                run(make_order_scheduler(policy, table_profiles), table_profiles,
+                    table_config, 20_000, seed=16, keep_log=True).selections
+                for policy in (OrderPolicy("order-pf", j=j),
+                               OrderPolicy("order-et", s_a=frozenset({j})))
+            ]
+            assert np.array_equal(logs[0], logs[1])
+
+    def test_singleton_set_is_stateless(self, table_profiles):
+        assert order_et({2}, mean_gains(table_profiles)).start(5) is None
+
+
+class TestFactory:
+    def test_tags_and_gain_normalization(self, table_profiles):
+        omega = mean_gains(table_profiles)
+        for variant, policy in (("order-mt", OrderPolicy("order-mt", j=2)),
+                                ("order-pf", OrderPolicy("order-pf", j=2)),
+                                ("order-et", OrderPolicy("order-et", s_a=frozenset({1, 3})))):
+            scheduler = make_order_scheduler(policy, table_profiles)
+            assert scheduler.tag == variant
+            assert scheduler.orders == policy.orders
+            if variant == "order-mt":
+                assert scheduler.mean_gains is None
+            else:
+                assert np.array_equal(scheduler.mean_gains, omega)
+
+    def test_invalid_policy_rejected(self, table_profiles):
+        with pytest.raises(ValueError):
+            make_order_scheduler(OrderPolicy("order-pf", j=6), table_profiles)
+        with pytest.raises(ValueError):
+            make_order_scheduler(OrderPolicy("order-et", s_a=frozenset()), table_profiles)
+
+
 class TestOrderPolicy:
     def test_validation(self):
         OrderPolicy("order-mt", j=3).validate(5)
@@ -219,3 +262,5 @@ class TestOrderPolicy:
             OrderPolicy("order-et", s_a=frozenset({0})).validate(5)
         with pytest.raises(ValueError):
             OrderPolicy("round-robin", j=1).validate(5)
+        with pytest.raises(ValueError):
+            OrderPolicy("order-pf").validate(5)

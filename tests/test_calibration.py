@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from swiptsched import (
     save_duals,
 )
 from swiptsched import ConfigError, linear_argmax
-from swiptsched.calibration import _build_pool, settings_hash
+from swiptsched.calibration import _build_pool, settings_hash, system_fingerprint
 
 from conftest import make_profiles, profiles_at
 
@@ -106,7 +107,7 @@ class TestCalibrateMt:
     def test_large_price_limit_selects_min_harvest(self, config5, profiles5, settings):
         pool = _build_pool(profiles5, config5, settings)
         selections = linear_argmax(pool.cn, pool.qn, 1e9)
-        assert np.array_equal(selections, np.argmin(pool.harvests, axis=1))
+        assert np.array_equal(selections, np.argmin(pool.block.harvests, axis=1))
 
     def test_near_maximum_target_reached(self, config5, profiles5, settings, q_range):
         duals = calibrate_mt(0.995 * q_range.maximum, profiles5, config5, settings)
@@ -243,6 +244,14 @@ class TestDualsIO:
         assert np.array_equal(loaded.gamma, duals.gamma)
         assert loaded.theta is None
         assert loaded.calibration_residuals == duals.calibration_residuals
+        assert loaded.fingerprint == duals.fingerprint == system_fingerprint(config5, profiles5)
+
+    def test_fingerprint_binds_power_and_placement(self, config5, profiles5):
+        base = system_fingerprint(config5, profiles5)
+        assert base == system_fingerprint(SystemConfig(n_users=5, seed=7), make_profiles(config5))
+        assert base != system_fingerprint(replace(config5, tx_power=1.0), profiles5)
+        assert base != system_fingerprint(config5, make_profiles(config5, seed=8))
+        assert base != system_fingerprint(config5, profiles5[:4])
 
     @pytest.mark.parametrize(
         "change",
@@ -290,3 +299,9 @@ class TestSettingsValidation:
             CalibrationSettings(step_size=0.0)
         with pytest.raises(ValueError):
             CalibrationSettings(tol_access=-1.0)
+
+    @pytest.mark.parametrize("field", ["step_size", "tol_energy", "tol_access", "tol_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationSettings(**{field: value})

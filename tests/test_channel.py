@@ -6,6 +6,7 @@ import pytest
 
 from swiptsched import (
     ConfigError,
+    SlotBlock,
     SystemConfig,
     dbm_to_watts,
     draw_block,
@@ -13,7 +14,6 @@ from swiptsched import (
     mean_channel_gain,
     place_users,
 )
-from swiptsched.channel import config_to_dict
 from swiptsched import seeds
 
 from conftest import make_profiles
@@ -131,6 +131,24 @@ class TestDrawing:
             draw_block([], table_config, np.random.default_rng(0), 10)
 
 
+class TestSlotOutcome:
+    def test_scheduled_capacity_and_idle_harvest(self):
+        block = SlotBlock(
+            None,
+            capacities=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+            harvests=np.array([[0.1, 0.2, 0.4], [0.8, 1.6, 3.2]]),
+        )
+        selections = np.array([2, 0])
+        rate, idle = block.outcome(selections)
+        assert rate.tolist() == [3.0, 4.0]
+        assert idle.tolist() == pytest.approx([0.3, 4.8])
+        harvest, access, rates = block.summary(selections)
+        assert harvest == pytest.approx(2.55)
+        assert access.tolist() == [0.5, 0.0, 0.5]
+        assert rates.tolist() == [2.0, 0.0, 1.5]
+        assert block.max_harvest().tolist() == pytest.approx([0.6, 4.8])
+
+
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ConfigError):
@@ -143,6 +161,20 @@ class TestConfigValidation:
             SystemConfig(n_users=2, ref_distance_m=10.0, max_distance_m=5.0)
         with pytest.raises(ConfigError):
             SystemConfig(n_users=2, noise_power_per_user=[1e-10, 1e-10, 1e-10])
+
+    @pytest.mark.parametrize("field", [
+        "tx_power", "noise_power_per_user", "rf_dc_efficiency_per_user", "path_loss_exponent",
+        "ref_distance_m", "max_distance_m", "ap_antenna_gain_dbi", "ut_antenna_gain_dbi",
+        "carrier_hz", "q_req", "bandwidth_hz",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig(n_users=2, **{field: value})
+
+    def test_non_finite_per_user_entry_rejected(self):
+        with pytest.raises(ConfigError):
+            SystemConfig(n_users=2, noise_power_per_user=[1e-10, math.nan])
 
     def test_per_user_arrays(self):
         config = SystemConfig(
@@ -200,8 +232,3 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
-
-    def test_config_to_dict(self, table_config):
-        flat = config_to_dict(table_config)
-        assert flat["n_users"] == 5
-        assert flat["carrier_hz"] == 915e6

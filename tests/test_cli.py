@@ -173,6 +173,77 @@ class TestCalibrateCommand:
         assert not out.exists()
 
 
+class TestSavedDualsBinding:
+    @staticmethod
+    def write_config(tmp_path, name, tx_power_dbm, seed):
+        path = tmp_path / name
+        path.write_text(f"n_users = 4\ntx_power_dbm = {tx_power_dbm}\nn_slots = 5000\n"
+                        f"seed = {seed}\n")
+        return str(path)
+
+    def calibrate_mt(self, tmp_path, config):
+        duals_path = tmp_path / "mt.json"
+        assert run_cli(
+            "calibrate", "--config", config, "--scheme", "mt", "--q-req", "1e-4",
+            "--mc-slots", "5000", "--out", str(duals_path),
+        ) == EXIT_OK
+        return duals_path
+
+    def test_other_power_and_seed_rejected(self, tmp_path, capsys):
+        duals_path = self.calibrate_mt(tmp_path, self.write_config(tmp_path, "a.cfg", 40, 11))
+        out = tmp_path / "run.csv"
+        code = run_cli(
+            "run", "--config", self.write_config(tmp_path, "b.cfg", 30, 99), "--scheme", "mt",
+            "--duals", str(duals_path), "--out", str(out),
+        )
+        assert code == EXIT_CONFIG
+        assert "another system" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matching_rerun_accepted(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, "a.cfg", 40, 11)
+        duals_path = self.calibrate_mt(tmp_path, config)
+        out = tmp_path / "run.csv"
+        assert run_cli(
+            "run", "--config", config, "--scheme", "mt", "--duals", str(duals_path),
+            "--out", str(out),
+        ) == EXIT_OK
+        assert read_csv(out)[0]["q_req_watts"] == 1e-4
+
+    def test_missing_fingerprint_rejected(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, "a.cfg", 40, 11)
+        duals_path = self.calibrate_mt(tmp_path, config)
+        record = json.loads(duals_path.read_text())
+        del record["fingerprint"]
+        duals_path.write_text(json.dumps(record))
+        code = run_cli("run", "--config", config, "--scheme", "mt", "--duals", str(duals_path))
+        assert code == EXIT_CONFIG
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, config_line",
+        [
+            (["calibrate", "--scheme", "mt", "--q-req", "nan"], ""),
+            (["calibrate", "--scheme", "mt", "--q-req", "inf"], ""),
+            (["sweep", "--scheme", "mt", "--grid", "0:inf:3"], ""),
+            (["sweep", "--scheme", "mt", "--grid", "nan:auto:3"], ""),
+            (["calibrate", "--scheme", "pf", "--q-req", "0", "--step-size", "nan"], ""),
+            (["calibrate", "--scheme", "mt", "--q-req", "0", "--tol-energy", "nan"], ""),
+            (["run", "--scheme", "order-mt"], "tx_power = NaN"),
+            (["run", "--scheme", "order-mt"], "noise_power_per_user = 1e-9, Infinity"),
+        ],
+    )
+    def test_exit_2_without_output(self, argv, config_line, tmp_path, capsys):
+        config = tmp_path / "system.cfg"
+        config.write_text(f"n_users = 2\nn_slots = 2000\nseed = 19\n{config_line}\n")
+        out = tmp_path / "out.file"
+        code = run_cli(*argv, "--config", str(config), "--mc-slots", "5000", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_auto_grid_sweep(self, config_file, tmp_path, capsys):
         out = tmp_path / "curve.csv"

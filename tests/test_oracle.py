@@ -74,6 +74,28 @@ class TestBruteForceMt:
         assert dual_mt_schedule(inst) is None
 
 
+class TestInstanceArithmetic:
+    def test_matches_brute_force_batch_formula(self, three_user_setup):
+        # harvest_of/rate_of go through SlotBlock.outcome; the brute-force
+        # search keeps its own batch arithmetic, and the two must agree
+        config, profiles = three_user_setup
+        rng = np.random.default_rng(6)
+        inst = random_instance(profiles, config, rng, 7, 0.5)
+        batch = rng.integers(0, inst.n_users, size=(200, inst.n_slots))
+        cols = np.arange(inst.n_slots)
+        t = inst.n_slots
+        harvest = (inst.harvests.sum() - inst.harvests[cols[None, :], batch].sum(axis=1)) / t
+        rates = inst.capacities[cols[None, :], batch].sum(axis=1) / t
+        for assignment, q, r in zip(batch, harvest, rates):
+            assert inst.harvest_of(assignment) == pytest.approx(q, rel=1e-12)
+            assert inst.rate_of(assignment) == pytest.approx(r, rel=1e-12)
+
+    def test_max_harvest_is_min_harvest_schedule(self, three_user_setup):
+        config, profiles = three_user_setup
+        inst = random_instance(profiles, config, np.random.default_rng(7), 6, 0.5)
+        assert inst.max_harvest() == inst.harvest_of(np.argmin(inst.harvests, axis=1))
+
+
 class TestBruteForceEt:
     def test_symmetric_two_user_alternates(self):
         caps = np.array([[2.0, 2.1], [2.1, 2.0]])

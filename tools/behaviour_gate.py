@@ -1,0 +1,88 @@
+"""Run a fixed set of CLI commands and hash everything they write.
+
+    python tools/behaviour_gate.py OUTDIR
+
+Runs ``python -m swiptsched.cli`` from this checkout's ``src`` on an
+N=4, seed-19 config: ``calibrate`` for mt/pf/et, ``run`` and ``sweep``
+for every scheme, and ``oracle-check``.  OUTDIR receives the config,
+every output file, ``stdout.txt`` and ``stderr.txt`` (each command
+line, its output and its exit code) and ``SHA256SUMS``.  Commands run
+inside OUTDIR with relative paths, so the logs do not depend on where
+OUTDIR is.
+
+To check that a change keeps the CLI's behaviour, run the script on
+both checkouts (copy it into the older one if it lacks it) and diff
+the two ``SHA256SUMS`` files.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CONFIG = """\
+n_users = 4
+tx_power_dbm = 40
+noise_power_per_user_dbm = -62
+rf_dc_efficiency_per_user = 0.5
+n_slots = 20000
+seed = 19
+"""
+
+CAL = ["--mc-slots", "20000"]
+SWEEP = ["--mc-slots", "10000"]
+COMMANDS = [
+    ["calibrate", "--scheme", "mt", "--q-req", "5e-5", *CAL, "--out", "cal_mt.json"],
+    ["calibrate", "--scheme", "pf", "--q-req", "6e-5", *CAL, "--out", "cal_pf.json"],
+    ["calibrate", "--scheme", "et", "--q-req", "8e-5", *CAL, "--out", "cal_et.json"],
+    ["run", "--scheme", "mt", "--duals", "cal_mt.json", "--out", "run_mt.csv"],
+    ["run", "--scheme", "pf", "--q-req", "6e-5", *CAL, "--rate-unit", "bps",
+     "--out", "run_pf.csv"],
+    ["run", "--scheme", "et", "--q-req", "8e-5", *CAL, "--format", "jsonl",
+     "--out", "run_et.jsonl"],
+    ["run", "--scheme", "order-mt", "--j", "2", "--out", "run_order_mt.csv"],
+    ["run", "--scheme", "order-pf", "--j", "3", "--out", "run_order_pf.csv"],
+    ["run", "--scheme", "order-et", "--orders", "1,2", "--out", "run_order_et.csv"],
+    ["sweep", "--scheme", "mt", "--grid", "0:auto:5", *SWEEP, "--out", "sweep_mt.csv"],
+    ["sweep", "--scheme", "pf", "--grid", "0:auto:5", *SWEEP, "--out", "sweep_pf.csv"],
+    ["sweep", "--scheme", "pf", "--grid", "0:auto:5", *SWEEP, "--max-iters", "300",
+     "--out", "sweep_pf_iters300.csv"],
+    ["sweep", "--scheme", "et", "--grid", "0:auto:4", *SWEEP, "--format", "jsonl",
+     "--out", "sweep_et.jsonl"],
+    ["sweep", "--scheme", "order-mt", "--out", "sweep_order_mt.csv"],
+    ["sweep", "--scheme", "order-pf", "--out", "sweep_order_pf.csv"],
+    ["sweep", "--scheme", "order-et", "--out", "sweep_order_et.csv"],
+]
+ORACLE = [["oracle-check"], ["oracle-check", "--users", "4", "--slots-per-instance", "8"]]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "system.cfg").write_text(CONFIG)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    stdout, stderr = [], []
+    for args in [c[:1] + ["--config", "system.cfg"] + c[1:] for c in COMMANDS] + ORACLE:
+        proc = subprocess.run([sys.executable, "-m", "swiptsched.cli", *args], cwd=out,
+                              env=env, capture_output=True, text=True)
+        for log, text in ((stdout, proc.stdout), (stderr, proc.stderr)):
+            log.append(f"$ swipt-sched {' '.join(args)}\n{text}exit {proc.returncode}\n")
+    (out / "stdout.txt").write_text("".join(stdout))
+    (out / "stderr.txt").write_text("".join(stderr))
+    files = sorted(p for p in out.iterdir() if p.is_file() and p.name != "SHA256SUMS")
+    sums = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in files)
+    (out / "SHA256SUMS").write_text(sums)
+    print(sums, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
