@@ -14,6 +14,10 @@ meet their targets.
     one projected subgradient loop with step c/sqrt(k); each scheme
     supplies only its multiplier step, fairness gap and final duals.
 
+Every calibrator starts from ``_calibration_pool``, which rejects a
+target above the pool maximum; the subgradient loop then ends converged,
+stalled below the target or out of passes.
+
 Every pass schedules the pool with ``scheduling.linear_argmax``, the
 kernel the online schedulers use, on the pool's normalized arrays, and
 scores the selection with ``SlotBlock.summary`` like every caller.
@@ -163,13 +167,18 @@ def _build_pool(
     return _pool_of(draw_block(profiles, config, rng, settings.mc_slots))
 
 
-def _resolve_tol_energy(settings: CalibrationSettings, pool: _Pool) -> float:
-    return settings.tol_energy if settings.tol_energy is not None else 0.005 * pool.q_scale
-
-
-def _check_q_req(q_req: float, pool: _Pool, tol_e: float) -> None:
+def _calibration_pool(
+    q_req: float,
+    profiles: Sequence[UserProfile],
+    config: SystemConfig,
+    settings: CalibrationSettings,
+) -> tuple[_Pool, float]:
+    """The pool and the resolved energy tolerance; rejects a negative target
+    (ValueError) and one above the pool maximum plus tolerance (InfeasibleError)."""
     if q_req < 0:
         raise ValueError(f"q_req must be nonnegative, got {q_req}")
+    pool = _build_pool(profiles, config, settings)
+    tol_e = settings.tol_energy if settings.tol_energy is not None else 0.005 * pool.q_scale
     if q_req > pool.q_scale + tol_e:
         raise InfeasibleError(
             f"required harvest {q_req:.6g} W exceeds the achievable maximum "
@@ -177,6 +186,7 @@ def _check_q_req(q_req: float, pool: _Pool, tol_e: float) -> None:
             q_req=q_req,
             achievable=pool.q_scale,
         )
+    return pool, tol_e
 
 
 def feasible_range(
@@ -264,9 +274,7 @@ def calibrate_mt(
     unconstrained scheduler already meets the target, nu = 0 is
     returned (the harvest constraint is slack at the optimum).
     """
-    pool = _build_pool(profiles, config, settings)
-    tol_e = _resolve_tol_energy(settings, pool)
-    _check_q_req(q_req, pool, tol_e)
+    pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     nu_t, evals = _mt_price(pool, q_req, tol_e)
     qbar, access, rates = pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))
     residuals = {
@@ -284,38 +292,6 @@ def calibrate_mt(
     }
     return DualState(nu=nu_t * pool.c_scale / pool.q_scale, calibration_residuals=residuals,
                      fingerprint=system_fingerprint(config, profiles))
-
-
-def _energy_ok(qbar: float, q_req: float, tol_e: float, nu_t: float) -> bool:
-    if qbar < q_req - tol_e:
-        return False
-    # complementary slackness: a strictly positive price must bind
-    return nu_t <= 1e-9 or qbar <= q_req + tol_e
-
-
-class _StallDetector:
-    """Flags harvest targets beyond a fairness-constrained scheme's reach.
-
-    The energy price only ever pushes the pool harvest up; when the
-    best harvest seen stops improving for a whole window and never
-    came close to the target, the subgradient has saturated and the
-    target is declared infeasible for this scheme.  An iterate that
-    did reach the target proves reachability, so the detector stays
-    quiet forever after, even through later oscillations around the
-    joint optimum.
-    """
-
-    def __init__(self, target: float, margin: float):
-        self.target = target
-        self.margin = margin
-        self.best = -math.inf
-        self.last_improvement = 0
-
-    def stalled(self, k: int, qbar: float) -> bool:
-        if qbar > self.best + self.margin:
-            self.best = qbar
-            self.last_improvement = k
-        return self.best < self.target and (k - self.last_improvement) >= _STALL_WINDOW
 
 
 class _PfRule:
@@ -340,9 +316,6 @@ class _PfRule:
         gamma_t = gamma_t + step * (access - 1.0 / len(access))
         gamma_t -= gamma_t.mean()
         return gamma_t
-
-    def average(self, gamma_sum: np.ndarray, count: int) -> np.ndarray:
-        return gamma_sum / count
 
     def duals(self, gamma_t: np.ndarray, pool: _Pool) -> dict:
         return {"gamma": (gamma_t - gamma_t.mean()) * pool.c_scale}
@@ -381,10 +354,6 @@ class _EtRule:
         theta = np.maximum(theta + delta, 0.0)
         return theta / theta.sum()
 
-    def average(self, theta_sum: np.ndarray, count: int) -> np.ndarray:
-        theta = theta_sum / count
-        return theta / theta.sum()
-
     def duals(self, theta: np.ndarray, pool: _Pool) -> dict:
         return {"theta": theta / theta.sum()}
 
@@ -399,57 +368,48 @@ def _subgradient(
 ) -> DualState:
     """Projected subgradient ascent on nu and one multiplier per user.
 
-    Every iteration schedules the fixed pool, stops once the fairness
-    gap and the harvest target both hold, and otherwise steps with
-    ``step_size / sqrt(k)``: nu += step * (q_req - harvest), clamped
-    to [0, _NU_CAP], and the multiplier by ``rule.step``.  ``rule``
+    Every pass schedules the fixed pool, then steps with
+    ``step_size / sqrt(k)``: nu += step * (q_req - harvest), clamped to
+    [0, _NU_CAP], and the multiplier by ``rule.step``.  ``rule``
     supplies all that differs between PF and ET: the start and warm
     start, where the multiplier enters the score, its step, the
     fairness gap and tolerance, the residual fields and the duals.
+    It returns once the fairness gap and the harvest target both hold,
+    raises InfeasibleError quoting the best harvest when that stays below
+    the target for ``_STALL_WINDOW`` passes without rising, and raises
+    ConvergenceError with the last pass's residuals when the budget ends.
     """
-    pool = _build_pool(profiles, config, settings)
-    tol_e = _resolve_tol_energy(settings, pool)
-    _check_q_req(q_req, pool, tol_e)
+    pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     tol = getattr(settings, rule.tol_key)
     nu_t = 0.0 if warm_start is None else warm_start.nu * pool.q_scale / pool.c_scale
     mult = rule.start(pool, warm_start)
-
-    def evaluate(nu_t: float, mult: np.ndarray):
+    best, best_k = -math.inf, 0
+    for k in range(1, settings.max_iters + 1):
         selections = linear_argmax(pool.cn, pool.qn, nu_t, **{rule.kernel_arg: mult})
         qbar, access, rates = pool.evaluate(selections)
-        ok = rule.gap(access, rates) <= tol and _energy_ok(qbar, q_req, tol_e, nu_t)
-        return qbar, access, rates, ok
-
-    tail_nu, tail_mult, tail_count = 0.0, np.zeros(pool.block.n_users), 0
-    tail_from = settings.max_iters // 2
-    stall = _StallDetector(target=q_req - tol_e, margin=0.1 * tol_e)
-    averaged = False
-    for k in range(1, settings.max_iters + 1):
-        qbar, access, rates, ok = evaluate(nu_t, mult)
+        gap = rule.gap(access, rates)
+        # complementary slackness: a strictly positive price must bind
+        ok = gap <= tol and q_req - tol_e <= qbar and (nu_t <= 1e-9 or qbar <= q_req + tol_e)
         if ok:
             break
-        if stall.stalled(k, qbar):
+        # The energy price only pushes the pool harvest up, so a best harvest
+        # that stops rising for a whole window below the target means the
+        # target is out of reach.  An iterate that reached the target proves
+        # reachability, so the check then stays quiet for good.
+        if qbar > best + 0.1 * tol_e:
+            best, best_k = qbar, k
+        if best < q_req - tol_e and k - best_k >= _STALL_WINDOW:
             raise InfeasibleError(
                 f"harvest target {q_req:.6g} W is not reachable under {rule.constraint} "
-                f"(best average harvest observed: {stall.best:.6g} W)",
+                f"(best average harvest observed: {best:.6g} W)",
                 q_req=q_req,
-                achievable=stall.best,
+                achievable=best,
             )
-
+        if k == settings.max_iters:
+            break  # report the iterate just evaluated
         step = settings.step_size / math.sqrt(k)
         nu_t = min(max(0.0, nu_t + step * (q_req - qbar) / pool.q_scale), _NU_CAP)
         mult = rule.step(mult, step, access, rates)
-
-        if k >= tail_from:
-            tail_nu += nu_t
-            tail_mult += mult
-            tail_count += 1
-    else:
-        # Fallback: the averaged tail iterate often sits at the constraint
-        # set even when the raw iterate keeps hopping across it.
-        nu_t, mult = tail_nu / tail_count, rule.average(tail_mult, tail_count)
-        qbar, access, rates, ok = evaluate(nu_t, mult)
-        averaged = True
 
     # the scheme's residual fields are picked from these, in its order
     reported = {"access_freq_pool": access.tolist(), "per_user_rate_pool": rates.tolist(),
@@ -460,25 +420,23 @@ def _subgradient(
         "tol_energy": tol_e,
         rule.tol_key: tol,
         "energy_gap": qbar - q_req,
-        rule.gap_key: rule.gap(access, rates),
+        rule.gap_key: gap,
         "qbar_pool": qbar,
         **{key: reported[key] for key in rule.fields},
         "iterations": k,
         "converged": ok,
-        "averaged": averaged,
         "c_scale": pool.c_scale,
         "q_scale": pool.q_scale,
     }
     if not ok:
         raise ConvergenceError(
             f"{rule.scheme} calibration did not converge in {k} iterations "
-            f"({rule.gap_key.replace('_', ' ')} {res[rule.gap_key]:.4g}, "
+            f"({rule.gap_key.replace('_', ' ')} {gap:.4g}, "
             f"energy gap {res['energy_gap']:.4g} W)",
             residuals=res,
         )
-    nu = nu_t * pool.c_scale / pool.q_scale
-    return DualState(nu=nu, calibration_residuals=res, **rule.duals(mult, pool),
-                     fingerprint=system_fingerprint(config, profiles))
+    return DualState(nu=nu_t * pool.c_scale / pool.q_scale, calibration_residuals=res,
+                     **rule.duals(mult, pool), fingerprint=system_fingerprint(config, profiles))
 
 
 def calibrate_pf(

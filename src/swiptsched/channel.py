@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -73,6 +74,10 @@ class SystemConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in _FLOAT_FIELDS:
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise ConfigError(f"{name} must be finite")
@@ -119,6 +124,7 @@ class SystemConfig:
         return self._per_user(self.rf_dc_efficiency_per_user, "rf_dc_efficiency_per_user")
 
 
+_INT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 _FLOAT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type != "int")
 
 
@@ -265,7 +271,6 @@ def draw_block(
 
 # Keys accepted in configuration files: the SystemConfig fields.
 _CONFIG_KEYS = {f.name for f in fields(SystemConfig)}
-_INT_KEYS = _CONFIG_KEYS - set(_FLOAT_FIELDS)
 _DBM_KEYS = {
     "tx_power_dbm": "tx_power",
     "noise_power_per_user_dbm": "noise_power_per_user",
@@ -329,7 +334,10 @@ def load_config(path: str | Path) -> SystemConfig:
                 else:
                     kwargs[target] = dbm_to_watts(float(value))
             elif key in _CONFIG_KEYS:
-                kwargs[key] = int(value) if key in _INT_KEYS else value
+                # an integral float (n_slots = 1e5) is an int; SystemConfig rejects other values
+                if key in _INT_FIELDS and isinstance(value, float) and value.is_integer():
+                    value = int(value)
+                kwargs[key] = value
             else:
                 raise ConfigError(f"unknown config key: {key!r}")
         if "n_users" not in kwargs:

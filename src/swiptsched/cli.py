@@ -38,7 +38,7 @@ from .calibration import (
     system_fingerprint,
 )
 from .channel import ConfigError, SystemConfig, UserProfile, load_config, place_users
-from .oracle import FiniteInstance, brute_force_mt, dual_mt_schedule, random_instance
+from .oracle import brute_force_mt, check_size, dual_mt_schedule, random_instance
 from .scheduling import make_optimal_scheduler
 from .simulator import (
     OPTIMAL_SCHEMES,
@@ -251,7 +251,15 @@ def _parse_grid(text: str, profiles, config, settings) -> list[float]:
     return list(np.linspace(lo, hi, count))
 
 
+def _at_least_1(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, "
+                              f"got {getattr(args, name)}")
+
+
 def _cmd_sweep(args) -> int:
+    _at_least_1(args, "workers")
     config, profiles, settings = _setup(args)
     if args.scheme in OPTIMAL_SCHEMES:
         grid = _parse_grid(args.grid, profiles, config, settings)
@@ -272,9 +280,9 @@ def _cmd_oracle_check(args) -> int:
         config = replace(config, n_users=args.users, seed=args.seed)
     else:
         config = SystemConfig(n_users=args.users, seed=args.seed)
-    shape = (args.slots_per_instance, args.users)
+    _at_least_1(args, "instances", "slots_per_instance")
     try:
-        FiniteInstance(np.zeros(shape), np.zeros(shape), 0.0).check_budget()
+        check_size(args.slots_per_instance, args.users)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))

@@ -29,6 +29,16 @@ ENUMERATION_BUDGET = 1_000_000
 _BATCH = 1 << 14
 
 
+def check_size(n_slots: int, n_users: int) -> None:
+    """Reject an instance brute force cannot enumerate: empty, or beyond the budget."""
+    if n_slots < 1 or n_users < 1:
+        raise ValueError("an instance needs at least 1 slot and 1 user")
+    if n_slots > 8 or n_users > 4:
+        raise ValueError("instance too large: at most 8 slots and 4 users")
+    if n_users**n_slots > ENUMERATION_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {n_users}^{n_slots} assignments")
+
+
 @dataclass
 class FiniteInstance:
     """A fixed set of slot realizations with a harvest requirement."""
@@ -46,12 +56,7 @@ class FiniteInstance:
         return self.capacities.shape[1]
 
     def check_budget(self) -> None:
-        if self.n_slots > 8 or self.n_users > 4:
-            raise ValueError("instance too large: at most 8 slots and 4 users")
-        if self.n_users**self.n_slots > ENUMERATION_BUDGET:
-            raise ValueError(
-                f"enumeration budget exceeded: {self.n_users}^{self.n_slots} assignments"
-            )
+        check_size(self.n_slots, self.n_users)
 
     @property
     def block(self) -> SlotBlock:

@@ -184,12 +184,27 @@ class TestCalibratePf:
         with pytest.raises(InfeasibleError) as err:
             calibrate_pf(0.99 * q_range.maximum, profiles5, config5, settings)
         assert err.value.achievable < 0.99 * q_range.maximum
+        assert f"best average harvest observed: {err.value.achievable:.6g} W" in str(err.value)
+        assert not hasattr(err.value, "residuals")  # passes of a stall are not calibrations
 
     def test_non_convergence_reports_residuals(self, config5, profiles5):
         settings = CalibrationSettings(mc_slots=5000, max_iters=2, seed=7)
         with pytest.raises(ConvergenceError) as err:
             calibrate_pf(0.0, profiles5, config5, settings)
         assert "access_gap" in err.value.residuals
+
+    def test_non_convergence_reports_last_pass(self, config5, profiles5):
+        # one pass evaluates the starting duals (nu = 0, gamma = 0): the greedy schedule
+        settings = CalibrationSettings(mc_slots=5000, max_iters=1, seed=7)
+        with pytest.raises(ConvergenceError) as err:
+            calibrate_pf(0.0, profiles5, config5, settings)
+        res = err.value.residuals
+        pool = _build_pool(profiles5, config5, settings)
+        qbar, access, _ = pool.evaluate(linear_argmax(pool.cn, pool.qn, 0.0))
+        assert res["access_freq_pool"] == access.tolist()
+        assert res["energy_gap"] == qbar
+        assert res["iterations"] == 1 and not res["converged"]
+        assert "averaged" not in res
 
 
 class TestCalibrateEt:

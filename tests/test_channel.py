@@ -172,6 +172,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=field):
             SystemConfig(n_users=2, **{field: value})
 
+    @pytest.mark.parametrize("field", ["n_users", "n_slots", "seed"])
+    @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None])
+    def test_int_field_takes_integers_only(self, field, value):
+        kwargs = {"n_users": 2, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SystemConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = SystemConfig(n_users=np.int64(3), n_slots=np.int32(10), seed=np.uint8(4))
+        assert config.noise_powers().shape == (3,)
+
     def test_non_finite_per_user_entry_rejected(self):
         with pytest.raises(ConfigError):
             SystemConfig(n_users=2, noise_power_per_user=[1e-10, math.nan])
@@ -210,6 +221,31 @@ class TestConfigFile:
         config = load_config(path)
         assert config.tx_power == 5.0
         assert config.noise_powers().tolist() == [1e-10, 2e-10]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("n_users = 2\nn_slots = 1e5\nseed = 3.0\n", (2, 100_000, 3)),
+        ('{"n_users": 4.0, "n_slots": 20000, "seed": 0}', (4, 20_000, 0)),
+    ])
+    def test_integral_numbers_accepted(self, tmp_path, text, expected):
+        path = tmp_path / "system.cfg"
+        path.write_text(text)
+        config = load_config(path)
+        assert (config.n_users, config.n_slots, config.seed) == expected
+        assert all(type(v) is int for v in expected)
+
+    @pytest.mark.parametrize("text, key", [
+        ("n_users = 2.7\n", "n_users"),
+        ('{"n_users": true}', "n_users"),
+        ('{"n_users": 2, "seed": 2.9}', "seed"),
+        ('n_users = 2\nn_slots = "100"\n', "n_slots"),
+        ("n_users = 2\nseed = 1, 2\n", "seed"),
+        ("n_users = 2\nn_slots = Infinity\n", "n_slots"),
+    ])
+    def test_non_integers_rejected(self, tmp_path, text, key):
+        path = tmp_path / "system.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            load_config(path)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -244,7 +244,42 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+class TestIntegerConfigFields:
+    @pytest.mark.parametrize("config_text, key", [
+        ("n_users = 2.7\n", "n_users"),
+        ('{"n_users": true, "seed": 2}', "n_users"),
+        ('{"n_users": 2, "seed": 2.9}', "seed"),
+    ])
+    def test_non_integer_exits_2(self, config_text, key, tmp_path, capsys):
+        config = tmp_path / "system.cfg"
+        config.write_text(config_text)
+        out = tmp_path / "out.csv"
+        code = run_cli("run", "--config", str(config), "--scheme", "order-mt", "--slots", "2000",
+                       "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_runs(self, tmp_path, capsys):
+        config = tmp_path / "system.cfg"
+        config.write_text("n_users = 2\nn_slots = 2e3\nseed = 5.0\n")
+        out = tmp_path / "out.csv"
+        assert run_cli("run", "--config", str(config), "--scheme", "order-mt",
+                       "--out", str(out)) == EXIT_OK
+        assert read_csv(out)[0]["n_users"] == 2
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_config_error(self, config_file, workers, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run_cli(
+            "sweep", "--config", config_file, "--scheme", "mt", "--grid", "0:1e-6:2",
+            "--mc-slots", "5000", f"--workers={workers}", "--out", str(out),
+        ) == EXIT_CONFIG
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_auto_grid_sweep(self, config_file, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         assert run_cli(
@@ -318,6 +353,14 @@ class TestOracleCheckCommand:
     def test_instance_beyond_enumeration_budget_is_config_error(self, capsys):
         assert run_cli("oracle-check", "--users", "5", "--instances", "1") == EXIT_CONFIG
         assert run_cli("oracle-check", "--slots-per-instance", "9") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", ["--instances", "--slots-per-instance"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_sizes_below_one_are_config_errors(self, flag, value, capsys):
+        assert run_cli("oracle-check", f"{flag}={value}") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{flag} must be at least 1" in captured.err
+        assert "instances ok" not in captured.out
 
 
 class TestErrorMapping:

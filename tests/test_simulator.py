@@ -24,8 +24,8 @@ from swiptsched import (
     write_csv,
     write_jsonl,
 )
-from swiptsched import seeds, simulator
-from swiptsched.simulator import SweepPoint
+from swiptsched import DualState, seeds, simulator
+from swiptsched.simulator import RunStatistics, SweepPoint
 
 from conftest import make_profiles, profiles_at
 
@@ -79,18 +79,27 @@ class TestRun:
         assert a.avg_sum_harvest == b.avg_sum_harvest
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
 
-    def test_replay_matches_run_exactly(self, table_config, table_profiles):
-        # crosses a chunk boundary to exercise identical accumulation order
-        n = (1 << 16) + 513
-        stats = run(
-            LinearScheduler("mt", nu=3e5), table_profiles, table_config, n, seed=9, keep_log=True
-        )
-        again = replay(stats.selections, table_profiles, table_config, seed=9)
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @given(chunk=st.integers(min_value=1, max_value=300),
+           n=st.integers(min_value=1, max_value=1500),
+           scheme=st.sampled_from(["mt", "order-et"]))
+    def test_replay_matches_run_exactly(self, chunk, n, scheme, table_config, table_profiles):
+        # run and replay share the chunking, so the accumulators agree bit for
+        # bit wherever the chunk boundaries fall
+        if scheme == "mt":
+            scheduler = LinearScheduler("mt", nu=3e5)
+        else:
+            policy = OrderPolicy("order-et", s_a=frozenset({1, 2, 3}))
+            scheduler = make_order_scheduler(policy, table_profiles)
+        with patch.object(simulator, "CHUNK_SLOTS", chunk):
+            stats = run(scheduler, table_profiles, table_config, n, seed=9, keep_log=True)
+            again = replay(stats.selections, table_profiles, table_config, seed=9)
         assert again.avg_sum_rate == stats.avg_sum_rate
         assert again.avg_sum_harvest == stats.avg_sum_harvest
         assert np.array_equal(again.per_user_rate, stats.per_user_rate)
         assert np.array_equal(again.access_freq, stats.access_freq)
         assert again.stderr_sum_rate == stats.stderr_sum_rate
+        assert again.stderr_sum_harvest == stats.stderr_sum_harvest
 
     @hypothesis.settings(max_examples=15, deadline=None)
     @given(chunk=st.integers(min_value=1, max_value=5000))
@@ -128,14 +137,7 @@ def small_settings():
 @pytest.fixture(scope="module")
 def sweep_points(table_config, table_profiles):
     settings = CalibrationSettings(mc_slots=10_000, seed=14)
-    good = sweep_q_req(
-        "mt", [0.0, 1e-7], table_profiles, table_config, settings, 5_000, seed=14
-    )
-    bad = SweepPoint(
-        scheme="mt", q_req=1.0, duals=None, stats=None, feasible=False,
-        error="infeasible",
-    )
-    return good + [bad]
+    return sweep_q_req("mt", [0.0, 1e-7], table_profiles, table_config, settings, 5_000, seed=14)
 
 
 class TestSweep:
@@ -221,39 +223,61 @@ class TestSweep:
         assert harvests[-1] > harvests[0]
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def curves(draw):
+    """(n_users, points): feasible points with arbitrary finite values, then an infeasible one."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    per_user = st.lists(finite, min_size=n, max_size=n).map(np.array)
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        stats = RunStatistics("mt", 1, draw(finite), draw(finite), draw(per_user),
+                              draw(per_user), draw(finite), 0.0, 0.0)
+        points.append(SweepPoint(scheme="mt", q_req=draw(finite),
+                                 duals=DualState(nu=draw(finite)), stats=stats, feasible=True))
+    points.append(SweepPoint(scheme="mt", q_req=draw(finite), duals=None, stats=None,
+                             feasible=False, error="infeasible"))
+    return n, points
+
+
 class TestSerialization:
-    def test_csv_round_trip_exact(self, tmp_path, sweep_points, table_config):
-        points = sweep_points
-        path = tmp_path / "curve.csv"
-        write_csv(path, points, table_config.n_users)
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @given(curve=curves())
+    def test_csv_round_trip_exact(self, tmp_path_factory, curve):
+        n_users, points = curve
+        path = tmp_path_factory.mktemp("csv") / "curve.csv"
+        write_csv(path, points, n_users)
         rows = read_csv(path)
-        assert len(rows) == 3
-        for point, row in zip(points[:2], rows[:2]):
+        assert len(rows) == len(points)
+        for point, row in zip(points[:-1], rows):
             assert row["scheme"] == "mt"
             assert row["q_req_watts"] == point.q_req
             assert row["nu"] == point.duals.nu
             assert row["avg_sum_rate_bpcu"] == point.stats.avg_sum_rate
             assert row["avg_sum_harvest_watts"] == point.stats.avg_sum_harvest
             assert row["jain_index"] == point.stats.jain_index
-            for n in range(5):
+            for n in range(n_users):
                 assert row[f"per_user_rate_{n}"] == point.stats.per_user_rate[n]
                 assert row[f"access_freq_{n}"] == point.stats.access_freq[n]
             assert row["feasible_flag"] == 1
-        assert rows[2]["feasible_flag"] == 0
-        assert rows[2]["avg_sum_rate_bpcu"] is None
+        assert rows[-1]["q_req_watts"] == points[-1].q_req
+        assert rows[-1]["feasible_flag"] == 0
+        assert rows[-1]["avg_sum_rate_bpcu"] is None
 
-    def test_jsonl_fields_match_csv(self, tmp_path, sweep_points, table_config):
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @given(curve=curves())
+    def test_jsonl_fields_match_csv(self, tmp_path_factory, curve):
         import json
 
-        points = sweep_points
-        csv_path = tmp_path / "curve.csv"
-        jsonl_path = tmp_path / "curve.jsonl"
-        write_csv(csv_path, points, table_config.n_users)
-        write_jsonl(jsonl_path, points, table_config.n_users)
-        rows = read_csv(csv_path)
-        with open(jsonl_path) as fh:
+        n_users, points = curve
+        directory = tmp_path_factory.mktemp("jsonl")
+        write_csv(directory / "curve.csv", points, n_users)
+        write_jsonl(directory / "curve.jsonl", points, n_users)
+        with open(directory / "curve.jsonl") as fh:
             records = [json.loads(line) for line in fh]
-        assert rows == records
+        assert read_csv(directory / "curve.csv") == records
 
     def test_rate_unit_scaling(self, tmp_path, sweep_points, table_config):
         path = tmp_path / "curve_bps.csv"

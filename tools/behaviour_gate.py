@@ -1,6 +1,7 @@
 """Run a fixed set of CLI commands and hash everything they write.
 
     python tools/behaviour_gate.py OUTDIR
+    python tools/behaviour_gate.py --against REV OUTDIR
 
 Runs ``python -m swiptsched.cli`` from this checkout's ``src`` on an
 N=4, seed-19 config: ``calibrate`` for mt/pf/et, ``run`` and ``sweep``
@@ -10,17 +11,23 @@ line, its output and its exit code) and ``SHA256SUMS``.  Commands run
 inside OUTDIR with relative paths, so the logs do not depend on where
 OUTDIR is.
 
-To check that a change keeps the CLI's behaviour, run the script on
-both checkouts (copy it into the older one if it lacks it) and diff
-the two ``SHA256SUMS`` files.
+With ``--against REV`` the script extracts REV's ``src`` with
+``git archive``, runs the same commands on both trees into
+``OUTDIR/this`` and ``OUTDIR/against``, prints each file whose sha256
+differs (with a unified diff for text files) and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
 
+import difflib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -61,14 +68,11 @@ COMMANDS = [
 ORACLE = [["oracle-check"], ["oracle-check", "--users", "4", "--slots-per-instance", "8"]]
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    out = Path(argv[0])
+def run_gate(src: Path, out: Path) -> str:
+    """Run the commands with ``src`` on the path; write the outputs and return SHA256SUMS."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "system.cfg").write_text(CONFIG)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(src))
     stdout, stderr = [], []
     for args in [c[:1] + ["--config", "system.cfg"] + c[1:] for c in COMMANDS] + ORACLE:
         proc = subprocess.run([sys.executable, "-m", "swiptsched.cli", *args], cwd=out,
@@ -80,8 +84,55 @@ def main(argv: list[str]) -> int:
     files = sorted(p for p in out.iterdir() if p.is_file() and p.name != "SHA256SUMS")
     sums = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in files)
     (out / "SHA256SUMS").write_text(sums)
-    print(sums, end="")
-    return 0
+    return sums
+
+
+def compare(old: Path, new: Path) -> list[str]:
+    """Report every file of either directory whose bytes differ, with a diff for text.
+
+    ``SHA256SUMS`` is skipped: it only repeats the digests reported here.
+    """
+    report = []
+    names = {p.name for d in (old, new) for p in d.iterdir() if p.is_file()} - {"SHA256SUMS"}
+    for name in sorted(names):
+        a, b = (d / name for d in (old, new))
+        data = [p.read_bytes() if p.is_file() else None for p in (a, b)]
+        if data[0] == data[1]:
+            continue
+        digests = [hashlib.sha256(d).hexdigest() if d is not None else "missing" for d in data]
+        report.append(f"differs: {name} ({digests[0]} -> {digests[1]})\n")
+        try:
+            lines = [(d or b"").decode().splitlines(keepends=True) for d in data]
+        except UnicodeDecodeError:
+            continue
+        report.extend(difflib.unified_diff(*lines, str(a), str(b)))
+    return report
+
+
+def main(argv: list[str]) -> int:
+    rev = None
+    if len(argv) == 3 and argv[0] == "--against":
+        rev, argv = argv[1], argv[2:]
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if rev is None:
+        print(run_gate(SRC, out), end="")
+        return 0
+    archive = subprocess.run(["git", "-C", str(SRC.parent), "archive", rev, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        sys.stderr.write(archive.stderr.decode())
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp)
+        run_gate(Path(tmp) / "src", out / "against")
+    run_gate(SRC, out / "this")
+    report = compare(out / "against", out / "this")
+    sys.stdout.write("".join(report) or f"no difference against {rev}\n")
+    return 1 if report else 0
 
 
 if __name__ == "__main__":
