@@ -60,7 +60,34 @@ def linear_argmax(
     ``caps`` and ``harvests`` are (slots, users) arrays.  An absent
     ``w`` means unit weights and an absent ``g`` zero offsets; absent
     terms are skipped, not computed with ones or zeros.
+
+    Both memory layouts give the same result (for scores without NaN);
+    the layout of ``caps`` picks the faster way.  User-major
+    (Fortran-order) arrays, such as the calibration pool scored
+    thousands of times, are scored one contiguous user column at a time
+    into a running maximum, which allocates only slot-length
+    temporaries.  Row-major arrays, such as the online schedulers'
+    freshly drawn chunks, are scored whole and reduced by ``np.argmax``:
+    looping over their strided columns was two to three times slower.
+    A user displaces the best so far only when strictly greater, so
+    either way ties go to the lowest index.
     """
+    n = caps.shape[1]
+    if caps.flags.f_contiguous and n > 0:
+        def column(j: int) -> np.ndarray:
+            score = caps[:, j] if w is None else caps[:, j] * w[j]
+            score = score - nu * harvests[:, j]
+            if g is not None:
+                score -= g[j]
+            return score
+
+        best = column(0)
+        picks = np.zeros(len(best), dtype=np.intp)
+        for j in range(1, n):
+            score = column(j)
+            np.copyto(picks, j, where=score > best)
+            np.maximum(best, score, out=best)
+        return picks
     if w is None:
         scores = caps - nu * harvests
     else:
@@ -68,7 +95,7 @@ def linear_argmax(
         scores -= nu * harvests
     if g is not None:
         scores -= g
-    return np.argmax(scores, axis=1)
+    return scores.argmax(axis=1)  # the method skips np.argmax's Python wrapper
 
 
 class SlotScheduler:

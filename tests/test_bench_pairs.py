@@ -1,0 +1,59 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+summarize = bench_pairs.summarize
+
+PARENT = [10.0, 10.5, 11.0, 9.5, 10.2, 10.8, 9.8, 10.1, 10.4, 10.6]
+
+
+class TestSummarize:
+    def test_quartiles_and_median(self):
+        s = summarize(PARENT, PARENT, "lower", 0.25)
+        assert s["parent"]["median"] == pytest.approx(10.3)
+        assert (s["parent"]["q1"], s["parent"]["q3"]) == pytest.approx((10.025, 10.575))
+        assert s["win_fraction"] == 0.0  # ties count for neither side
+        assert s["verdict"] == "no regression"
+
+    def test_gain_needs_nine_tenths_of_the_pairs(self):
+        change = [p - 2.0 for p in PARENT]
+        assert summarize(PARENT, change, "lower", 0.25)["verdict"] == "gain"
+        change[0] = PARENT[0] + 0.1   # 9 of 10 wins: still a gain
+        assert summarize(PARENT, change, "lower", 0.25)["win_fraction"] == 0.9
+        assert summarize(PARENT, change, "lower", 0.25)["verdict"] == "gain"
+        change[1] = PARENT[1] + 0.1   # 8 of 10
+        assert summarize(PARENT, change, "lower", 0.25)["verdict"] == "no regression"
+
+    def test_gain_needs_ten_pairs(self):
+        change = [p - 2.0 for p in PARENT]
+        assert summarize(PARENT[:9], change[:9], "lower", 0.25)["verdict"] == "no regression"
+
+    def test_gain_needs_more_than_the_parent_spread(self):
+        # wins every pair, but by less than the parent's interquartile range
+        change = [p - 0.1 for p in PARENT]
+        s = summarize(PARENT, change, "lower", 0.25)
+        assert s["win_fraction"] == 1.0 and s["verdict"] == "no regression"
+
+    def test_higher_is_better(self):
+        change = [p + 2.0 for p in PARENT]
+        assert summarize(PARENT, change, "higher", 0.25)["verdict"] == "gain"
+        assert summarize(PARENT, change, "lower", 0.25)["verdict"] == "no regression"
+        assert summarize(PARENT, [p + 3.0 for p in PARENT], "lower", 0.25)["verdict"] \
+            == "regression"
+
+    def test_wide_spread_is_unresolved_unless_every_run_is_better(self):
+        wide = [5.0, 15.0, 6.0, 14.0, 7.0, 13.0, 8.0, 12.0, 9.0, 11.0]
+        assert summarize(PARENT, wide, "lower", 0.25)["verdict"] == "unresolved"
+        # quartiles 12 and 20: too wide to call, and a change by less than that is no gain
+        parent = [12.0, 20.0] * 2 + [16.0, 16.0] + [12.0, 20.0] * 2
+        assert summarize(parent, [12.1] * 10, "lower", 0.25)["verdict"] == "unresolved"
+        assert summarize(parent, [11.9] * 10, "lower", 0.25)["verdict"] == "no regression"
+
+    def test_mismatched_runs_rejected(self):
+        with pytest.raises(ValueError):
+            summarize(PARENT, PARENT[:-1], "lower", 0.25)

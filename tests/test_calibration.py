@@ -248,6 +248,17 @@ class TestFeasibleRange:
         assert q_range.stderr_maximum > 0
 
 
+class TestPool:
+    def test_normalized_arrays_are_user_major(self, config5, profiles5):
+        # the kernel's per-user column path, the fast one for a pool, needs this layout
+        pool = _build_pool(profiles5, config5, CalibrationSettings(mc_slots=2000, seed=7))
+        for arr in (pool.cn, pool.qn):
+            assert arr.flags.f_contiguous and not arr.flags.c_contiguous
+        assert pool.block.capacities.flags.c_contiguous
+        assert np.array_equal(pool.cn, pool.block.capacities / pool.c_scale)
+        assert np.array_equal(pool.qn, pool.block.harvests / pool.q_scale)
+
+
 class TestDualsIO:
     def test_round_trip(self, tmp_path, config5, profiles5, settings, q_range):
         duals = calibrate_pf(0.5 * q_range.maximum, profiles5, config5, settings)

@@ -13,8 +13,10 @@ from swiptsched import (
     load_config,
     mean_channel_gain,
     place_users,
+    replay,
 )
 from swiptsched import seeds
+from swiptsched.oracle import FiniteInstance
 
 from conftest import make_profiles
 
@@ -147,6 +149,48 @@ class TestSlotOutcome:
         assert access.tolist() == [0.5, 0.0, 0.5]
         assert rates.tolist() == [2.0, 0.0, 1.5]
         assert block.max_harvest().tolist() == pytest.approx([0.6, 4.8])
+
+
+def fancy_outcome(block, selections):
+    """The outcome gathered by 2-D fancy indexing, the reference for the flat gather."""
+    rows = np.arange(len(selections))
+    picked_c = block.capacities[rows, selections]
+    return picked_c, block.harvests.sum(axis=1) - block.harvests[rows, selections]
+
+
+class TestOutcomeLayouts:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_matches_fancy_index_reference(self, layout, table_config, table_profiles):
+        block = draw_block(table_profiles, table_config, np.random.default_rng(5), 400)
+        if layout == "F":
+            block = SlotBlock(None, np.asfortranarray(block.capacities),
+                              np.asfortranarray(block.harvests))
+        elif layout == "strided":
+            block = SlotBlock(None, block.capacities[::3, 1:], block.harvests[::3, 1:])
+        selections = np.random.default_rng(6).integers(0, block.n_users, block.n_slots)
+        rate, idle = block.outcome(selections)
+        ref_rate, ref_idle = fancy_outcome(block, selections)
+        assert np.array_equal(rate, ref_rate) and np.array_equal(idle, ref_idle)
+        qbar, access, rates = block.summary(selections)
+        n = block.n_users
+        assert qbar == float(ref_idle.sum()) / block.n_slots
+        assert np.array_equal(access, np.bincount(selections, minlength=n) / block.n_slots)
+        assert np.array_equal(rates, np.bincount(selections, ref_rate, n) / block.n_slots)
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["minus_one", "n_users"])
+@pytest.mark.parametrize("caller", ["replay", "rate_of", "harvest_of"])
+def test_selection_out_of_range_rejected(caller, past_end, table_config, table_profiles):
+    """-1 must not wrap to the last user, nor n_users read the next slot's first user."""
+    selections = np.zeros(8, dtype=np.intp)
+    selections[2] = table_config.n_users if past_end else -1
+    with pytest.raises(IndexError):
+        if caller == "replay":
+            replay(selections, table_profiles, table_config, seed=3)
+        else:
+            block = draw_block(table_profiles, table_config, np.random.default_rng(2), 8)
+            instance = FiniteInstance(block.capacities, block.harvests, q_req=0.0)
+            getattr(instance, caller)(selections)
 
 
 class TestConfigValidation:

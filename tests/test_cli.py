@@ -173,6 +173,48 @@ class TestCalibrateCommand:
         assert not out.exists()
 
 
+class TestZeroEfficiency:
+    """With every RF-DC efficiency 0 the achievable harvest is 0 W, not a fallback 1 W."""
+
+    @pytest.fixture()
+    def zero_config(self, tmp_path):
+        path = tmp_path / "zero.cfg"
+        path.write_text("n_users = 3\nrf_dc_efficiency_per_user = 0\nn_slots = 2000\nseed = 5\n")
+        return str(path)
+
+    @pytest.mark.parametrize("scheme", ["mt", "pf", "et"])
+    @pytest.mark.parametrize("q_req", ["0.5", "0.003"])
+    def test_positive_target_infeasible(self, zero_config, scheme, q_req, tmp_path, capsys):
+        out = tmp_path / "duals.json"
+        assert run_cli(
+            "calibrate", "--config", zero_config, "--scheme", scheme, "--q-req", q_req,
+            "--mc-slots", "2000", "--out", str(out),
+        ) == EXIT_INFEASIBLE
+        assert "achievable maximum 0 W" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["mt", "pf", "et"])
+    def test_zero_target_calibrates_to_zero_price(self, zero_config, scheme, tmp_path):
+        out = tmp_path / "duals.json"
+        assert run_cli(
+            "calibrate", "--config", zero_config, "--scheme", scheme, "--q-req", "0",
+            "--mc-slots", "2000", "--out", str(out),
+        ) == EXIT_OK
+        residuals = json.loads(out.read_text())["residuals"]
+        assert residuals["tol_energy"] == 0.0  # 0.005 of the true maximum, 0 W
+        assert residuals["energy_gap"] == 0.0 and json.loads(out.read_text())["nu"] == 0.0
+
+    def test_auto_grid_tops_out_at_zero(self, zero_config, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert run_cli(
+            "sweep", "--config", zero_config, "--scheme", "mt", "--grid", "0:auto:3",
+            "--mc-slots", "2000", "--slots", "2000", "--out", str(out),
+        ) == EXIT_OK
+        rows = read_csv(out)
+        assert [row["q_req_watts"] for row in rows] == [0.0, 0.0, 0.0]
+        assert all(row["avg_sum_harvest_watts"] == 0.0 for row in rows)
+
+
 class TestSavedDualsBinding:
     @staticmethod
     def write_config(tmp_path, name, tx_power_dbm, seed):

@@ -117,10 +117,10 @@ small_ints = st.integers(min_value=-50, max_value=50).map(float)
 
 
 @st.composite
-def integer_slots(draw):
+def integer_slots(draw, max_slots=8, max_users=5):
     """Scores on small integers are exact in floating point, ties included."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    m = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=max_users))
+    m = draw(st.integers(min_value=1, max_value=max_slots))
     caps = np.array(draw(st.lists(small_ints, min_size=m * n, max_size=m * n))).reshape(m, n)
     harv = np.array(draw(st.lists(small_ints, min_size=m * n, max_size=m * n))).reshape(m, n)
     w = np.array(draw(st.lists(small_ints.map(abs), min_size=n, max_size=n)))
@@ -154,6 +154,19 @@ class TestLinearArgmaxProperties:
         for kw in ({}, {"w": w}, {"g": g}, {"w": w, "g": g}):
             expected = np.argmax(reference_scores(caps, harv, nu, **kw), axis=1)
             assert np.array_equal(linear_argmax(caps, harv, nu, **kw), expected)
+
+
+class TestMemoryLayout:
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @given(integer_slots(max_slots=40, max_users=6))
+    def test_user_major_equals_row_major(self, slots):
+        # the per-user running maximum on Fortran arrays against the row path
+        caps, harv, nu, w, g = slots
+        caps_f, harv_f = np.asfortranarray(caps), np.asfortranarray(harv)
+        for kw in ({}, {"w": w}, {"g": g}, {"w": w, "g": g}):
+            expected = linear_argmax(caps, harv, nu, **kw)
+            assert np.array_equal(linear_argmax(caps_f, harv_f, nu, **kw), expected)
+            assert np.array_equal(expected, np.argmax(reference_scores(caps, harv, nu, **kw), axis=1))
 
 
 class TestSchedulerProperties:

@@ -1,0 +1,185 @@
+"""Alternating parent/change pairs of the benchmark, summarized per metric.
+
+    python tools/bench_pairs.py --against REV --workload W --pairs K --out BENCH.json
+                                [--seed S]
+
+Extracts REV's ``src`` with ``git archive`` into a temporary tree next to
+a copy of this checkout's ``perfbench``, so both sides run identical
+benchmark code.  Then it runs ``perfbench/run.py --workload W`` K times
+on each side at BENCHMARK.json's ``run_seconds``, pair i at seed S + i
+(S defaults to 1), alternating which side runs first.
+
+For every end-to-end metric of BENCHMARK.json the summary gives each
+side's median and quartiles, the share of pairs the change wins (ties
+count for neither side) and a verdict:
+
+* ``gain``: at least 10 pairs ran, the change wins at least 9 in 10 of
+  them and the medians differ, in the better direction, by more than
+  the parent's interquartile range;
+* ``unresolved``: not a gain, and either side's interquartile range is
+  wider than the metric's bound (relative to the parent's median),
+  unless every run of the change reads better than every run of the
+  parent;
+* ``regression`` or ``no regression``: whether the change's median is
+  worse than the parent's by more than the bound.
+
+The entry also records failed operations and output digests per run,
+the environment and both revisions.  An existing OUT gets the entry
+appended, so one file can hold several workloads.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GAIN_SHARE = 0.9
+MIN_PAIRS = 10  # fewer pairs can show no gain
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile); all equal for one value."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Compare paired runs of one metric; ``parent[i]`` and ``change[i]`` form pair i.
+
+    ``better`` is "lower" or "higher"; ``bound`` is the worsening of the
+    median, relative to the parent's median, that counts as a regression.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same positive number of parent and change runs")
+    sign = 1.0 if better == "lower" else -1.0  # sign * (change - parent) < 0 is better
+    p1, p_med, p3 = quartiles(parent)
+    c1, c_med, c3 = quartiles(change)
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    scale = abs(p_med) if p_med else 1.0
+    worse = sign * (c_med - p_med) / scale  # positive: the change's median is worse
+    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if (len(parent) >= MIN_PAIRS and wins >= GAIN_SHARE * len(parent)
+            and -worse * scale > p3 - p1):
+        verdict = "gain"
+    elif max(p3 - p1, c3 - c1) / scale > bound and not all_better:
+        verdict = "unresolved"
+    elif worse > bound:
+        verdict = "regression"
+    else:
+        verdict = "no regression"
+    return {
+        "parent": {"median": p_med, "q1": p1, "q3": p3, "runs": parent},
+        "change": {"median": c_med, "q1": c1, "q3": c3, "runs": change},
+        "win_fraction": wins / len(parent),
+        "relative_change": (c_med - p_med) / scale,
+        "bound": bound,
+        "better": better,
+        "verdict": verdict,
+    }
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``root``: its metric values, failures and digests."""
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"benchmark in {root} exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    record = next(json.loads(line[len("record "):]) for line in lines
+                  if line.startswith("record "))
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "attempted": result["attempted"], "failed": result["failed"],
+            "correct": result["correct"], "digest": record["digest"], "env": record["env"]}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", required=True, help="parent revision")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        sys.stderr.write(archive.stderr.decode())
+        return 2
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_root = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(parent_root, filter="data")
+        shutil.copytree(ROOT / "perfbench", parent_root / "perfbench",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        roots = {"parent": parent_root, "change": ROOT}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_bench(roots[side], args.workload, args.seed + i, seconds))
+                print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} {side}: "
+                      + json.dumps(runs[side][-1]["metrics"]), file=sys.stderr)
+    metrics = {}
+    for spec in bench["end_to_end"]:
+        name = spec["name"]
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        if any(not math.isfinite(v) for v in parent + change):
+            metrics[name] = {"parent": parent, "change": change, "verdict": "not measured"}
+        else:
+            metrics[name] = summarize(parent, change, spec["better"], spec["bound"])
+    entry = {
+        "workload": args.workload,
+        "seeds": [args.seed, args.seed + args.pairs - 1],
+        "pairs": args.pairs,
+        "run_seconds": seconds,
+        "first_in_pair": "parent on odd pairs (1st, 3rd, ...), change on even pairs",
+        "metrics": metrics,
+        "ops_failed": {side: [f"{r['failed']}/{r['attempted']}" for r in rs]
+                       for side, rs in runs.items()},
+        "digests_equal": all(p["digest"] == c["digest"]
+                             for p, c in zip(runs["parent"], runs["change"])),
+    }
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.is_file() else {"entries": []}
+    doc.update({
+        "revisions": {"parent": git("rev-parse", args.against),
+                      "change": git("rev-parse", "HEAD"),
+                      "change_src_matches_head": git("status", "--porcelain", "src") == ""},
+        "environment": {**runs["change"][0]["env"], "tool_python": platform.python_version()},
+    })
+    doc["entries"].append(entry)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    for name, m in metrics.items():
+        print(f"{args.workload} {name}: {m['verdict']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
