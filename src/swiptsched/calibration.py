@@ -473,6 +473,13 @@ def calibrate_et(
 ) -> DualState:
     """Calibrate (nu, theta) so per-user throughputs equalize under the target.
 
+    ET means max-min throughput; theta >= 0 on the unit simplex is the
+    dual of every r_n >= min rate, so wherever this converges (rate
+    spread within ``tol_rate``) it is equal throughput, with
+    ``oracle.brute_force_et`` as exact reference.  A target whose
+    max-min optimum leaves a user above the minimum ends in
+    ConvergenceError, or InfeasibleError when the stall fires.
+
     Runs the shared subgradient loop; theta steps against the gap
     between each user's pool rate and the minimum rate, clamped at
     zero and renormalized to the unit simplex after every step.  The
@@ -519,10 +526,9 @@ def save_duals(
 def load_duals(path: str | Path) -> tuple[str, DualState]:
     """Read back a calibration record written by ``save_duals``.
 
-    Raises ConfigError when the record is not a JSON object, names no
-    known scheme, has a negative or non-finite nu, or lacks the finite
-    multiplier vector its scheme needs (gamma for pf, nonnegative
-    theta for et).
+    Raises ConfigError when the record or its residuals are not a JSON
+    object, or when ``make_optimal_scheduler`` rejects it (unknown
+    scheme; missing, non-finite, negative or 2-D multipliers).
     """
     try:
         record = json.loads(Path(path).read_text())
@@ -535,17 +541,12 @@ def load_duals(path: str | Path) -> tuple[str, DualState]:
         fingerprint = record.get("fingerprint")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed duals file {path}: {type(exc).__name__}: {exc}") from exc
-    if scheme not in ("mt", "pf", "et") or not isinstance(residuals, dict):
-        raise ConfigError(f"duals file {path}: unknown scheme {scheme!r} or bad residuals")
-    if not (math.isfinite(nu) and nu >= 0):
-        raise ConfigError(f"duals file {path}: nu must be finite and nonnegative, got {nu}")
-    if scheme == "pf" and not _finite_vector(gamma):
-        raise ConfigError(f"duals file {path}: pf duals need a finite gamma vector")
-    if scheme == "et" and not (_finite_vector(theta) and np.all(theta >= 0)):
-        raise ConfigError(f"duals file {path}: et duals need a finite nonnegative theta vector")
-    return scheme, DualState(nu=nu, gamma=gamma, theta=theta,
-                             calibration_residuals=residuals, fingerprint=fingerprint)
-
-
-def _finite_vector(x: np.ndarray | None) -> bool:
-    return x is not None and x.ndim == 1 and bool(np.all(np.isfinite(x)))
+    if not isinstance(residuals, dict):
+        raise ConfigError(f"duals file {path}: residuals must be an object, got {residuals!r}")
+    duals = DualState(nu=nu, gamma=gamma, theta=theta,
+                      calibration_residuals=residuals, fingerprint=fingerprint)
+    try:
+        make_optimal_scheduler(scheme, duals)
+    except ValueError as exc:
+        raise ConfigError(f"duals file {path}: {exc}") from exc
+    return scheme, duals

@@ -166,10 +166,13 @@ class SlotBlock:
         is ``harvests.sum(axis=1)``, computed here when absent; a pool
         scored many times passes it in.  Caching it on per-chunk blocks
         raised the peak memory of long runs.  A selection outside
-        ``[0, n_users)`` raises IndexError.
+        ``[0, n_users)`` raises IndexError, and one that is not one entry
+        per slot ValueError.
         """
         selections = np.asarray(selections)
         n = self.n_users
+        if selections.shape != (self.n_slots,):
+            raise ValueError(f"selections must have shape ({self.n_slots},), got {selections.shape}")
         # The flat index of a user outside [0, n) would read a neighbouring
         # slot.  On the oracle's 8-slot instances argmin/argmax cost a
         # third of what min/max cost.

@@ -9,15 +9,16 @@ the same slots by ``calibrate_mt``'s price search, must be feasible,
 integral and reach the optimum up to a gap of at most one slot's
 maximum capacity divided by the horizon, the worst case a single
 fractional time-share could recover.  Instance harvests and rates come
-from ``SlotBlock.outcome``; the enumeration keeps its own batch
-arithmetic as the independent reference.
+from ``SlotBlock.outcome``; the one enumerator, ``_brute_force``, keeps
+its own batch arithmetic as the independent reference, and each scheme
+supplies only the value of a batch of assignments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,9 +55,6 @@ class FiniteInstance:
     @property
     def n_users(self) -> int:
         return self.capacities.shape[1]
-
-    def check_budget(self) -> None:
-        check_size(self.n_slots, self.n_users)
 
     @property
     def block(self) -> SlotBlock:
@@ -100,66 +98,57 @@ class BruteForceResult:
     value: float | None  # avg sum rate (MT) or min per-user avg rate (ET)
 
 
-def _assignment_batches(n_users: int, n_slots: int):
-    """Yield all n_users^n_slots assignments as (batch, n_slots) arrays."""
-    total = n_users**n_slots
-    digits = n_users ** np.arange(n_slots - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _BATCH):
-        idx = np.arange(start, min(start + _BATCH, total), dtype=np.int64)
-        yield (idx[:, None] // digits) % n_users
+def _brute_force(instance: FiniteInstance, value: Callable) -> BruteForceResult:
+    """Enumerate every assignment; keep the best value among those meeting the target.
+
+    ``value(batch, picked_c)`` scores a (B, T) batch of assignments,
+    given the scheduled users' (B, T) capacities, with one value each;
+    ``-inf`` marks an assignment that breaks a fairness rule.  It is
+    called only for batches holding an assignment that meets the
+    harvest target.  Ties go to the first best assignment in
+    lexicographic order, slot 0 most significant.
+    """
+    t, n = instance.n_slots, instance.n_users
+    check_size(t, n)
+    cols = np.arange(t)
+    q_total = float(instance.harvests.sum())
+    digits = n ** np.arange(t - 1, -1, -1, dtype=np.int64)
+    best_value, best = -math.inf, None
+    for start in range(0, n**t, _BATCH):
+        idx = np.arange(start, min(start + _BATCH, n**t), dtype=np.int64)
+        batch = (idx[:, None] // digits) % n
+        picked_q = instance.harvests[cols, batch].sum(axis=1)
+        feasible = (q_total - picked_q) / t >= instance.q_req - 1e-12
+        if not feasible.any():
+            continue
+        values = np.where(feasible, value(batch, instance.capacities[cols, batch]), -math.inf)
+        k = int(np.argmax(values))
+        if values[k] > best_value:
+            best_value, best = float(values[k]), batch[k].copy()
+    if best is None:
+        return BruteForceResult(feasible=False, schedule=None, value=None)
+    return BruteForceResult(feasible=True, schedule=best, value=best_value)
 
 
 def brute_force_mt(instance: FiniteInstance) -> BruteForceResult:
     """Enumerate all schedules; maximize average sum rate under the target."""
-    instance.check_budget()
-    t, cols = instance.n_slots, np.arange(instance.n_slots)
-    q_total = float(instance.harvests.sum())
-    best_rate = -math.inf
-    best: np.ndarray | None = None
-    for batch in _assignment_batches(instance.n_users, t):
-        picked_q = instance.harvests[cols[None, :], batch].sum(axis=1)
-        harvest = (q_total - picked_q) / t
-        rates = instance.capacities[cols[None, :], batch].sum(axis=1) / t
-        feasible = harvest >= instance.q_req - 1e-12
-        if not feasible.any():
-            continue
-        rates = np.where(feasible, rates, -math.inf)
-        k = int(np.argmax(rates))
-        if rates[k] > best_rate:
-            best_rate = float(rates[k])
-            best = batch[k].copy()
-    if best is None:
-        return BruteForceResult(feasible=False, schedule=None, value=None)
-    return BruteForceResult(feasible=True, schedule=best, value=best_rate)
+    return _brute_force(instance, lambda batch, picked_c: picked_c.sum(axis=1) / instance.n_slots)
 
 
 def brute_force_et(instance: FiniteInstance) -> BruteForceResult:
-    """Enumerate all schedules; maximize the minimum per-user average rate."""
-    instance.check_budget()
+    """Enumerate all schedules; maximize the minimum per-user average rate.
+
+    This max-min throughput is what ET means (see ``calibrate_et``).
+    """
     t, n = instance.n_slots, instance.n_users
-    cols = np.arange(t)
-    q_total = float(instance.harvests.sum())
-    best_min = -math.inf
-    best: np.ndarray | None = None
-    for batch in _assignment_batches(n, t):
-        picked_q = instance.harvests[cols[None, :], batch].sum(axis=1)
-        harvest = (q_total - picked_q) / t
-        picked_c = instance.capacities[cols[None, :], batch]
+
+    def min_rate(batch: np.ndarray, picked_c: np.ndarray) -> np.ndarray:
         per_user = np.stack(
             [np.where(batch == u, picked_c, 0.0).sum(axis=1) for u in range(n)], axis=1
         ) / t
-        min_rates = per_user.min(axis=1)
-        feasible = harvest >= instance.q_req - 1e-12
-        if not feasible.any():
-            continue
-        min_rates = np.where(feasible, min_rates, -math.inf)
-        k = int(np.argmax(min_rates))
-        if min_rates[k] > best_min:
-            best_min = float(min_rates[k])
-            best = batch[k].copy()
-    if best is None:
-        return BruteForceResult(feasible=False, schedule=None, value=None)
-    return BruteForceResult(feasible=True, schedule=best, value=best_min)
+        return per_user.min(axis=1)
+
+    return _brute_force(instance, min_rate)
 
 
 def dual_mt_schedule(instance: FiniteInstance) -> tuple[np.ndarray, float] | None:

@@ -24,6 +24,7 @@ probability zero, so the tie rule only pins down reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,8 +120,10 @@ class SlotScheduler:
 class LinearScheduler(SlotScheduler):
     """Schedules the argmax of ``w * C - nu * Q - g`` in every slot.
 
-    ``tag`` names the scheme (mt, pf or et).  ``w`` must be
-    nonnegative; ``w`` and ``g`` need one entry per user.
+    ``tag`` names the scheme (mt, pf or et).  This is the one check of
+    the multipliers: ``nu`` finite and nonnegative, ``w`` and ``g``
+    finite 1-D vectors, ``w`` nonnegative.  A NaN score would make the
+    two layouts of ``linear_argmax`` pick different users.
     """
 
     tag: str
@@ -129,14 +132,17 @@ class LinearScheduler(SlotScheduler):
     g: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.nu < 0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if self.w is not None:
-            self.w = np.asarray(self.w, dtype=float)
-            if np.any(self.w < 0):
-                raise ValueError("weights w must be nonnegative")
-        if self.g is not None:
-            self.g = np.asarray(self.g, dtype=float)
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
+        for name in ("w", "g"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=float)
+                if value.ndim != 1 or not np.isfinite(value).all():
+                    raise ValueError(f"{name} must be a finite 1-D vector, got {value}")
+                setattr(self, name, value)
+        if self.w is not None and np.any(self.w < 0):
+            raise ValueError("weights w must be nonnegative")
 
     def select_block(self, block: SlotBlock, state=None) -> np.ndarray:
         for name in ("w", "g"):

@@ -292,6 +292,9 @@ class TestDualsIO:
             {"scheme": "et"},
             {"scheme": "et", "theta": [0.5, -0.1, 0.2, 0.2, 0.2]},
             {"residuals": [1, 2]},
+            {"gamma": [0.0, float("nan"), 0.0, 0.0, 0.0]},
+            {"gamma": [[0.0] * 5]},
+            {"scheme": "et", "theta": [0.2, 0.2, float("inf"), 0.2, 0.2]},
         ],
     )
     def test_malformed_record_rejected(self, tmp_path, change):

@@ -193,6 +193,22 @@ def test_selection_out_of_range_rejected(caller, past_end, table_config, table_p
             getattr(instance, caller)(selections)
 
 
+@pytest.mark.parametrize("selections", [np.array([0]), np.zeros(3, dtype=np.intp),
+                                        np.zeros(5, dtype=np.intp),
+                                        np.zeros((4, 1), dtype=np.intp),
+                                        np.zeros((1, 4), dtype=np.intp)],
+                         ids=["one", "short", "long", "column", "row"])
+@pytest.mark.parametrize("caller", ["rate_of", "harvest_of", "summary"])
+def test_selection_not_one_per_slot_rejected(caller, selections):
+    """A selection must hold one user per slot: a short one used to average a
+    partial gather over every slot, and a 2-D one failed only inside numpy."""
+    caps = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 2.0, 1.0], [0.5, 1.5, 1.0]])
+    instance = FiniteInstance(caps, caps[::-1].copy(), q_req=0.0)
+    target = instance.block if caller == "summary" else instance
+    with pytest.raises(ValueError, match=r"selections must have shape \(4,\)"):
+        getattr(target, caller)(selections)
+
+
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ConfigError):

@@ -140,6 +140,22 @@ class TestCalibrateCommand:
         assert code == EXIT_CONFIG
         assert "scheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        {"scheme": "mt", "nu": float("inf")},
+        {"scheme": "pf", "nu": 0.0, "gamma": [0.0, float("nan"), 0.0, 0.0]},
+        {"scheme": "pf", "nu": 0.0, "gamma": [[0.0] * 4]},
+        {"scheme": "et", "nu": 0.0, "theta": [0.25, float("inf"), 0.25, 0.25]},
+    ], ids=["nu_inf", "gamma_nan", "gamma_2d", "theta_inf"])
+    def test_unusable_multiplier_is_config_error(self, record, config_file, tmp_path, capsys):
+        duals_path = tmp_path / "duals.json"
+        duals_path.write_text(json.dumps(record))
+        code = run_cli(
+            "run", "--config", config_file, "--scheme", record["scheme"],
+            "--duals", str(duals_path),
+        )
+        assert code == EXIT_CONFIG
+        assert str(duals_path) in capsys.readouterr().err
+
     @pytest.mark.parametrize("scheme", ["pf", "et"])
     def test_multiplier_length_mismatch_rejected(self, scheme, config_file, tmp_path, capsys):
         duals_path = tmp_path / f"{scheme}.json"

@@ -1,5 +1,11 @@
+import itertools
+import math
+
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swiptsched import (
     FiniteInstance,
@@ -9,6 +15,7 @@ from swiptsched import (
     dual_mt_schedule,
     random_instance,
 )
+from swiptsched.oracle import _brute_force
 
 from conftest import profiles_at
 
@@ -130,3 +137,93 @@ class TestBruteForceEt:
             mt = brute_force_mt(inst)
             # the max-min value can never exceed the best sum rate
             assert et.value <= mt.value + 1e-12
+
+
+def naive_search(instance: FiniteInstance, value) -> tuple[bool, list | None, float | None]:
+    """The reference: one assignment at a time in lexicographic order, the
+    enumerator's harvest test, the first strictly better value kept."""
+    t = instance.n_slots
+    q_total = float(instance.harvests.sum())
+    best_value, best = -math.inf, None
+    for assignment in itertools.product(range(instance.n_users), repeat=t):
+        picked_q = sum(instance.harvests[i, a] for i, a in enumerate(assignment))
+        if (q_total - picked_q) / t < instance.q_req - 1e-12:
+            continue
+        v = value(np.array(assignment), instance.capacities[np.arange(t), list(assignment)])
+        if v > best_value:
+            best_value, best = v, list(assignment)
+    return best is not None, best, None if best is None else best_value
+
+
+def naive_mt(assignment, picked_c):
+    return float(picked_c.sum()) / len(assignment)
+
+
+def naive_et(assignment, picked_c, n):
+    return min(float(picked_c[assignment == u].sum()) / len(assignment) for u in range(n))
+
+
+def equal_access_rate(n_users: int, n_slots: int):
+    """Sum rate under equal access: -inf unless every user is scheduled
+    exactly n_slots / n_users times."""
+    def value(batch: np.ndarray, picked_c: np.ndarray) -> np.ndarray:
+        counts = np.stack([(batch == u).sum(axis=1) for u in range(n_users)], axis=1)
+        equal = (counts == n_slots // n_users).all(axis=1)
+        return np.where(equal, picked_c.sum(axis=1) / n_slots, -math.inf)
+    return value
+
+
+@st.composite
+def small_instances(draw, slots=st.integers(1, 5), users=st.integers(1, 3)):
+    """Small-integer capacities and harvests (0-4), so that ties are common and
+    every sum is exact; the target is a fraction of the instance maximum."""
+    t, n = draw(slots), draw(users)
+    cells = st.lists(st.integers(0, 4), min_size=t * n, max_size=t * n)
+    inst = instance_of(np.reshape(draw(cells), (t, n)), np.reshape(draw(cells), (t, n)))
+    inst.q_req = draw(st.sampled_from([0.0, 0.5, 1.0, 1.2])) * inst.max_harvest()
+    return inst
+
+
+def assert_same(result, reference):
+    feasible, schedule, value = reference
+    assert result.feasible == feasible
+    if feasible:
+        assert result.schedule.tolist() == schedule and result.value == value
+    else:
+        assert result.schedule is None and result.value is None
+
+
+class TestEnumerator:
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @given(small_instances())
+    def test_mt_and_et_match_naive_search(self, inst):
+        assert_same(brute_force_mt(inst), naive_search(inst, naive_mt))
+        assert_same(brute_force_et(inst),
+                    naive_search(inst, lambda a, c: naive_et(a, c, inst.n_users)))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @given(small_instances(slots=st.sampled_from([1, 2, 3, 4, 6])))
+    def test_minus_inf_excludes_an_assignment(self, inst):
+        # equal access is defined only when T is a multiple of N
+        hypothesis.assume(inst.n_slots % inst.n_users == 0)
+        value = equal_access_rate(inst.n_users, inst.n_slots)
+        result = _brute_force(inst, value)
+        assert_same(result, naive_search(
+            inst, lambda a, c: float(value(a[None, :], c[None, :])[0])))
+        if result.feasible:
+            assert np.bincount(result.schedule, minlength=inst.n_users).tolist() == (
+                [inst.n_slots // inst.n_users] * inst.n_users)
+            assert result.value <= brute_force_mt(inst).value
+
+    def test_all_minus_inf_is_infeasible(self):
+        inst = instance_of([[3.0, 5.0]], [[1.0, 4.0]])
+        result = _brute_force(inst, lambda batch, picked_c: np.full(len(batch), -math.inf))
+        assert not result.feasible and result.schedule is None and result.value is None
+
+    def test_first_best_assignment_wins_ties(self):
+        # every assignment has the same sum rate: the first, all zeros, wins
+        inst = instance_of(np.ones((3, 2)), np.zeros((3, 2)))
+        assert brute_force_mt(inst).schedule.tolist() == [0, 0, 0]
+        # max-min ties: [0, 1] comes before [1, 0]
+        et = brute_force_et(instance_of(np.ones((2, 2)), np.zeros((2, 2))))
+        assert et.schedule.tolist() == [0, 1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import hypothesis
@@ -52,6 +54,29 @@ class TestMtMetric:
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             LinearScheduler("mt", nu=-0.1)
+
+
+class TestMultiplierCheck:
+    """LinearScheduler is the one check of (nu, w, g): a non-finite
+    multiplier makes a score NaN, and the two layouts of linear_argmax
+    then pick different users."""
+
+    @pytest.mark.parametrize("nu", [math.inf, math.nan])
+    def test_non_finite_price_rejected(self, nu):
+        with pytest.raises(ValueError, match="nu must be finite"):
+            LinearScheduler("mt", nu=nu)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["w", "g"])
+    def test_non_finite_vector_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be a finite 1-D vector"):
+            LinearScheduler("x", nu=0.0, **{name: np.array([0.5, bad, 0.5])})
+
+    @pytest.mark.parametrize("name", ["w", "g"])
+    def test_two_dimensional_vector_rejected(self, name):
+        # rejected when built, not first when a block is scheduled
+        with pytest.raises(ValueError, match=f"{name} must be a finite 1-D vector"):
+            LinearScheduler("x", nu=0.0, **{name: np.full((1, 3), 0.5)})
 
 
 class TestPfMetric:
