@@ -15,8 +15,13 @@ meet their targets.
     supplies only its multiplier step, fairness gap and final duals.
 
 Every calibrator starts from ``_calibration_pool``, which rejects a
-target above the pool maximum; the subgradient loop then ends converged,
-stalled below the target or out of passes.
+target above the pool maximum.  PF then rejects, before its first
+pass, a target above ``_access_bound``: a weak-duality bound on the
+harvest of any schedule whose access shares are all within
+``tol_access`` of 1/N, at offsets found by ``_access_offsets``.
+The subgradient loop then ends converged or out of passes; ET may
+also end stalled below the target, a guess that has no certificate
+yet.
 
 Every pass schedules the pool with ``scheduling.linear_argmax``, the
 kernel the online schedulers use, on the pool's normalized arrays, and
@@ -58,11 +63,18 @@ from .channel import ConfigError, SlotBlock, SystemConfig, UserProfile, draw_blo
 from .scheduling import DualState, linear_argmax, make_optimal_scheduler
 
 _NU_CAP = 1e6  # normalized; beyond this the selection is pure minimum-harvest
-_STALL_WINDOW = 400
+_STALL_WINDOW = 400  # ET only
+_SINKHORN_SLOTS = 1000
+_SINKHORN_TAUS = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
+_SINKHORN_SCALINGS = 10  # per temperature
 
 
 class InfeasibleError(RuntimeError):
-    """The requested harvest target exceeds what any schedule can reach."""
+    """The requested harvest target exceeds what any schedule can reach.
+
+    ``achievable`` is the evidence: the pool maximum, the PF
+    equal-access bound, or, for ET, the best pool harvest before a stall.
+    """
 
     def __init__(self, message: str, q_req: float, achievable: float):
         super().__init__(message)
@@ -303,11 +315,58 @@ def calibrate_mt(
                      fingerprint=system_fingerprint(config, profiles))
 
 
+def _access_bound(pool: _Pool, g: np.ndarray, tol_access: float) -> float:
+    """Upper bound (W) on the pool harvest of every schedule, fractional or
+    not, whose access shares all lie within ``tol_access`` of 1/N.
+
+    Weak duality, for any normalized offsets ``g``: a schedule with slot
+    shares x_s and access a harvests, over q_scale,
+
+        mean_s T_s - mean_s x_s.qn_s <= mean_s T_s - mean_s min_n (qn_sn + g_n) + g.a
+
+    where T_s is the slot's harvest sum over q_scale, and
+    g.a = mean(g) + (g - c).(a - 1/N) <= mean(g) + tol_access * sum |g - c|
+    for any c, because the deviations sum to zero; c = median(g) is
+    the best.  The offsets decide only how tight the bound is.
+    """
+    low = pool.qn[:, 0] + g[0]
+    for u in range(1, len(g)):  # running minimum: slot-length temporaries only
+        np.minimum(low, pool.qn[:, u] + g[u], out=low)
+    spread = tol_access * float(np.abs(g - np.median(g)).sum())
+    return float(pool.total.mean()) - pool.q_scale * (float(low.mean()) - float(g.mean()) - spread)
+
+
+def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
+    top = z.max(axis=axis, keepdims=True)
+    return top + np.log(np.exp(z - top).sum(axis=axis, keepdims=True))
+
+
+def _access_offsets(qn: np.ndarray) -> np.ndarray:
+    """Offsets g under which the soft minimum of ``qn + g`` over users gives
+    every user an equal share of the first ``_SINKHORN_SLOTS`` slots.
+
+    Annealed Sinkhorn scaling (Cuturi, "Sinkhorn distances", 2013) on the
+    semi-discrete equal-access problem, in the log domain so that no
+    offset becomes infinite.  As the temperature falls, g approaches
+    the offsets that make ``_access_bound`` tight on those slots.
+    """
+    q = qn[:_SINKHORN_SLOTS]
+    m, n = q.shape
+    g = np.zeros(n)
+    for tau in _SINKHORN_TAUS:
+        for _ in range(_SINKHORN_SCALINGS):
+            log_p = (q + g) / -tau
+            log_p -= _logsumexp(log_p, axis=1)
+            # raise the offset of a user picked more than 1/N, and vice versa
+            g += tau * (_logsumexp(log_p, axis=0)[0] - math.log(m / n))
+    return g
+
+
 class _PfRule:
     """Equal channel access: per-user offsets g = gamma, kept zero-mean."""
 
     scheme = "pf"
-    constraint = "equal channel access"  # wording of InfeasibleError
+    stalls = False  # ``certify`` decides reachability before the first pass
     kernel_arg = "g"
     gap_key, tol_key = "access_gap", "tol_access"
     fields = ("access_freq_pool", "per_user_rate_pool")
@@ -317,6 +376,26 @@ class _PfRule:
             return np.zeros(pool.block.n_users)
         gamma_t = np.asarray(warm.gamma, dtype=float) / pool.c_scale
         return gamma_t - gamma_t.mean()
+
+    def certify(self, pool: _Pool, q_req: float, tol_e: float, tol: float) -> None:
+        """Raise InfeasibleError when ``q_req - tol_e`` exceeds ``_access_bound``.
+
+        Skipped where an even split of every slot, a fractional schedule
+        with exactly equal access, reaches the target: the bound is at
+        least that split's harvest there.
+        """
+        n = pool.block.n_users
+        if q_req <= (1 - 1 / n) * float(pool.total.mean()) + tol_e:
+            return
+        bound = _access_bound(pool, _access_offsets(pool.qn), tol)
+        if q_req - tol_e > bound + 1e-12 * abs(bound):  # margin for rounding
+            raise InfeasibleError(
+                f"harvest target {q_req:.6g} W is not reachable under equal channel access "
+                f"(above the bound {bound:.6g} W on every schedule whose access shares "
+                f"are within {tol:g} of 1/{n})",
+                q_req=q_req,
+                achievable=bound,
+            )
 
     def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
         return float(np.max(np.abs(access - 1.0 / len(access))))
@@ -334,7 +413,7 @@ class _EtRule:
     """Equal throughput: per-user rate weights w = theta on the unit simplex."""
 
     scheme = "et"
-    constraint = "equal throughput"
+    stalls = True  # no certificate yet: a stall below the target rejects it
     kernel_arg = "w"
     gap_key, tol_key = "rate_spread", "tol_rate"
     fields = ("per_user_rate_pool", "theta_sum")
@@ -346,6 +425,9 @@ class _EtRule:
             return inv_cap / inv_cap.sum()
         theta = np.maximum(np.asarray(warm.theta, dtype=float), 0.0)
         return theta / theta.sum() if theta.sum() > 0 else inv_cap / inv_cap.sum()
+
+    def certify(self, pool: _Pool, q_req: float, tol_e: float, tol: float) -> None:
+        pass
 
     def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
         mean = float(rates.mean())
@@ -383,13 +465,17 @@ def _subgradient(
     supplies all that differs between PF and ET: the start and warm
     start, where the multiplier enters the score, its step, the
     fairness gap and tolerance, the residual fields and the duals.
-    It returns once the fairness gap and the harvest target both hold,
-    raises InfeasibleError quoting the best harvest when that stays below
-    the target for ``_STALL_WINDOW`` passes without rising, and raises
-    ConvergenceError with the last pass's residuals when the budget ends.
+    Before the first pass ``rule.certify`` may reject the target with
+    InfeasibleError (PF: above ``_access_bound``).  The loop returns
+    once the fairness gap and the harvest target both hold and raises
+    ConvergenceError with the last pass's residuals when the budget
+    ends.  For a rule that ``stalls`` (ET) it also raises
+    InfeasibleError quoting the best harvest when that stays below
+    the target for ``_STALL_WINDOW`` passes without rising.
     """
     pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     tol = getattr(settings, rule.tol_key)
+    rule.certify(pool, q_req, tol_e, tol)
     nu_t = 0.0 if warm_start is None else warm_start.nu * pool.q_scale / pool.c_scale
     mult = rule.start(pool, warm_start)
     best, best_k = -math.inf, 0
@@ -401,15 +487,16 @@ def _subgradient(
         ok = gap <= tol and q_req - tol_e <= qbar and (nu_t <= 1e-9 or qbar <= q_req + tol_e)
         if ok:
             break
-        # The energy price only pushes the pool harvest up, so a best harvest
-        # that stops rising for a whole window below the target means the
-        # target is out of reach.  An iterate that reached the target proves
-        # reachability, so the check then stays quiet for good.
+        # ET stall: the energy price only pushes the pool harvest up, so a
+        # best harvest that stops rising for a whole window below the target
+        # is taken to mean the target is out of reach.  An iterate that
+        # reached the target proves reachability, so the check then stays
+        # quiet for good.
         if qbar > best + 0.1 * tol_e:
             best, best_k = qbar, k
-        if best < q_req - tol_e and k - best_k >= _STALL_WINDOW:
+        if rule.stalls and best < q_req - tol_e and k - best_k >= _STALL_WINDOW:
             raise InfeasibleError(
-                f"harvest target {q_req:.6g} W is not reachable under {rule.constraint} "
+                f"harvest target {q_req:.6g} W is not reachable under equal throughput "
                 f"(best average harvest observed: {best:.6g} W)",
                 q_req=q_req,
                 achievable=best,
@@ -460,6 +547,12 @@ def calibrate_pf(
     Runs the shared subgradient loop with the offset step
 
         gamma_n += step * (access_n - 1/N)          (then recentred)
+
+    Before the first pass, a target that exceeds ``_access_bound`` by
+    more than ``tol_energy`` raises InfeasibleError quoting the bound,
+    which holds for every schedule whose access shares are within
+    ``tol_access`` of 1/N.  Any other target ends converged or in
+    ConvergenceError; PF has no stall rule.
     """
     return _subgradient(_PfRule(), q_req, profiles, config, settings, warm_start)
 

@@ -1,13 +1,18 @@
 import json
+import math
 from dataclasses import replace
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swiptsched import (
     CalibrationSettings,
     ConvergenceError,
     DualState,
+    FiniteInstance,
     InfeasibleError,
     SystemConfig,
     calibrate_et,
@@ -16,10 +21,19 @@ from swiptsched import (
     estimate_constraints,
     feasible_range,
     load_duals,
+    place_users,
     save_duals,
 )
 from swiptsched import ConfigError, linear_argmax
-from swiptsched.calibration import _build_pool, settings_hash, system_fingerprint
+from swiptsched.calibration import (
+    _access_bound,
+    _access_offsets,
+    _build_pool,
+    _pool_of,
+    settings_hash,
+    system_fingerprint,
+)
+from swiptsched.oracle import _brute_force
 
 from conftest import make_profiles, profiles_at
 
@@ -184,8 +198,29 @@ class TestCalibratePf:
         with pytest.raises(InfeasibleError) as err:
             calibrate_pf(0.99 * q_range.maximum, profiles5, config5, settings)
         assert err.value.achievable < 0.99 * q_range.maximum
-        assert f"best average harvest observed: {err.value.achievable:.6g} W" in str(err.value)
+        assert f"above the bound {err.value.achievable:.6g} W" in str(err.value)
         assert not hasattr(err.value, "residuals")  # passes of a stall are not calibrations
+
+    def test_reachable_target_not_rejected(self):
+        # 0.98 of the exact equal-access maximum on this pool (2.4567e-06 W,
+        # by an LP): a stall rule rejected it after 0.5 s
+        config = SystemConfig(n_users=5, seed=7)
+        profiles = place_users(config, np.random.default_rng(7))
+        settings = CalibrationSettings(mc_slots=20_000, seed=3, max_iters=600)
+        try:
+            calibrate_pf(2.4076e-06, profiles, config, settings)
+        except ConvergenceError:
+            pass  # running out of passes is not a verdict on reachability
+
+    def test_unreachable_target_rejected_before_any_pass(self):
+        config = SystemConfig(n_users=5, seed=7)
+        profiles = place_users(config, np.random.default_rng(7))
+        settings = CalibrationSettings(mc_slots=20_000, seed=3, max_iters=1)
+        with pytest.raises(InfeasibleError) as err:
+            calibrate_pf(2.50e-06, profiles, config, settings)
+        assert 2.4567e-06 <= err.value.achievable < 2.50e-06
+        assert f"above the bound {err.value.achievable:.6g} W" in str(err.value)
+        assert "within 0.005 of 1/5" in str(err.value)
 
     def test_non_convergence_reports_residuals(self, config5, profiles5):
         settings = CalibrationSettings(mc_slots=5000, max_iters=2, seed=7)
@@ -205,6 +240,57 @@ class TestCalibratePf:
         assert res["energy_gap"] == qbar
         assert res["iterations"] == 1 and not res["converged"]
         assert "averaged" not in res
+
+
+class TestEqualAccessBound:
+    """``_access_bound`` is a proof: no schedule within the access tolerance
+    harvests more, whatever the offsets it is evaluated at."""
+
+    @staticmethod
+    def best_harvest(inst: FiniteInstance, tol_access: float) -> float | None:
+        """Largest harvest over assignments whose access shares are within
+        ``tol_access`` of 1/N, by brute force; None when there is none."""
+        t, n = inst.n_slots, inst.n_users
+        cols, q_total = np.arange(t), float(inst.harvests.sum())
+
+        def harvest_within(batch: np.ndarray, picked_c: np.ndarray) -> np.ndarray:
+            counts = np.stack([(batch == u).sum(axis=1) for u in range(n)], axis=1)
+            ok = (np.abs(counts / t - 1 / n) <= tol_access).all(axis=1)
+            harvest = (q_total - inst.harvests[cols, batch].sum(axis=1)) / t
+            return np.where(ok, harvest, -math.inf)
+
+        result = _brute_force(inst, harvest_within)
+        return result.value if result.feasible else None
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda t: st.integers(1, 4).flatmap(lambda n: st.tuples(
+            st.lists(st.one_of(st.integers(0, 4), st.floats(0, 4)), min_size=t * n,
+                     max_size=t * n).map(lambda v: np.reshape(v, (t, n))),
+            st.lists(st.floats(-5, 5), min_size=n, max_size=n).map(np.array)))),
+        st.sampled_from([1.0, 1e-6]),
+    )
+    def test_bound_is_sound(self, data, unit):
+        # small integers give ties, floats generic values; capacities play no part
+        harvests, g = data
+        inst = FiniteInstance(np.ones(harvests.shape), unit * harvests, q_req=0.0)
+        pool = _pool_of(inst.block)
+        for tol_access in (0.0, 0.05, 0.2):
+            best = self.best_harvest(inst, tol_access)
+            if best is None:
+                continue
+            for offsets in (g, np.zeros_like(g), _access_offsets(pool.qn)):
+                bound = _access_bound(pool, offsets, tol_access)
+                assert bound >= best - 1e-12 * max(abs(best), pool.q_scale)
+
+    def test_bound_is_tight_at_the_offsets(self, config5, profiles5):
+        # well above an even split of every slot, a floor the bound never
+        # goes under, and well below the pool maximum
+        pool = _build_pool(profiles5, config5, CalibrationSettings(mc_slots=20_000, seed=7))
+        g = _access_offsets(pool.qn)
+        bound = _access_bound(pool, g, 0.0)
+        assert 0.8 * pool.total.mean() < 0.9 * pool.q_max < bound < 0.99 * pool.q_max
+        assert _access_bound(pool, g, 0.005) >= bound
 
 
 class TestCalibrateEt:

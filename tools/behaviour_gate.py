@@ -4,10 +4,10 @@
     python tools/behaviour_gate.py --against REV OUTDIR
 
 Runs ``python -m swiptsched.cli`` from this checkout's ``src`` on an
-N=4, seed-19 config: ``calibrate`` for mt/pf/et, ``run --duals`` on
-each saved calibration, ``run`` and ``sweep`` for every scheme, and
-``oracle-check``.  OUTDIR receives the config,
-every output file, ``stdout.txt`` and ``stderr.txt`` (each command
+N=4, seed-19 config: ``calibrate`` for mt/pf/et and for a pf target
+above the equal-access bound, ``run --duals`` on each saved
+calibration, ``run`` and ``sweep`` for every scheme, and
+``oracle-check``.  OUTDIR receives the config, every output file, ``stdout.txt`` and ``stderr.txt`` (each command
 line, its output and its exit code) and ``SHA256SUMS``.  Commands run
 inside OUTDIR with relative paths, so the logs do not depend on where
 OUTDIR is.
@@ -48,6 +48,9 @@ COMMANDS = [
     ["calibrate", "--scheme", "mt", "--q-req", "5e-5", *CAL, "--out", "cal_mt.json"],
     ["calibrate", "--scheme", "pf", "--q-req", "6e-5", *CAL, "--out", "cal_pf.json"],
     ["calibrate", "--scheme", "et", "--q-req", "8e-5", *CAL, "--out", "cal_et.json"],
+    # above the equal-access bound: exit 3 before any pass
+    ["calibrate", "--scheme", "pf", "--q-req", "9.5692e-05", *SWEEP,
+     "--out", "cal_pf_infeasible.json"],
     ["run", "--scheme", "mt", "--duals", "cal_mt.json", "--out", "run_mt.csv"],
     ["run", "--scheme", "pf", "--duals", "cal_pf.json", "--out", "run_pf_duals.csv"],
     ["run", "--scheme", "et", "--duals", "cal_et.json", "--out", "run_et_duals.csv"],
