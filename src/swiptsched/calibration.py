@@ -7,29 +7,31 @@ a fixed pool of fading slots estimates every constraint as an
 empirical average, and the duals are adjusted until the estimates
 meet their targets.
 
-  * MT has the single multiplier nu; the pool estimate of harvested
-    energy is non-decreasing in nu, so nu is found by bisection
-    (``_mt_price``, which the oracle also runs on its instances).
-  * PF and ET add one multiplier per user (gamma / theta) and share
-    one projected subgradient loop with step c/sqrt(k); each scheme
-    supplies only its multiplier step, fairness gap and final duals.
+Every calibrator takes the same three steps:
 
-Every calibrator starts from ``_calibration_pool``, which rejects a
-target above the pool maximum.  PF then rejects, before its first
-pass, a target above ``_access_bound``: a weak-duality bound on the
-harvest of any schedule whose access shares are all within
-``tol_access`` of 1/N, at offsets found by ``_access_offsets``.
-The subgradient loop then ends converged or out of passes; ET may
-also end stalled below the target, a guess that has no certificate
-yet.
+  * Setup: ``_calibration_pool`` draws the pool, resolves the energy
+    tolerance and rejects a target above the pool maximum.
+  * Its own search.  MT has the single multiplier nu; the pool
+    estimate of harvested energy is non-decreasing in nu, so nu is
+    found by bisection (``_mt_price``, which the oracle also runs on
+    its instances).  PF and ET add one multiplier per user (gamma /
+    theta) and share one projected subgradient loop, ``_subgradient``,
+    with step c/sqrt(k); a rule supplies only the scheme's maths.
+    PF first rejects a target above ``_access_bound``: a weak-duality
+    bound on the harvest of any schedule whose access shares are all
+    within ``tol_access`` of 1/N, at offsets found by
+    ``_access_offsets``.  ET alone may end stalled below the target,
+    a guess that has no certificate yet.
+  * ``_result`` writes the residual record and returns the DualState,
+    or raises ConvergenceError carrying that record.
 
-Every pass schedules the pool with ``scheduling.linear_argmax``, the
-kernel the online schedulers use, on the pool's normalized arrays, and
-scores the selection with ``SlotBlock.summary`` like every caller.
-The normalized arrays are stored user-major (Fortran order): a
-calibration scores them thousands of times, and the kernel scores
-such arrays one contiguous user column at a time, about twice as fast
-as a whole-array argmax.  The raw arrays stay row-major, as drawn.
+Every pass schedules the pool's normalized arrays with
+``scheduling.linear_argmax``, the kernel the online schedulers use,
+and scores the selection with ``SlotBlock.summary`` like every caller.
+The normalized arrays are user-major (Fortran order), the oracle's
+instances included: the kernel scores such arrays one contiguous user
+column at a time, on a calibration pool about twice as fast as a
+whole-array argmax.  The raw arrays stay row-major, as drawn.
 
 The same slot pool is reused across all dual iterates (common random
 numbers); fresh slots are drawn only for out-of-sample validation via
@@ -52,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -161,31 +164,23 @@ class _Pool:
         return self.block.summary(selections, self.total)
 
 
-def _pool_of(block: SlotBlock, order: str = "C") -> _Pool:
-    """Normalize a block by its mean maximum capacity and maximum average harvest.
-
-    ``order`` is the memory layout of the normalized arrays: "F"
-    (user-major) for the calibration pool, "C" for small instances.
-    """
+def _pool_of(block: SlotBlock) -> _Pool:
+    """Normalize a block by its mean maximum capacity and maximum average harvest."""
     q_max = float(np.mean(block.max_harvest()))
     c_scale = float(np.mean(block.capacities.max(axis=1)))
     # all-zero efficiencies: price energy against capacity 1:1
     q_scale = q_max if q_max > 0 else 1.0
     # No pass reads the gains; dropping them also frees their memory.
     return _Pool(SlotBlock(None, block.capacities, block.harvests), block.harvests.sum(axis=1),
-                 c_scale, q_max, q_scale, np.divide(block.capacities, c_scale, order=order),
-                 np.divide(block.harvests, q_scale, order=order))
+                 c_scale, q_max, q_scale, np.divide(block.capacities, c_scale, order="F"),
+                 np.divide(block.harvests, q_scale, order="F"))
 
 
 def _build_pool(
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    settings: CalibrationSettings,
-    rng: np.random.Generator | None = None,
+    profiles: Sequence[UserProfile], config: SystemConfig, settings: CalibrationSettings
 ) -> _Pool:
-    if rng is None:
-        rng = seeds.substream(settings.seed, seeds.CALIBRATION)
-    return _pool_of(draw_block(profiles, config, rng, settings.mc_slots), order="F")
+    rng = seeds.substream(settings.seed, seeds.CALIBRATION)
+    return _pool_of(draw_block(profiles, config, rng, settings.mc_slots))
 
 
 def _calibration_pool(
@@ -211,13 +206,10 @@ def _calibration_pool(
 
 
 def feasible_range(
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    settings: CalibrationSettings,
-    rng: np.random.Generator | None = None,
+    profiles: Sequence[UserProfile], config: SystemConfig, settings: CalibrationSettings
 ) -> FeasibleRange:
     """Estimate the reachable [greedy, maximum] average-harvest interval."""
-    pool = _build_pool(profiles, config, settings, rng)
+    pool = _build_pool(profiles, config, settings)
     greedy, _, _ = pool.evaluate(linear_argmax(pool.cn, pool.qn, 0.0))
     per_slot_max = pool.block.max_harvest()
     stderr = float(per_slot_max.std(ddof=1) / math.sqrt(settings.mc_slots))
@@ -259,7 +251,7 @@ def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
     def qbar_at(nu_t: float) -> float:
         nonlocal evals
         evals += 1
-        return pool.block.mean_harvest(linear_argmax(pool.cn, pool.qn, nu_t), pool.total)
+        return pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))[0]
 
     if qbar_at(0.0) >= target:
         return 0.0, evals
@@ -283,6 +275,30 @@ def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
     return hi, evals
 
 
+def _result(scheme: str, pool: _Pool, q_req: float, tol_e: float, fingerprint: str,
+            nu_t: float, qbar: float, k: int, ok: bool, pooled: dict, fair: tuple = (),
+            **duals) -> DualState:
+    """The calibrated DualState, or ConvergenceError carrying the same residuals.
+
+    The residuals list scheme, q_req, tol_energy, the fairness tolerance,
+    energy_gap, the fairness gap, qbar_pool, the ``pooled`` fields,
+    iterations, converged, c_scale and q_scale.  ``fair`` is (tolerance
+    key, tolerance, gap key, gap), empty for MT; ``nu_t`` is normalized.
+    """
+    tol, gap = ({fair[0]: fair[1]}, {fair[2]: fair[3]}) if fair else ({}, {})
+    res = {"scheme": scheme, "q_req": q_req, "tol_energy": tol_e, **tol,
+           "energy_gap": qbar - q_req, **gap, "qbar_pool": qbar, **pooled, "iterations": k,
+           "converged": ok, "c_scale": pool.c_scale, "q_scale": pool.q_scale}
+    if not ok:
+        raise ConvergenceError(
+            f"{scheme} calibration did not converge in {k} iterations "
+            f"({fair[2].replace('_', ' ')} {fair[3]:.4g}, energy gap {qbar - q_req:.4g} W)",
+            residuals=res,
+        )
+    return DualState(nu=nu_t * pool.c_scale / pool.q_scale, calibration_residuals=res,
+                     fingerprint=fingerprint, **duals)
+
+
 def calibrate_mt(
     q_req: float,
     profiles: Sequence[UserProfile],
@@ -298,21 +314,9 @@ def calibrate_mt(
     pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     nu_t, evals = _mt_price(pool, q_req, tol_e)
     qbar, access, rates = pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))
-    residuals = {
-        "scheme": "mt",
-        "q_req": q_req,
-        "tol_energy": tol_e,
-        "energy_gap": qbar - q_req,
-        "qbar_pool": qbar,
-        "access_freq_pool": access.tolist(),
-        "per_user_rate_pool": rates.tolist(),
-        "iterations": evals,
-        "converged": True,
-        "c_scale": pool.c_scale,
-        "q_scale": pool.q_scale,
-    }
-    return DualState(nu=nu_t * pool.c_scale / pool.q_scale, calibration_residuals=residuals,
-                     fingerprint=system_fingerprint(config, profiles))
+    return _result("mt", pool, q_req, tol_e, system_fingerprint(config, profiles), nu_t, qbar,
+                   evals, True, {"access_freq_pool": access.tolist(),
+                                 "per_user_rate_pool": rates.tolist()})
 
 
 def _access_bound(pool: _Pool, g: np.ndarray, tol_access: float) -> float:
@@ -365,11 +369,7 @@ def _access_offsets(qn: np.ndarray) -> np.ndarray:
 class _PfRule:
     """Equal channel access: per-user offsets g = gamma, kept zero-mean."""
 
-    scheme = "pf"
-    stalls = False  # ``certify`` decides reachability before the first pass
-    kernel_arg = "g"
-    gap_key, tol_key = "access_gap", "tol_access"
-    fields = ("access_freq_pool", "per_user_rate_pool")
+    scheme, tol_key, gap_key = "pf", "tol_access", "access_gap"
 
     def start(self, pool: _Pool, warm: DualState | None) -> np.ndarray:
         if warm is None or warm.gamma is None:
@@ -377,33 +377,18 @@ class _PfRule:
         gamma_t = np.asarray(warm.gamma, dtype=float) / pool.c_scale
         return gamma_t - gamma_t.mean()
 
-    def certify(self, pool: _Pool, q_req: float, tol_e: float, tol: float) -> None:
-        """Raise InfeasibleError when ``q_req - tol_e`` exceeds ``_access_bound``.
-
-        Skipped where an even split of every slot, a fractional schedule
-        with exactly equal access, reaches the target: the bound is at
-        least that split's harvest there.
-        """
-        n = pool.block.n_users
-        if q_req <= (1 - 1 / n) * float(pool.total.mean()) + tol_e:
-            return
-        bound = _access_bound(pool, _access_offsets(pool.qn), tol)
-        if q_req - tol_e > bound + 1e-12 * abs(bound):  # margin for rounding
-            raise InfeasibleError(
-                f"harvest target {q_req:.6g} W is not reachable under equal channel access "
-                f"(above the bound {bound:.6g} W on every schedule whose access shares "
-                f"are within {tol:g} of 1/{n})",
-                q_req=q_req,
-                achievable=bound,
-            )
+    def select(self, pool: _Pool, nu_t: float, gamma_t: np.ndarray) -> np.ndarray:
+        return linear_argmax(pool.cn, pool.qn, nu_t, g=gamma_t)
 
     def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
         return float(np.max(np.abs(access - 1.0 / len(access))))
 
     def step(self, gamma_t, step, access, rates) -> np.ndarray:
         gamma_t = gamma_t + step * (access - 1.0 / len(access))
-        gamma_t -= gamma_t.mean()
-        return gamma_t
+        return gamma_t - gamma_t.mean()
+
+    def fields(self, access: np.ndarray, rates: np.ndarray, gamma_t: np.ndarray) -> dict:
+        return {"access_freq_pool": access.tolist(), "per_user_rate_pool": rates.tolist()}
 
     def duals(self, gamma_t: np.ndarray, pool: _Pool) -> dict:
         return {"gamma": (gamma_t - gamma_t.mean()) * pool.c_scale}
@@ -412,11 +397,7 @@ class _PfRule:
 class _EtRule:
     """Equal throughput: per-user rate weights w = theta on the unit simplex."""
 
-    scheme = "et"
-    stalls = True  # no certificate yet: a stall below the target rejects it
-    kernel_arg = "w"
-    gap_key, tol_key = "rate_spread", "tol_rate"
-    fields = ("per_user_rate_pool", "theta_sum")
+    scheme, tol_key, gap_key = "et", "tol_rate", "rate_spread"
 
     def start(self, pool: _Pool, warm: DualState | None) -> np.ndarray:
         # inverse mean capacity starts the search close to equal throughput
@@ -426,8 +407,8 @@ class _EtRule:
         theta = np.maximum(np.asarray(warm.theta, dtype=float), 0.0)
         return theta / theta.sum() if theta.sum() > 0 else inv_cap / inv_cap.sum()
 
-    def certify(self, pool: _Pool, q_req: float, tol_e: float, tol: float) -> None:
-        pass
+    def select(self, pool: _Pool, nu_t: float, theta: np.ndarray) -> np.ndarray:
+        return linear_argmax(pool.cn, pool.qn, nu_t, w=theta)
 
     def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
         mean = float(rates.mean())
@@ -441,47 +422,39 @@ class _EtRule:
         delta = step * (r_min - rates) / rate_scale
         # keep every weight strictly positive: a user whose weight hits
         # zero is never scheduled again and its rate cannot recover
-        delta = np.maximum(delta, -0.5 * theta)
-        theta = np.maximum(theta + delta, 0.0)
+        theta = theta + np.maximum(delta, -0.5 * theta)
         return theta / theta.sum()
+
+    def fields(self, access: np.ndarray, rates: np.ndarray, theta: np.ndarray) -> dict:
+        return {"per_user_rate_pool": rates.tolist(), "theta_sum": float(theta.sum())}
 
     def duals(self, theta: np.ndarray, pool: _Pool) -> dict:
         return {"theta": theta / theta.sum()}
 
 
-def _subgradient(
-    rule: _PfRule | _EtRule,
-    q_req: float,
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    settings: CalibrationSettings,
-    warm_start: DualState | None,
-) -> DualState:
+def _subgradient(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float,
+                 settings: CalibrationSettings, warm_start: DualState | None,
+                 fingerprint: str, stalls: bool = False) -> DualState:
     """Projected subgradient ascent on nu and one multiplier per user.
 
-    Every pass schedules the fixed pool, then steps with
-    ``step_size / sqrt(k)``: nu += step * (q_req - harvest), clamped to
-    [0, _NU_CAP], and the multiplier by ``rule.step``.  ``rule``
-    supplies all that differs between PF and ET: the start and warm
-    start, where the multiplier enters the score, its step, the
-    fairness gap and tolerance, the residual fields and the duals.
-    Before the first pass ``rule.certify`` may reject the target with
-    InfeasibleError (PF: above ``_access_bound``).  The loop returns
-    once the fairness gap and the harvest target both hold and raises
-    ConvergenceError with the last pass's residuals when the budget
-    ends.  For a rule that ``stalls`` (ET) it also raises
-    InfeasibleError quoting the best harvest when that stays below
-    the target for ``_STALL_WINDOW`` passes without rising.
+    Every pass schedules the fixed pool with ``rule.select``, then
+    steps with ``step_size / sqrt(k)``: nu += step * (q_req - harvest),
+    clamped to [0, _NU_CAP], and the multiplier by ``rule.step``.
+    ``rule`` supplies all that differs between PF and ET: the start and
+    warm start, the kernel call, its step, the fairness gap and
+    tolerance, the residual fields and the duals.  The loop stops once
+    the fairness gap and the harvest target both hold, or when the
+    budget ends, and hands the last pass to ``_result``.  With
+    ``stalls`` (ET) it also raises InfeasibleError quoting the best
+    harvest when that stays below the target for ``_STALL_WINDOW``
+    passes without rising.
     """
-    pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     tol = getattr(settings, rule.tol_key)
-    rule.certify(pool, q_req, tol_e, tol)
     nu_t = 0.0 if warm_start is None else warm_start.nu * pool.q_scale / pool.c_scale
     mult = rule.start(pool, warm_start)
     best, best_k = -math.inf, 0
     for k in range(1, settings.max_iters + 1):
-        selections = linear_argmax(pool.cn, pool.qn, nu_t, **{rule.kernel_arg: mult})
-        qbar, access, rates = pool.evaluate(selections)
+        qbar, access, rates = pool.evaluate(rule.select(pool, nu_t, mult))
         gap = rule.gap(access, rates)
         # complementary slackness: a strictly positive price must bind
         ok = gap <= tol and q_req - tol_e <= qbar and (nu_t <= 1e-9 or qbar <= q_req + tol_e)
@@ -494,7 +467,7 @@ def _subgradient(
         # quiet for good.
         if qbar > best + 0.1 * tol_e:
             best, best_k = qbar, k
-        if rule.stalls and best < q_req - tol_e and k - best_k >= _STALL_WINDOW:
+        if stalls and best < q_req - tol_e and k - best_k >= _STALL_WINDOW:
             raise InfeasibleError(
                 f"harvest target {q_req:.6g} W is not reachable under equal throughput "
                 f"(best average harvest observed: {best:.6g} W)",
@@ -506,33 +479,9 @@ def _subgradient(
         step = settings.step_size / math.sqrt(k)
         nu_t = min(max(0.0, nu_t + step * (q_req - qbar) / pool.q_scale), _NU_CAP)
         mult = rule.step(mult, step, access, rates)
-
-    # the scheme's residual fields are picked from these, in its order
-    reported = {"access_freq_pool": access.tolist(), "per_user_rate_pool": rates.tolist(),
-                "theta_sum": float(mult.sum())}
-    res = {
-        "scheme": rule.scheme,
-        "q_req": q_req,
-        "tol_energy": tol_e,
-        rule.tol_key: tol,
-        "energy_gap": qbar - q_req,
-        rule.gap_key: gap,
-        "qbar_pool": qbar,
-        **{key: reported[key] for key in rule.fields},
-        "iterations": k,
-        "converged": ok,
-        "c_scale": pool.c_scale,
-        "q_scale": pool.q_scale,
-    }
-    if not ok:
-        raise ConvergenceError(
-            f"{rule.scheme} calibration did not converge in {k} iterations "
-            f"({rule.gap_key.replace('_', ' ')} {gap:.4g}, "
-            f"energy gap {res['energy_gap']:.4g} W)",
-            residuals=res,
-        )
-    return DualState(nu=nu_t * pool.c_scale / pool.q_scale, calibration_residuals=res,
-                     **rule.duals(mult, pool), fingerprint=system_fingerprint(config, profiles))
+    return _result(rule.scheme, pool, q_req, tol_e, fingerprint, nu_t, qbar, k, ok,
+                   rule.fields(access, rates, mult), (rule.tol_key, tol, rule.gap_key, gap),
+                   **rule.duals(mult, pool))
 
 
 def calibrate_pf(
@@ -544,17 +493,31 @@ def calibrate_pf(
 ) -> DualState:
     """Calibrate (nu, gamma) so access is uniform and the harvest target binds.
 
-    Runs the shared subgradient loop with the offset step
+    After the pool setup, a target above ``_access_bound`` by more than
+    ``tol_energy`` raises InfeasibleError quoting the bound, which holds
+    for every schedule whose access shares are within ``tol_access`` of
+    1/N.  The bound is at least the harvest of an even split of every
+    slot (exactly equal access), so below that the check is skipped.
+    Any other target runs the shared subgradient loop with the step
 
         gamma_n += step * (access_n - 1/N)          (then recentred)
 
-    Before the first pass, a target that exceeds ``_access_bound`` by
-    more than ``tol_energy`` raises InfeasibleError quoting the bound,
-    which holds for every schedule whose access shares are within
-    ``tol_access`` of 1/N.  Any other target ends converged or in
-    ConvergenceError; PF has no stall rule.
+    and ends converged or in ConvergenceError; PF has no stall rule.
     """
-    return _subgradient(_PfRule(), q_req, profiles, config, settings, warm_start)
+    pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
+    n, tol = pool.block.n_users, settings.tol_access
+    if q_req > (1 - 1 / n) * float(pool.total.mean()) + tol_e:
+        bound = _access_bound(pool, _access_offsets(pool.qn), tol)
+        if q_req - tol_e > bound + 1e-12 * abs(bound):  # margin for rounding
+            raise InfeasibleError(
+                f"harvest target {q_req:.6g} W is not reachable under equal channel access "
+                f"(above the bound {bound:.6g} W on every schedule whose access shares "
+                f"are within {tol:g} of 1/{n})",
+                q_req=q_req,
+                achievable=bound,
+            )
+    return _subgradient(_PfRule(), pool, q_req, tol_e, settings, warm_start,
+                        system_fingerprint(config, profiles))
 
 
 def calibrate_et(
@@ -573,14 +536,16 @@ def calibrate_et(
     max-min optimum leaves a user above the minimum ends in
     ConvergenceError, or InfeasibleError when the stall fires.
 
-    Runs the shared subgradient loop; theta steps against the gap
-    between each user's pool rate and the minimum rate, clamped at
-    zero and renormalized to the unit simplex after every step.  The
-    initial theta weights each user by the inverse of its mean pool
-    capacity, which starts the search close to the equal-throughput
-    region.
+    After the pool setup it runs the shared subgradient loop with the
+    stall rule on; theta steps against the gap between each user's
+    pool rate and the minimum rate, at most halving a weight, and is
+    renormalized to the unit simplex after every step.  The initial
+    theta weights each user by the inverse of its mean pool capacity,
+    which starts the search close to the equal-throughput region.
     """
-    return _subgradient(_EtRule(), q_req, profiles, config, settings, warm_start)
+    pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
+    return _subgradient(_EtRule(), pool, q_req, tol_e, settings, warm_start,
+                        system_fingerprint(config, profiles), stalls=True)
 
 
 _CALIBRATORS = {"mt": calibrate_mt, "pf": calibrate_pf, "et": calibrate_et}
@@ -620,8 +585,9 @@ def load_duals(path: str | Path) -> tuple[str, DualState]:
     """Read back a calibration record written by ``save_duals``.
 
     Raises ConfigError when the record or its residuals are not a JSON
-    object, or when ``make_optimal_scheduler`` rejects it (unknown
-    scheme; missing, non-finite, negative or 2-D multipliers).
+    object, when a residual ``q_req`` is not a finite nonnegative
+    number, or when ``make_optimal_scheduler`` rejects the record
+    (unknown scheme; missing, non-finite, negative or 2-D multipliers).
     """
     try:
         record = json.loads(Path(path).read_text())
@@ -636,6 +602,10 @@ def load_duals(path: str | Path) -> tuple[str, DualState]:
         raise ConfigError(f"malformed duals file {path}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(residuals, dict):
         raise ConfigError(f"duals file {path}: residuals must be an object, got {residuals!r}")
+    q_req = residuals.get("q_req", 0.0)
+    if isinstance(q_req, bool) or not isinstance(q_req, numbers.Real) or not 0 <= q_req < math.inf:
+        raise ConfigError(f"duals file {path}: residuals.q_req must be a finite nonnegative "
+                          f"number, got {q_req!r}")
     duals = DualState(nu=nu, gamma=gamma, theta=theta,
                       calibration_residuals=residuals, fingerprint=fingerprint)
     try:

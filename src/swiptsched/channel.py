@@ -195,11 +195,6 @@ class SlotBlock:
         counts = np.bincount(selections, minlength=n)
         return float(idle.sum()) / m, counts / m, np.bincount(selections, rate, n) / m
 
-    def mean_harvest(self, selections: np.ndarray, total: np.ndarray | None = None) -> float:
-        """The mean idle harvest of ``summary`` alone, for searches that need no more."""
-        idle = self.outcome(selections, total)[1]
-        return float(idle.sum()) / len(idle)
-
     def max_harvest(self) -> np.ndarray:
         """Largest idle harvest of each slot: the weakest harvester is scheduled."""
         return self.harvests.sum(axis=1) - self.harvests.min(axis=1)

@@ -65,7 +65,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="config file (key=value or JSON)")
     parser.add_argument("--users", type=int, help="override n_users")
     parser.add_argument("--seed", type=int, help="override the root seed")
-    parser.add_argument("--slots", type=int, help="override n_slots")
 
 
 # Every CalibrationSettings field but the seed is a flag (--mc-slots, ...).
@@ -78,7 +77,9 @@ def _add_settings(parser: argparse.ArgumentParser) -> None:
                             type=int if f.type == "int" else float)
 
 
-def _add_output(parser: argparse.ArgumentParser) -> None:
+def _add_simulation(parser: argparse.ArgumentParser) -> None:
+    """The flags of the commands that simulate: run and sweep."""
+    parser.add_argument("--slots", type=int, help="override n_slots")
     parser.add_argument("--out", help="output file (default: print a summary)")
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     parser.add_argument(
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one scheduler")
     _add_common(p_run)
     _add_settings(p_run)
-    _add_output(p_run)
+    _add_simulation(p_run)
     p_run.add_argument("--scheme", choices=ALL_SCHEMES, required=True)
     p_run.add_argument("--q-req", type=float, help="harvest target for mt/pf/et")
     p_run.add_argument("--duals", help="reuse a saved calibration instead of calibrating")
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="trace a rate-energy curve")
     _add_common(p_sweep)
     _add_settings(p_sweep)
-    _add_output(p_sweep)
+    _add_simulation(p_sweep)
     p_sweep.add_argument("--scheme", choices=ALL_SCHEMES, required=True)
     p_sweep.add_argument(
         "--grid",
@@ -127,23 +128,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle-check", help="compare against brute force")
     p_oracle.add_argument("--config", help="optional config file")
-    p_oracle.add_argument("--users", type=int, default=3)
-    p_oracle.add_argument("--seed", type=int, default=1)
+    p_oracle.add_argument("--users", type=int, help="override n_users (default 3)")
+    p_oracle.add_argument("--seed", type=int, help="override the root seed (default 1)")
     p_oracle.add_argument("--instances", type=int, default=50)
     p_oracle.add_argument("--slots-per-instance", type=int, default=6)
     return parser
 
 
+def _override(config: SystemConfig, args) -> SystemConfig:
+    """``config`` with the values given on the command line."""
+    pairs = (("n_users", "users"), ("seed", "seed"), ("n_slots", "slots"), ("q_req", "q_req"))
+    return replace(config, **{key: getattr(args, attr) for key, attr in pairs
+                              if getattr(args, attr, None) is not None})
+
+
 def _setup(args) -> tuple[SystemConfig, list[UserProfile], CalibrationSettings]:
     """Config with the command-line overrides, user placement and calibration settings."""
-    config = load_config(args.config)
-    overrides = {}
-    for key, attr in (
-        ("n_users", "users"), ("seed", "seed"), ("n_slots", "slots"), ("q_req", "q_req")
-    ):
-        if getattr(args, attr, None) is not None:
-            overrides[key] = getattr(args, attr)
-    config = replace(config, **overrides) if overrides else config
+    config = _override(load_config(args.config), args)
     profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))
     try:
         settings = CalibrationSettings(
@@ -180,8 +181,9 @@ def _build_scheduler(args, config, profiles, settings):
                 raise ConfigError(
                     f"duals file holds scheme {saved_scheme!r}, requested {scheme!r}"
                 )
-            mult = duals.gamma if scheme == "pf" else duals.theta
-            if scheme != "mt" and len(mult) != config.n_users:
+            scheduler = make_optimal_scheduler(scheme, duals)
+            mult = scheduler.g if scheduler.w is None else scheduler.w
+            if mult is not None and len(mult) != config.n_users:
                 raise ConfigError(
                     f"duals file holds {len(mult)} multipliers, config has {config.n_users} users"
                 )
@@ -191,7 +193,8 @@ def _build_scheduler(args, config, profiles, settings):
             q_req = duals.calibration_residuals.get("q_req", q_req)
         else:
             duals = _CALIBRATORS[scheme](q_req, profiles, config, settings)
-        return make_optimal_scheduler(scheme, duals), dict(q_req=q_req, duals=duals)
+            scheduler = make_optimal_scheduler(scheme, duals)
+        return scheduler, dict(q_req=q_req, duals=duals)
     if scheme == "order-et":
         orders = _parse_orders(args.orders) if args.orders else frozenset({args.j})
         policy = OrderPolicy(scheme, s_a=orders)
@@ -275,14 +278,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.config:
-        config = load_config(args.config)
-        config = replace(config, n_users=args.users, seed=args.seed)
-    else:
-        config = SystemConfig(n_users=args.users, seed=args.seed)
+    config = load_config(args.config) if args.config else SystemConfig(n_users=3, seed=1)
+    config = _override(config, args)
     _at_least_1(args, "instances", "slots_per_instance")
     try:
-        check_size(args.slots_per_instance, args.users)
+        check_size(args.slots_per_instance, config.n_users)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))

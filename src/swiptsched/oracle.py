@@ -62,7 +62,7 @@ class FiniteInstance:
 
     def harvest_of(self, assignment: np.ndarray) -> float:
         """Average sum harvest when ``assignment[i]`` is scheduled in slot i."""
-        return self.block.mean_harvest(assignment)
+        return self.block.summary(assignment)[0]
 
     def rate_of(self, assignment: np.ndarray) -> float:
         """Average sum rate of an assignment."""

@@ -35,7 +35,7 @@ from .scheduling import DualState, SlotScheduler, make_optimal_scheduler
 
 CHUNK_SLOTS = 1 << 16
 
-OPTIMAL_SCHEMES = ("mt", "pf", "et")
+OPTIMAL_SCHEMES = tuple(_CALIBRATORS)
 
 
 def jain_index(values: np.ndarray) -> float:

@@ -345,6 +345,41 @@ class TestPool:
         assert np.array_equal(pool.qn, pool.block.harvests / pool.q_scale)
 
 
+class TestResidualRecord:
+    """The residual record ``save_duals`` writes, key by key and in order."""
+
+    KEYS = {
+        "mt": ["scheme", "q_req", "tol_energy", "energy_gap", "qbar_pool", "access_freq_pool",
+               "per_user_rate_pool", "iterations", "converged", "c_scale", "q_scale"],
+        "pf": ["scheme", "q_req", "tol_energy", "tol_access", "energy_gap", "access_gap",
+               "qbar_pool", "access_freq_pool", "per_user_rate_pool", "iterations",
+               "converged", "c_scale", "q_scale"],
+        "et": ["scheme", "q_req", "tol_energy", "tol_rate", "energy_gap", "rate_spread",
+               "qbar_pool", "per_user_rate_pool", "theta_sum", "iterations", "converged",
+               "c_scale", "q_scale"],
+    }
+    CALIBRATORS = {"mt": calibrate_mt, "pf": calibrate_pf, "et": calibrate_et}
+
+    @pytest.mark.parametrize("scheme", ["mt", "pf", "et"])
+    def test_key_order(self, scheme, config5, profiles5, tmp_path):
+        settings = CalibrationSettings(mc_slots=5000, seed=7)
+        duals = self.CALIBRATORS[scheme](0.0, profiles5, config5, settings)
+        assert list(duals.calibration_residuals) == self.KEYS[scheme]
+        assert duals.calibration_residuals["scheme"] == scheme
+        assert duals.calibration_residuals["converged"] is True
+        path = tmp_path / "duals.json"
+        save_duals(path, scheme, duals, settings)
+        assert list(json.loads(path.read_text())["residuals"]) == self.KEYS[scheme]
+
+    @pytest.mark.parametrize("scheme", ["pf", "et"])
+    def test_convergence_error_has_the_converged_keys(self, scheme, config5, profiles5):
+        settings = CalibrationSettings(mc_slots=5000, max_iters=1, seed=7)
+        with pytest.raises(ConvergenceError) as err:
+            self.CALIBRATORS[scheme](0.0, profiles5, config5, settings)
+        assert list(err.value.residuals) == self.KEYS[scheme]
+        assert err.value.residuals["converged"] is False
+
+
 class TestDualsIO:
     def test_round_trip(self, tmp_path, config5, profiles5, settings, q_range):
         duals = calibrate_pf(0.5 * q_range.maximum, profiles5, config5, settings)

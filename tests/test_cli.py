@@ -170,6 +170,13 @@ class TestCalibrateCommand:
         assert code == EXIT_CONFIG
         assert "multipliers" in capsys.readouterr().err
 
+    def test_slots_flag_is_not_a_calibrate_flag(self, config_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("calibrate", "--config", config_file, "--scheme", "mt", "--q-req", "0",
+                    "--slots", "10", "--out", str(tmp_path / "mt.json"))
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "mt.json").exists()
+
     def test_infeasible_exit_code(self, config_file, tmp_path, capsys):
         out = tmp_path / "unused_duals.json"
         code = run_cli(
@@ -276,6 +283,22 @@ class TestSavedDualsBinding:
         duals_path.write_text(json.dumps(record))
         code = run_cli("run", "--config", config, "--scheme", "mt", "--duals", str(duals_path))
         assert code == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize("q_req", ["1e-4", [1e-4], float("nan"), -1.0, True],
+                             ids=["string", "list", "nan", "negative", "bool"])
+    def test_malformed_saved_target_exits_2_without_output(self, q_req, tmp_path, capsys):
+        config = self.write_config(tmp_path, "a.cfg", 40, 11)
+        duals_path = self.calibrate_mt(tmp_path, config)
+        record = json.loads(duals_path.read_text())
+        record["residuals"]["q_req"] = q_req
+        duals_path.write_text(json.dumps(record))
+        out = tmp_path / "x.csv"
+        code = run_cli("run", "--config", config, "--scheme", "mt", "--duals", str(duals_path),
+                       "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "residuals.q_req" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNonFiniteInput:
@@ -419,6 +442,18 @@ class TestOracleCheckCommand:
         captured = capsys.readouterr()
         assert f"{flag} must be at least 1" in captured.err
         assert "instances ok" not in captured.out
+
+
+    def test_config_sets_users_and_seed(self, tmp_path, capsys):
+        config = tmp_path / "small.cfg"
+        config.write_text("n_users = 2\nseed = 77\n")
+        lines = []
+        for flags in ([], ["--users", "2", "--seed", "77"]):
+            assert run_cli("oracle-check", "--config", str(config), "--instances", "5",
+                           *flags) == EXIT_OK
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert "5/5 instances ok" in lines[0]
 
 
 class TestErrorMapping:

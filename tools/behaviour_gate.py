@@ -133,7 +133,7 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp)
+            tar.extractall(tmp, filter="data")
         run_gate(Path(tmp) / "src", out / "against")
     run_gate(SRC, out / "this")
     report = compare(out / "against", out / "this")
