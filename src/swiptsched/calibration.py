@@ -15,8 +15,10 @@ Every calibrator takes the same three steps:
     estimate of harvested energy is non-decreasing in nu, so nu is
     found by bisection (``_mt_price``, which the oracle also runs on
     its instances).  PF and ET add one multiplier per user (gamma /
-    theta) and share one projected subgradient loop, ``_subgradient``,
-    with step c/sqrt(k); a rule supplies only the scheme's maths.
+    theta) and share one subgradient loop, ``_subgradient``, with step
+    c/sqrt(k); a rule supplies only the scheme's maths.  PF steps gamma
+    additively; ET steps theta multiplicatively (exponentiated
+    gradient), the geometry of its unit simplex.
     PF first rejects a target above ``_access_bound``: a weak-duality
     bound on the harvest of any schedule whose access shares are all
     within ``tol_access`` of 1/N, at offsets found by
@@ -251,7 +253,9 @@ def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
     def qbar_at(nu_t: float) -> float:
         nonlocal evals
         evals += 1
-        return pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))[0]
+        # the harvest term of ``pool.evaluate``, without its two bincounts
+        idle = pool.block.outcome(linear_argmax(pool.cn, pool.qn, nu_t), pool.total)[1]
+        return float(idle.sum()) / pool.block.n_slots
 
     if qbar_at(0.0) >= target:
         return 0.0, evals
@@ -395,7 +399,16 @@ class _PfRule:
 
 
 class _EtRule:
-    """Equal throughput: per-user rate weights w = theta on the unit simplex."""
+    """Equal throughput: per-user rate weights w = theta on the unit simplex.
+
+    The ET dual E[max_n (theta_n C_n - nu Q_n)] is convex on the simplex
+    and its gradient is the vector of per-user rates, so theta takes an
+    exponentiated-gradient (entropic mirror descent) step: each weight
+    is multiplied by a factor in (0, 1], the largest for the users at the
+    minimum rate, and the result renormalized.  No weight reaches zero,
+    which matters because a user of zero weight is never scheduled again
+    and its rate could not recover.
+    """
 
     scheme, tol_key, gap_key = "et", "tol_rate", "rate_spread"
 
@@ -417,12 +430,8 @@ class _EtRule:
         return float((rates.max() - rates.min()) / mean)
 
     def step(self, theta, step, access, rates) -> np.ndarray:
-        r_min = float(rates.min())
         rate_scale = max(float(rates.mean()), 1e-30)
-        delta = step * (r_min - rates) / rate_scale
-        # keep every weight strictly positive: a user whose weight hits
-        # zero is never scheduled again and its rate cannot recover
-        theta = theta + np.maximum(delta, -0.5 * theta)
+        theta = theta * np.exp(-step * (rates - rates.min()) / rate_scale)
         return theta / theta.sum()
 
     def fields(self, access: np.ndarray, rates: np.ndarray, theta: np.ndarray) -> dict:
@@ -435,7 +444,7 @@ class _EtRule:
 def _subgradient(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float,
                  settings: CalibrationSettings, warm_start: DualState | None,
                  fingerprint: str, stalls: bool = False) -> DualState:
-    """Projected subgradient ascent on nu and one multiplier per user.
+    """Subgradient steps on nu and one multiplier per user.
 
     Every pass schedules the fixed pool with ``rule.select``, then
     steps with ``step_size / sqrt(k)``: nu += step * (q_req - harvest),
@@ -537,11 +546,15 @@ def calibrate_et(
     ConvergenceError, or InfeasibleError when the stall fires.
 
     After the pool setup it runs the shared subgradient loop with the
-    stall rule on; theta steps against the gap between each user's
-    pool rate and the minimum rate, at most halving a weight, and is
-    renormalized to the unit simplex after every step.  The initial
-    theta weights each user by the inverse of its mean pool capacity,
-    which starts the search close to the equal-throughput region.
+    stall rule on and the multiplicative step
+
+        theta_n *= exp(-step * (r_n - min r) / mean r)   (then renormalized)
+
+    on each user's pool rate r_n.  At N users one step shrinks a weight
+    by at most exp(-step * N), and a user at the minimum rate never
+    loses weight relative to another.  The initial theta weights each
+    user by the inverse of its mean pool capacity, which starts the
+    search close to the equal-throughput region.
     """
     pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     return _subgradient(_EtRule(), pool, q_req, tol_e, settings, warm_start,

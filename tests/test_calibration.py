@@ -26,6 +26,7 @@ from swiptsched import (
 )
 from swiptsched import ConfigError, linear_argmax
 from swiptsched.calibration import (
+    _EtRule,
     _access_bound,
     _access_offsets,
     _build_pool,
@@ -326,6 +327,36 @@ class TestCalibrateEt:
         settings = CalibrationSettings(mc_slots=20_000, max_iters=1500, seed=7)
         with pytest.raises(InfeasibleError):
             calibrate_et(1.002 * q_range.maximum, profiles5, config5, settings)
+
+    def test_pass_budget(self, config5, profiles5, settings):
+        # the multiplicative theta step needs about 20 passes here; the
+        # additive step it replaced needed over 500
+        duals = calibrate_et(0.0, profiles5, config5, settings)
+        assert duals.calibration_residuals["iterations"] <= 60
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 64).flatmap(lambda n: st.tuples(
+            st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n).map(np.array),
+            st.one_of(
+                st.just(np.zeros(n)),
+                st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                         min_size=n, max_size=n).map(np.array),
+                st.integers(0, n - 1).map(lambda u: np.eye(n)[u] * 7.5),
+            ))),
+        st.floats(0.0, 0.5, exclude_min=True),
+    )
+    def test_step_stays_on_the_simplex(self, data, step):
+        theta, rates = data
+        theta = theta / theta.sum()
+        out = _EtRule().step(theta, step, None, rates)
+        assert np.all(np.isfinite(out)) and np.all(out > 0)
+        assert abs(out.sum() - 1.0) <= 1e-12
+        # a user at the minimum rate never loses weight relative to one above it
+        low, high = rates == rates.min(), rates > rates.min()
+        for i in np.flatnonzero(low):
+            for j in np.flatnonzero(high):
+                assert out[i] / out[j] >= theta[i] / theta[j] * (1 - 1e-12)
 
 
 class TestFeasibleRange:
