@@ -329,8 +329,8 @@ class TestCalibrateEt:
             calibrate_et(1.002 * q_range.maximum, profiles5, config5, settings)
 
     def test_pass_budget(self, config5, profiles5, settings):
-        # the multiplicative theta step needs about 20 passes here; the
-        # additive step it replaced needed over 500
+        # about 20 passes: the budget leaves room for pool noise and still
+        # catches a theta step that needs hundreds
         duals = calibrate_et(0.0, profiles5, config5, settings)
         assert duals.calibration_residuals["iterations"] <= 60
 
@@ -354,9 +354,8 @@ class TestCalibrateEt:
         assert abs(out.sum() - 1.0) <= 1e-12
         # a user at the minimum rate never loses weight relative to one above it
         low, high = rates == rates.min(), rates > rates.min()
-        for i in np.flatnonzero(low):
-            for j in np.flatnonzero(high):
-                assert out[i] / out[j] >= theta[i] / theta[j] * (1 - 1e-12)
+        before = theta[low, None] / theta[None, high]
+        assert np.all(out[low, None] / out[None, high] >= before * (1 - 1e-12))
 
 
 class TestFeasibleRange:
