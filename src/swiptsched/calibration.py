@@ -2,53 +2,35 @@
 
 The long-run constraints (minimum average harvested energy, equal
 channel access, equal throughput) depend only on channel statistics,
-so their multipliers are computed once, offline, by Monte-Carlo:
-a fixed pool of fading slots estimates every constraint as an
-empirical average, and the duals are adjusted until the estimates
-meet their targets.
+so their multipliers are fitted once, offline, on a fixed Monte-Carlo
+pool of fading slots; fresh slots serve only out-of-sample validation
+(``estimate_constraints``).
 
 Every calibrator takes the same three steps:
 
   * Setup: ``_calibration_pool`` draws the pool, resolves the energy
     tolerance and rejects a target above the pool maximum.
-  * Its own search.  MT has the single multiplier nu; the pool
-    estimate of harvested energy is non-decreasing in nu, so nu is
-    found by bisection (``_mt_price``, which the oracle also runs on
-    its instances).  PF and ET add one multiplier per user (gamma /
-    theta) and share one subgradient loop, ``_subgradient``, with step
-    c/sqrt(k); a rule supplies only the scheme's maths.  PF steps gamma
-    additively; ET steps theta multiplicatively (exponentiated
-    gradient), the geometry of its unit simplex.
-    PF first rejects a target above ``_access_bound``: a weak-duality
-    bound on the harvest of any schedule whose access shares are all
-    within ``tol_access`` of 1/N, at offsets found by
-    ``_access_offsets``.  ET alone may end stalled below the target,
-    a guess that has no certificate yet.
+  * One price search, ``_price``: the pool harvest does not decrease
+    with the energy price nu, so nu is bracketed by doubling and then
+    bisected.  An MT probe is one pass (``_mt_price``, which the oracle
+    also runs); a PF or ET probe is an inner fairness solve on gamma or
+    theta (``_fair_price``), warm-started from the previous probe.  PF
+    rejects a target above the weak-duality ``_fair_bound`` before any
+    pass, ET at a probe below the target.
   * ``_result`` writes the residual record and returns the DualState,
     or raises ConvergenceError carrying that record.
 
-Every pass schedules the pool's normalized arrays with
-``scheduling.linear_argmax``, the kernel the online schedulers use,
-and scores the selection with ``SlotBlock.summary`` like every caller.
-The normalized arrays are user-major (Fortran order), the oracle's
-instances included: the kernel scores such arrays one contiguous user
-column at a time, on a calibration pool about twice as fast as a
-whole-array argmax.  The raw arrays stay row-major, as drawn.
+Every pass schedules the pool with ``scheduling.linear_argmax``, the
+online kernel, and scores it with ``SlotBlock.summary``.  The pool's
+normalized arrays are user-major (Fortran order), oracle instances
+included, which the kernel scores a contiguous column at a time, about
+twice as fast as a whole-array argmax; the raw arrays stay row-major.
 
-The same slot pool is reused across all dual iterates (common random
-numbers); fresh slots are drawn only for out-of-sample validation via
-``estimate_constraints``.
-
-Internally the duals are scale-normalized: capacities are divided by
-a typical per-slot maximum capacity and harvests by the maximum
-achievable average harvest, which makes the subgradient steps
-dimensionless and O(1) even though the physical nu spans orders of
-magnitude across geometries.  Returned DualState values are in
-physical units (gamma in bits/channel-use, nu in bits per
-channel-use per Watt).
-
-Non-uniqueness gauges: gamma is reported zero-mean and theta is
-renormalized to sum to one; neither changes any argmax decision.
+Capacities are normalized by a typical per-slot maximum capacity and
+harvests by the maximum average harvest, so the normalized price is
+O(1) in every geometry.  Returned DualState values are physical (gamma
+in bits/channel-use, nu in bits per channel-use per Watt); gamma is
+zero-mean and theta sums to one, gauges that change no argmax.
 """
 
 from __future__ import annotations
@@ -67,8 +49,6 @@ from . import seeds
 from .channel import ConfigError, SlotBlock, SystemConfig, UserProfile, draw_block
 from .scheduling import DualState, linear_argmax, make_optimal_scheduler
 
-_NU_CAP = 1e6  # normalized; beyond this the selection is pure minimum-harvest
-_STALL_WINDOW = 400  # ET only
 _SINKHORN_SLOTS = 1000
 _SINKHORN_TAUS = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 _SINKHORN_SCALINGS = 10  # per temperature
@@ -77,8 +57,8 @@ _SINKHORN_SCALINGS = 10  # per temperature
 class InfeasibleError(RuntimeError):
     """The requested harvest target exceeds what any schedule can reach.
 
-    ``achievable`` is the evidence: the pool maximum, the PF
-    equal-access bound, or, for ET, the best pool harvest before a stall.
+    ``achievable`` is the evidence: the pool maximum, or the PF
+    equal-access or ET equal-throughput bound (``_fair_bound``).
     """
 
     def __init__(self, message: str, q_req: float, achievable: float):
@@ -103,7 +83,9 @@ class CalibrationSettings:
     0.005 times the maximum achievable average harvest of the
     instance, keeping the default meaningful across geometries.
     ``tol_access`` is absolute on access frequencies and ``tol_rate``
-    is relative on the per-user rate spread.
+    is relative on the per-user rate spread.  ``max_iters`` caps the
+    pool passes of one calibration; ``step_size`` drives ET's theta
+    step only.
     """
 
     mc_slots: int = 100_000
@@ -239,44 +221,56 @@ def estimate_constraints(
     return ConstraintEstimate(mean_sum_harvest=qbar, access_freq=access, per_user_rate=rates)
 
 
-def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
-    """Smallest normalized energy price whose pool harvest reaches ``q_req - tol``.
+def _price(harvest_at, q_req: float, tol: float, nu0: float = 0.0) -> float:
+    """Smallest normalized energy price whose harvest reaches ``q_req - tol``.
 
-    The harvest is non-decreasing in the price: bracket by doubling from
-    1, then bisect until the harvest is at most ``q_req + tol`` or the
-    bracket is 1e-13 of its top.  Returns the price (0 when the unpriced
-    schedule reaches the target) and the number of pool evaluations.
+    ``harvest_at(nu_t)`` is the pool harvest at price nu_t.  A first probe
+    at ``nu0`` that reaches the target is the answer if nu0 is 0 or its
+    harvest is at most ``q_req + tol``, else [0, nu0] is the bracket
+    unless 0 reaches it too; one that misses doubles from nu0 (or 1)
+    until the target is reached.  Bisection stops at a harvest at most
+    ``q_req + tol`` or a bracket 1e-13 of its top, and returns the top.
     """
     target = q_req - tol
-    evals = 0
-
-    def qbar_at(nu_t: float) -> float:
-        nonlocal evals
-        evals += 1
-        # the harvest term of ``pool.evaluate``, without its two bincounts
-        idle = pool.block.outcome(linear_argmax(pool.cn, pool.qn, nu_t), pool.total)[1]
-        return float(idle.sum()) / pool.block.n_slots
-
-    if qbar_at(0.0) >= target:
-        return 0.0, evals
-    lo, hi = 0.0, 1.0
-    qbar_hi = qbar_at(hi)
-    for _ in range(81):  # beyond that no price is resolvable
-        if qbar_hi >= target:
-            break
-        lo, hi = hi, hi * 2.0
-        qbar_hi = qbar_at(hi)
+    qbar_hi = harvest_at(nu0)
+    if qbar_hi >= target:
+        if nu0 == 0.0 or qbar_hi <= q_req + tol:
+            return nu0
+        if harvest_at(0.0) >= target:
+            return 0.0
+        lo, hi = 0.0, nu0
+    else:
+        lo, hi = nu0, 2.0 * nu0 or 1.0
+        qbar_hi = harvest_at(hi)
+        for _ in range(81):  # beyond that no price is resolvable
+            if qbar_hi >= target:
+                break
+            lo, hi = hi, hi * 2.0
+            qbar_hi = harvest_at(hi)
     # invariant: qbar(lo) < target <= qbar(hi)
     for _ in range(200):
         if qbar_hi <= q_req + tol or (hi - lo) <= 1e-13 * hi:
             break
         mid = 0.5 * (lo + hi)
-        qbar_mid = qbar_at(mid)
+        qbar_mid = harvest_at(mid)
         if qbar_mid >= target:
             hi, qbar_hi = mid, qbar_mid
         else:
             lo = mid
-    return hi, evals
+    return hi
+
+
+def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
+    """``_price`` of the MT schedule: the price and the number of pool evaluations."""
+    probed = []
+
+    def qbar_at(nu_t: float) -> float:
+        probed.append(nu_t)
+        # the harvest term of ``pool.evaluate``, without its two bincounts
+        idle = pool.block.outcome(linear_argmax(pool.cn, pool.qn, nu_t), pool.total)[1]
+        return float(idle.sum()) / pool.block.n_slots
+
+    return _price(qbar_at, q_req, tol), len(probed)
 
 
 def _result(scheme: str, pool: _Pool, q_req: float, tol_e: float, fingerprint: str,
@@ -323,25 +317,32 @@ def calibrate_mt(
                                  "per_user_rate_pool": rates.tolist()})
 
 
-def _access_bound(pool: _Pool, g: np.ndarray, tol_access: float) -> float:
+def _fair_bound(pool: _Pool, lam: np.ndarray, resource, tol: float) -> float:
     """Upper bound (W) on the pool harvest of every schedule, fractional or
-    not, whose access shares all lie within ``tol_access`` of 1/N.
+    not, whose per-user averages u_n of ``resource`` R (1 or ``pool.cn``)
+    lie within ``tol`` of a common value.  By weak duality, for any
+    normalized ``lam``, slot shares x_s and slot harvest sums T_s:
 
-    Weak duality, for any normalized offsets ``g``: a schedule with slot
-    shares x_s and access a harvests, over q_scale,
+        mean_s T_s - mean_s x_s.qn_s <= mean_s T_s - mean_s min_n (qn_sn + lam_n R_sn) + lam.u
 
-        mean_s T_s - mean_s x_s.qn_s <= mean_s T_s - mean_s min_n (qn_sn + g_n) + g.a
-
-    where T_s is the slot's harvest sum over q_scale, and
-    g.a = mean(g) + (g - c).(a - 1/N) <= mean(g) + tol_access * sum |g - c|
-    for any c, because the deviations sum to zero; c = median(g) is
-    the best.  The offsets decide only how tight the bound is.
+    and lam.u <= mean(lam) + tol * sum |lam - median(lam)|: for access
+    u sums to one; for throughput lam must sum to zero, and rates within
+    tol_rate of their mean, at most 1/N, give tol = tol_rate / N.
     """
-    low = pool.qn[:, 0] + g[0]
-    for u in range(1, len(g)):  # running minimum: slot-length temporaries only
-        np.minimum(low, pool.qn[:, u] + g[u], out=low)
-    spread = tol_access * float(np.abs(g - np.median(g)).sum())
-    return float(pool.total.mean()) - pool.q_scale * (float(low.mean()) - float(g.mean()) - spread)
+    resource = np.broadcast_to(resource, pool.qn.shape)
+    low = pool.qn[:, 0] + lam[0] * resource[:, 0]
+    for u in range(1, len(lam)):  # running minimum: slot-length temporaries only
+        np.minimum(low, pool.qn[:, u] + lam[u] * resource[:, u], out=low)
+    lam_u = float(lam.mean()) + tol * float(np.abs(lam - np.median(lam)).sum())  # >= lam.u
+    return float(pool.total.mean()) - pool.q_scale * (float(low.mean()) - lam_u)
+
+
+def _reject_above(bound: float, q_req: float, tol_e: float, fairness: str, within: str) -> None:
+    """InfeasibleError quoting ``bound`` when ``q_req`` exceeds it by more than ``tol_e``."""
+    if q_req - tol_e > bound + 1e-12 * abs(bound):  # margin for rounding
+        raise InfeasibleError(f"harvest target {q_req:.6g} W is not reachable under {fairness} "
+                              f"(above the bound {bound:.6g} W on every schedule whose {within})",
+                              q_req=q_req, achievable=bound)
 
 
 def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
@@ -353,10 +354,9 @@ def _access_offsets(qn: np.ndarray) -> np.ndarray:
     """Offsets g under which the soft minimum of ``qn + g`` over users gives
     every user an equal share of the first ``_SINKHORN_SLOTS`` slots.
 
-    Annealed Sinkhorn scaling (Cuturi, "Sinkhorn distances", 2013) on the
-    semi-discrete equal-access problem, in the log domain so that no
-    offset becomes infinite.  As the temperature falls, g approaches
-    the offsets that make ``_access_bound`` tight on those slots.
+    Annealed Sinkhorn scaling (Cuturi, "Sinkhorn distances", 2013) in the
+    log domain.  As the temperature falls, g approaches the offsets that
+    make the equal-access ``_fair_bound`` tight on those slots.
     """
     q = qn[:_SINKHORN_SLOTS]
     m, n = q.shape
@@ -371,7 +371,15 @@ def _access_offsets(qn: np.ndarray) -> np.ndarray:
 
 
 class _PfRule:
-    """Equal channel access: per-user offsets g = gamma, kept zero-mean."""
+    """Equal channel access: per-user offsets g = gamma, kept zero-mean.
+
+    The step is ``gamma_n += (1 - 1/N) delta_n``, recentred, with delta_n
+    the ceil(M/N)-th largest over M slots of user n's margin
+    ``score_n - max_{m != n} score_m``: that rise alone would leave n the
+    top score in 1/N of the slots, so delta_n >= 0 for a user picked more
+    than 1/N and <= 0 for one picked less.  It needs no step size at any
+    price; the damping allows for the other offsets moving too.
+    """
 
     scheme, tol_key, gap_key = "pf", "tol_access", "access_gap"
 
@@ -387,9 +395,27 @@ class _PfRule:
     def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
         return float(np.max(np.abs(access - 1.0 / len(access))))
 
-    def step(self, gamma_t, step, access, rates) -> np.ndarray:
-        gamma_t = gamma_t + step * (access - 1.0 / len(access))
+    def step(self, pool, nu_t, gamma_t, step, rates) -> np.ndarray:
+        def score(j: int) -> np.ndarray:
+            s = pool.cn[:, j] - nu_t * pool.qn[:, j]
+            s -= gamma_t[j]
+            return s
+
+        (m, n), best, second = pool.cn.shape, score(0), np.full(len(pool.cn), -np.inf)
+        for j in range(1, n):  # user-major: slot-length temporaries only
+            s = score(j)
+            np.maximum(second, np.minimum(best, s), out=second)
+            np.maximum(best, s, out=best)
+        delta, k = np.empty(n), m - math.ceil(m / n)
+        for j in range(n):
+            s = score(j)
+            s -= np.where(s < best, best, second)  # the best user's rival is the second
+            s.partition(k)
+            delta[j] = s[k]
+        gamma_t = gamma_t + (1 - 1 / n) * delta
         return gamma_t - gamma_t.mean()
+
+    certify = None  # calibrate_pf checks its bound once, before any pass
 
     def fields(self, access: np.ndarray, rates: np.ndarray, gamma_t: np.ndarray) -> dict:
         return {"access_freq_pool": access.tolist(), "per_user_rate_pool": rates.tolist()}
@@ -402,12 +428,10 @@ class _EtRule:
     """Equal throughput: per-user rate weights w = theta on the unit simplex.
 
     The ET dual E[max_n (theta_n C_n - nu Q_n)] is convex on the simplex
-    and its gradient is the vector of per-user rates, so theta takes an
-    exponentiated-gradient (entropic mirror descent) step: each weight
-    is multiplied by a factor in (0, 1], the largest for the users at the
-    minimum rate, and the result renormalized.  No weight reaches zero,
-    which matters because a user of zero weight is never scheduled again
-    and its rate could not recover.
+    with the rates as gradient, so theta takes an exponentiated-gradient
+    step ``theta_n *= exp(-step (r_n - min r) / mean r)``, renormalized.
+    The factor is in (0, 1], largest at the minimum rate, so no weight
+    reaches zero (a user of zero weight would never be scheduled again).
     """
 
     scheme, tol_key, gap_key = "et", "tol_rate", "rate_spread"
@@ -415,9 +439,7 @@ class _EtRule:
     def start(self, pool: _Pool, warm: DualState | None) -> np.ndarray:
         # inverse mean capacity starts the search close to equal throughput
         inv_cap = 1.0 / np.maximum(pool.block.capacities.mean(axis=0), 1e-30)
-        if warm is None or warm.theta is None:
-            return inv_cap / inv_cap.sum()
-        theta = np.maximum(np.asarray(warm.theta, dtype=float), 0.0)
+        theta = inv_cap if warm is None or warm.theta is None else np.maximum(warm.theta, 0.0)
         return theta / theta.sum() if theta.sum() > 0 else inv_cap / inv_cap.sum()
 
     def select(self, pool: _Pool, nu_t: float, theta: np.ndarray) -> np.ndarray:
@@ -425,14 +447,21 @@ class _EtRule:
 
     def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
         mean = float(rates.mean())
-        if mean <= 0:
-            return math.inf
-        return float((rates.max() - rates.min()) / mean)
+        return float((rates.max() - rates.min()) / mean) if mean > 0 else math.inf
 
-    def step(self, theta, step, access, rates) -> np.ndarray:
+    def step(self, pool, nu_t, theta, step, rates) -> np.ndarray:
         rate_scale = max(float(rates.mean()), 1e-30)
         theta = theta * np.exp(-step * (rates - rates.min()) / rate_scale)
         return theta / theta.sum()
+
+    def certify(self, pool, nu_t, theta, q_req, tol_e, settings) -> None:
+        """InfeasibleError if the equal-throughput ``_fair_bound`` is below the
+        target.  The schedule is the argmin of qn - (theta / nu_t) cn, so the
+        zero-sum multipliers (mean theta - theta) / nu_t tighten as nu_t grows."""
+        bound = _fair_bound(pool, (theta.mean() - theta) / nu_t, pool.cn,
+                            settings.tol_rate / pool.block.n_users)
+        _reject_above(bound, q_req, tol_e, "equal throughput",
+                      f"rate spread is within {settings.tol_rate:g} of the mean rate")
 
     def fields(self, access: np.ndarray, rates: np.ndarray, theta: np.ndarray) -> dict:
         return {"per_user_rate_pool": rates.tolist(), "theta_sum": float(theta.sum())}
@@ -441,56 +470,51 @@ class _EtRule:
         return {"theta": theta / theta.sum()}
 
 
-def _subgradient(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float,
-                 settings: CalibrationSettings, warm_start: DualState | None,
-                 fingerprint: str, stalls: bool = False) -> DualState:
-    """Subgradient steps on nu and one multiplier per user.
+def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float,
+                settings: CalibrationSettings, warm_start: DualState | None,
+                fingerprint: str) -> DualState:
+    """``_price`` over the scheme's inner fairness solve.
 
-    Every pass schedules the fixed pool with ``rule.select``, then
-    steps with ``step_size / sqrt(k)``: nu += step * (q_req - harvest),
-    clamped to [0, _NU_CAP], and the multiplier by ``rule.step``.
-    ``rule`` supplies all that differs between PF and ET: the start and
-    warm start, the kernel call, its step, the fairness gap and
-    tolerance, the residual fields and the duals.  The loop stops once
-    the fairness gap and the harvest target both hold, or when the
-    budget ends, and hands the last pass to ``_result``.  With
-    ``stalls`` (ET) it also raises InfeasibleError quoting the best
-    harvest when that stays below the target for ``_STALL_WINDOW``
-    passes without rising.
+    A probe at nu_t runs passes from the multipliers the last probe ended
+    with (first ``warm_start``'s, whose nu is the first probe), each
+    scheduling with ``rule.select`` and, until the fairness gap is within
+    tolerance, stepping with ``rule.step`` at ``step_size / sqrt(k)``, k
+    counting all passes.  A probe below the target runs ``rule.certify``.
+    ``_result`` gets the last pass when ``max_iters`` run out, else the
+    probe at the price found: converged if its harvest is within
+    ``tol_e`` of the target, or above it at price 0.
     """
     tol = getattr(settings, rule.tol_key)
-    nu_t = 0.0 if warm_start is None else warm_start.nu * pool.q_scale / pool.c_scale
-    mult = rule.start(pool, warm_start)
-    best, best_k = -math.inf, 0
-    for k in range(1, settings.max_iters + 1):
-        qbar, access, rates = pool.evaluate(rule.select(pool, nu_t, mult))
-        gap = rule.gap(access, rates)
-        # complementary slackness: a strictly positive price must bind
-        ok = gap <= tol and q_req - tol_e <= qbar and (nu_t <= 1e-9 or qbar <= q_req + tol_e)
-        if ok:
-            break
-        # ET stall: the energy price only pushes the pool harvest up, so a
-        # best harvest that stops rising for a whole window below the target
-        # is taken to mean the target is out of reach.  An iterate that
-        # reached the target proves reachability, so the check then stays
-        # quiet for good.
-        if qbar > best + 0.1 * tol_e:
-            best, best_k = qbar, k
-        if stalls and best < q_req - tol_e and k - best_k >= _STALL_WINDOW:
-            raise InfeasibleError(
-                f"harvest target {q_req:.6g} W is not reachable under equal throughput "
-                f"(best average harvest observed: {best:.6g} W)",
-                q_req=q_req,
-                achievable=best,
-            )
-        if k == settings.max_iters:
-            break  # report the iterate just evaluated
-        step = settings.step_size / math.sqrt(k)
-        nu_t = min(max(0.0, nu_t + step * (q_req - qbar) / pool.q_scale), _NU_CAP)
-        mult = rule.step(mult, step, access, rates)
-    return _result(rule.scheme, pool, q_req, tol_e, fingerprint, nu_t, qbar, k, ok,
-                   rule.fields(access, rates, mult), (rule.tol_key, tol, rule.gap_key, gap),
-                   **rule.duals(mult, pool))
+    mult, k, probes, last = rule.start(pool, warm_start), 0, {}, None
+
+    def result(nu_t: float, ok: bool, state: tuple) -> DualState:
+        mult, qbar, access, rates, gap = state
+        return _result(rule.scheme, pool, q_req, tol_e, fingerprint, nu_t, qbar, k, ok,
+                       rule.fields(access, rates, mult), (rule.tol_key, tol, rule.gap_key, gap),
+                       **rule.duals(mult, pool))
+
+    def harvest_at(nu_t: float) -> float:
+        nonlocal mult, k, last
+        fair = False
+        while not fair and k < settings.max_iters:
+            k += 1
+            qbar, access, rates = pool.evaluate(rule.select(pool, nu_t, mult))
+            last = (mult, qbar, access, rates, rule.gap(access, rates))
+            fair = last[4] <= tol
+            if not fair:
+                mult = rule.step(pool, nu_t, mult, settings.step_size / math.sqrt(k), rates)
+        if rule.certify and last[1] < q_req - tol_e and nu_t > 0:
+            rule.certify(pool, nu_t, mult, q_req, tol_e, settings)
+        if not fair:  # max_iters ran out
+            result(nu_t, False, last)
+        probes[nu_t] = last
+        return last[1]
+
+    nu0 = 0.0 if warm_start is None else warm_start.nu * pool.q_scale / pool.c_scale
+    nu_t = _price(harvest_at, q_req, tol_e, nu0)
+    qbar = probes[nu_t][1]
+    return result(nu_t, q_req - tol_e <= qbar and (nu_t == 0 or qbar <= q_req + tol_e),
+                  probes[nu_t])
 
 
 def calibrate_pf(
@@ -502,31 +526,18 @@ def calibrate_pf(
 ) -> DualState:
     """Calibrate (nu, gamma) so access is uniform and the harvest target binds.
 
-    After the pool setup, a target above ``_access_bound`` by more than
-    ``tol_energy`` raises InfeasibleError quoting the bound, which holds
-    for every schedule whose access shares are within ``tol_access`` of
-    1/N.  The bound is at least the harvest of an even split of every
-    slot (exactly equal access), so below that the check is skipped.
-    Any other target runs the shared subgradient loop with the step
-
-        gamma_n += step * (access_n - 1/N)          (then recentred)
-
-    and ends converged or in ConvergenceError; PF has no stall rule.
+    A target above the equal-access ``_fair_bound`` at ``_access_offsets``
+    by more than ``tol_energy`` raises InfeasibleError (skipped below an
+    even split of every slot, a floor of the bound); then ``_fair_price``
+    runs with ``_PfRule``.
     """
     pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     n, tol = pool.block.n_users, settings.tol_access
     if q_req > (1 - 1 / n) * float(pool.total.mean()) + tol_e:
-        bound = _access_bound(pool, _access_offsets(pool.qn), tol)
-        if q_req - tol_e > bound + 1e-12 * abs(bound):  # margin for rounding
-            raise InfeasibleError(
-                f"harvest target {q_req:.6g} W is not reachable under equal channel access "
-                f"(above the bound {bound:.6g} W on every schedule whose access shares "
-                f"are within {tol:g} of 1/{n})",
-                q_req=q_req,
-                achievable=bound,
-            )
-    return _subgradient(_PfRule(), pool, q_req, tol_e, settings, warm_start,
-                        system_fingerprint(config, profiles))
+        _reject_above(_fair_bound(pool, _access_offsets(pool.qn), 1.0, tol), q_req, tol_e,
+                      "equal channel access", f"access shares are within {tol:g} of 1/{n}")
+    return _fair_price(_PfRule(), pool, q_req, tol_e, settings, warm_start,
+                       system_fingerprint(config, profiles))
 
 
 def calibrate_et(
@@ -541,24 +552,13 @@ def calibrate_et(
     ET means max-min throughput; theta >= 0 on the unit simplex is the
     dual of every r_n >= min rate, so wherever this converges (rate
     spread within ``tol_rate``) it is equal throughput, with
-    ``oracle.brute_force_et`` as exact reference.  A target whose
-    max-min optimum leaves a user above the minimum ends in
-    ConvergenceError, or InfeasibleError when the stall fires.
-
-    After the pool setup it runs the shared subgradient loop with the
-    stall rule on and the multiplicative step
-
-        theta_n *= exp(-step * (r_n - min r) / mean r)   (then renormalized)
-
-    on each user's pool rate r_n.  At N users one step shrinks a weight
-    by at most exp(-step * N), and a user at the minimum rate never
-    loses weight relative to another.  The initial theta weights each
-    user by the inverse of its mean pool capacity, which starts the
-    search close to the equal-throughput region.
+    ``oracle.brute_force_et`` as exact reference.  It runs ``_fair_price``
+    with ``_EtRule``; a probe whose equal-throughput ``_fair_bound`` is
+    below the target by more than ``tol_energy`` raises InfeasibleError.
     """
     pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
-    return _subgradient(_EtRule(), pool, q_req, tol_e, settings, warm_start,
-                        system_fingerprint(config, profiles), stalls=True)
+    return _fair_price(_EtRule(), pool, q_req, tol_e, settings, warm_start,
+                       system_fingerprint(config, profiles))
 
 
 _CALIBRATORS = {"mt": calibrate_mt, "pf": calibrate_pf, "et": calibrate_et}

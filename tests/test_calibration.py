@@ -27,9 +27,10 @@ from swiptsched import (
 from swiptsched import ConfigError, linear_argmax
 from swiptsched.calibration import (
     _EtRule,
-    _access_bound,
+    _PfRule,
     _access_offsets,
     _build_pool,
+    _fair_bound,
     _pool_of,
     settings_hash,
     system_fingerprint,
@@ -242,9 +243,41 @@ class TestCalibratePf:
         assert res["iterations"] == 1 and not res["converged"]
         assert "averaged" not in res
 
+    def test_pass_budget(self, config5, profiles5, settings, q_range):
+        # about 20 passes: the budget leaves room for pool noise and still
+        # catches an offset step that needs hundreds
+        duals = calibrate_pf(0.7 * q_range.maximum, profiles5, config5, settings)
+        assert duals.calibration_residuals["iterations"] <= 60
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(lambda t: st.integers(2, 5).flatmap(lambda n: st.tuples(
+            st.lists(st.one_of(st.integers(1, 4), st.floats(0.01, 4)), min_size=t * n,
+                     max_size=t * n).map(lambda v: np.reshape(v, (t, n))),
+            st.lists(st.one_of(st.integers(0, 4), st.floats(0, 4)), min_size=t * n,
+                     max_size=t * n).map(lambda v: np.reshape(v, (t, n))),
+            st.lists(st.floats(-3, 3), min_size=n, max_size=n).map(np.array)))),
+        st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    )
+    def test_quantile_step(self, data, nu_t):
+        # small integers give ties, floats generic values
+        caps, harvests, gamma = data
+        t, n = caps.shape
+        pool = _pool_of(FiniteInstance(caps, harvests, q_req=0.0).block)
+        gamma = gamma - gamma.mean()
+        out = _PfRule().step(pool, nu_t, gamma, 0.5, None)
+        scale = 1.0 + np.abs(gamma).max() + np.abs(out).max()
+        assert np.all(np.isfinite(out)) and abs(out.mean()) <= 1e-12 * scale
+        # a user picked more than 1/N never has its offset lowered relative
+        # to a user picked less
+        counts = np.bincount(_PfRule().select(pool, nu_t, gamma), minlength=n)
+        rise = out - gamma
+        over, under = counts * n > t, counts * n < t
+        assert np.all(rise[over, None] >= rise[None, under] - 1e-12 * scale)
+
 
 class TestEqualAccessBound:
-    """``_access_bound`` is a proof: no schedule within the access tolerance
+    """The equal-access ``_fair_bound`` is a proof: no schedule within the access tolerance
     harvests more, whatever the offsets it is evaluated at."""
 
     @staticmethod
@@ -281,7 +314,7 @@ class TestEqualAccessBound:
             if best is None:
                 continue
             for offsets in (g, np.zeros_like(g), _access_offsets(pool.qn)):
-                bound = _access_bound(pool, offsets, tol_access)
+                bound = _fair_bound(pool, offsets, 1.0, tol_access)
                 assert bound >= best - 1e-12 * max(abs(best), pool.q_scale)
 
     def test_bound_is_tight_at_the_offsets(self, config5, profiles5):
@@ -289,9 +322,59 @@ class TestEqualAccessBound:
         # goes under, and well below the pool maximum
         pool = _build_pool(profiles5, config5, CalibrationSettings(mc_slots=20_000, seed=7))
         g = _access_offsets(pool.qn)
-        bound = _access_bound(pool, g, 0.0)
+        bound = _fair_bound(pool, g, 1.0, 0.0)
         assert 0.8 * pool.total.mean() < 0.9 * pool.q_max < bound < 0.99 * pool.q_max
-        assert _access_bound(pool, g, 0.005) >= bound
+        assert _fair_bound(pool, g, 1.0, 0.005) >= bound
+
+
+class TestEqualThroughputBound:
+    """The equal-throughput ``_fair_bound`` is a proof: no schedule whose rate
+    spread is within the tolerance harvests more, at any zero-sum multipliers."""
+
+    @staticmethod
+    def best_harvest(inst: FiniteInstance, tol_rate: float) -> float | None:
+        """Largest harvest over assignments whose rate spread is at most
+        ``tol_rate`` times the mean rate, by brute force; None when there is none."""
+        t, n = inst.n_slots, inst.n_users
+        cols, q_total = np.arange(t), float(inst.harvests.sum())
+
+        def harvest_within(batch: np.ndarray, picked_c: np.ndarray) -> np.ndarray:
+            rates = np.stack([np.where(batch == u, picked_c, 0.0).sum(axis=1)
+                              for u in range(n)], axis=1) / t
+            ok = rates.max(axis=1) - rates.min(axis=1) <= tol_rate * rates.mean(axis=1)
+            harvest = (q_total - inst.harvests[cols, batch].sum(axis=1)) / t
+            return np.where(ok, harvest, -math.inf)
+
+        result = _brute_force(inst, harvest_within)
+        return result.value if result.feasible else None
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda t: st.integers(1, 4).flatmap(lambda n: st.tuples(
+            st.lists(st.one_of(st.integers(1, 4), st.floats(0.01, 4)), min_size=t * n,
+                     max_size=t * n).map(lambda v: np.reshape(v, (t, n))),
+            st.lists(st.one_of(st.integers(0, 4), st.floats(0, 4)), min_size=t * n,
+                     max_size=t * n).map(lambda v: np.reshape(v, (t, n))),
+            st.lists(st.floats(-5, 5), min_size=n, max_size=n).map(np.array)))),
+        st.sampled_from([1.0, 1e-6]),
+    )
+    # rates 2 and 1.5 lie within 0.3 of their mean, and the best such
+    # assignment harvests 1.0: 0.93 without the bound's tolerance term
+    @hypothesis.example(data=(np.array([[4.0, 4.0], [2.0, 3.0]]),
+                              np.array([[0.0, 2.0], [0.0, 0.0]]), np.array([0.5, -0.5])),
+                        unit=1.0)
+    def test_bound_is_sound(self, data, unit):
+        # small integers give ties (equal rates), floats generic values
+        caps, harvests, lam = data
+        inst = FiniteInstance(caps, unit * harvests, q_req=0.0)
+        pool, n = _pool_of(inst.block), inst.n_users
+        for tol_rate in (0.0, 0.05, 0.3):
+            best = self.best_harvest(inst, tol_rate)
+            if best is None:
+                continue
+            for mu in (lam - lam.mean(), np.zeros(n)):
+                bound = _fair_bound(pool, mu, pool.cn, tol_rate / n)
+                assert bound >= best - 1e-12 * max(abs(best), pool.q_scale)
 
 
 class TestCalibrateEt:
@@ -325,8 +408,11 @@ class TestCalibrateEt:
 
     def test_infeasible_under_equal_throughput(self, config5, profiles5, q_range):
         settings = CalibrationSettings(mc_slots=20_000, max_iters=1500, seed=7)
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError) as err:
             calibrate_et(1.002 * q_range.maximum, profiles5, config5, settings)
+        assert err.value.achievable < 1.002 * q_range.maximum
+        assert f"above the bound {err.value.achievable:.6g} W" in str(err.value)
+        assert "equal throughput" in str(err.value)
 
     def test_pass_budget(self, config5, profiles5, settings):
         # about 20 passes: the budget leaves room for pool noise and still
@@ -349,7 +435,7 @@ class TestCalibrateEt:
     def test_step_stays_on_the_simplex(self, data, step):
         theta, rates = data
         theta = theta / theta.sum()
-        out = _EtRule().step(theta, step, None, rates)
+        out = _EtRule().step(None, 0.0, theta, step, rates)
         assert np.all(np.isfinite(out)) and np.all(out > 0)
         assert abs(out.sum() - 1.0) <= 1e-12
         # a user at the minimum rate never loses weight relative to one above it

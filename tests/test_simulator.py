@@ -196,19 +196,19 @@ class TestSweep:
             assert rates[0] >= rates[-1] - 2 * points[0].stats.stderr_sum_rate
 
     def test_et_sweep_tail_reports_failure(self, table_config, table_profiles):
-        # the equal-throughput region ends below the unconstrained maximum
-        # harvest, so the top of an MT-derived grid is recorded as failed
-        # (provably unreachable or non-converged) instead of aborting
+        # 0.994 of the pool maximum is reachable under equal throughput on this
+        # pool; 1.002 is above the certified equal-throughput bound plus the
+        # energy tolerance, so it is recorded as failed instead of aborting
         settings = CalibrationSettings(mc_slots=20_000, seed=16)
         fr = feasible_range(table_profiles, table_config, settings)
-        grid = [0.0, 0.35 * fr.maximum, 0.6 * fr.maximum, 0.994 * fr.maximum]
+        grid = [0.0, 0.35 * fr.maximum, 0.6 * fr.maximum, 0.994 * fr.maximum,
+                1.002 * fr.maximum]
         points = sweep_q_req(
             "et", grid, table_profiles, table_config, settings, 20_000, seed=16
         )
-        assert [p.feasible for p in points[:3]] == [True, True, True]
-        assert not points[-1].feasible
-        assert ("equal throughput" in points[-1].error
-                or "did not converge" in points[-1].error)
+        assert [p.feasible for p in points] == [True, True, True, True, False]
+        assert "equal throughput" in points[-1].error
+        assert "above the bound" in points[-1].error
 
     def test_order_sweep_covers_all_ranks(self, table_config, table_profiles):
         points = sweep_orders(
