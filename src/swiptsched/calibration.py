@@ -8,8 +8,9 @@ pool of fading slots; fresh slots serve only out-of-sample validation
 
 Every calibrator takes the same three steps:
 
-  * Setup: ``_calibration_pool`` draws the pool, resolves the energy
-    tolerance and rejects a target above the pool maximum.
+  * Setup: ``_calibration_pool`` draws the pool (once per sweep, in a
+    ``_pool_share``), resolves the energy tolerance and rejects a target
+    above the pool maximum.
   * One price search, ``_price``: the pool harvest does not decrease
     with the energy price nu, so nu is bracketed by doubling and then
     bisected.  An MT probe is one pass (``_mt_price``, which the oracle
@@ -39,7 +40,9 @@ import hashlib
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -132,6 +135,11 @@ class FeasibleRange:
     stderr_maximum: float
 
 
+def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
+    top = z.max(axis=axis, keepdims=True)
+    return top + np.log(np.exp(z - top).sum(axis=axis, keepdims=True))
+
+
 @dataclass
 class _Pool:
     """Fixed slot pool with its normalized capacities and harvests."""
@@ -147,6 +155,27 @@ class _Pool:
     def evaluate(self, selections: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         return self.block.summary(selections, self.total)
 
+    @cached_property
+    def access_offsets(self) -> np.ndarray:
+        """Offsets g under which the soft minimum of ``qn + g`` over users gives
+        every user an equal share of the first ``_SINKHORN_SLOTS`` slots.
+
+        Annealed Sinkhorn scaling (Cuturi, "Sinkhorn distances", 2013) in the
+        log domain.  As the temperature falls, g approaches the offsets that
+        make the equal-access ``_fair_bound`` tight on those slots.  Fitted
+        once per pool, however many PF targets of a sweep ask for it.
+        """
+        q = self.qn[:_SINKHORN_SLOTS]
+        m, n = q.shape
+        g = np.zeros(n)
+        for tau in _SINKHORN_TAUS:
+            for _ in range(_SINKHORN_SCALINGS):
+                log_p = (q + g) / -tau
+                log_p -= _logsumexp(log_p, axis=1)
+                # raise the offset of a user picked more than 1/N, and vice versa
+                g += tau * (_logsumexp(log_p, axis=0)[0] - math.log(m / n))
+        return g
+
 
 def _pool_of(block: SlotBlock) -> _Pool:
     """Normalize a block by its mean maximum capacity and maximum average harvest."""
@@ -160,11 +189,32 @@ def _pool_of(block: SlotBlock) -> _Pool:
                  np.divide(block.harvests, q_scale, order="F"))
 
 
+_shared: dict | None = None  # (fingerprint, seed, mc_slots) -> _Pool, in a _pool_share
+
+
+@contextmanager
+def _pool_share():
+    """Within, ``_build_pool`` draws each pool once; a nested entry joins the
+    open share and the first exit drops it (a sweep's, before its runs)."""
+    global _shared
+    _shared = {} if _shared is None else _shared
+    try:
+        yield
+    finally:
+        _shared = None
+
+
 def _build_pool(
     profiles: Sequence[UserProfile], config: SystemConfig, settings: CalibrationSettings
 ) -> _Pool:
-    rng = seeds.substream(settings.seed, seeds.CALIBRATION)
-    return _pool_of(draw_block(profiles, config, rng, settings.mc_slots))
+    shared = {} if _shared is None else _shared
+    key = (system_fingerprint(config, profiles), settings.seed, settings.mc_slots)
+    if key not in shared:
+        rng = seeds.substream(settings.seed, seeds.CALIBRATION)
+        shared[key] = pool = _pool_of(draw_block(profiles, config, rng, settings.mc_slots))
+        for a in (pool.block.capacities, pool.block.harvests, pool.total, pool.cn, pool.qn):
+            a.flags.writeable = False  # a pass that writes to a shared pool raises ValueError
+    return shared[key]
 
 
 def _calibration_pool(
@@ -345,31 +395,6 @@ def _reject_above(bound: float, q_req: float, tol_e: float, fairness: str, withi
                               q_req=q_req, achievable=bound)
 
 
-def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
-    top = z.max(axis=axis, keepdims=True)
-    return top + np.log(np.exp(z - top).sum(axis=axis, keepdims=True))
-
-
-def _access_offsets(qn: np.ndarray) -> np.ndarray:
-    """Offsets g under which the soft minimum of ``qn + g`` over users gives
-    every user an equal share of the first ``_SINKHORN_SLOTS`` slots.
-
-    Annealed Sinkhorn scaling (Cuturi, "Sinkhorn distances", 2013) in the
-    log domain.  As the temperature falls, g approaches the offsets that
-    make the equal-access ``_fair_bound`` tight on those slots.
-    """
-    q = qn[:_SINKHORN_SLOTS]
-    m, n = q.shape
-    g = np.zeros(n)
-    for tau in _SINKHORN_TAUS:
-        for _ in range(_SINKHORN_SCALINGS):
-            log_p = (q + g) / -tau
-            log_p -= _logsumexp(log_p, axis=1)
-            # raise the offset of a user picked more than 1/N, and vice versa
-            g += tau * (_logsumexp(log_p, axis=0)[0] - math.log(m / n))
-    return g
-
-
 class _PfRule:
     """Equal channel access: per-user offsets g = gamma, kept zero-mean.
 
@@ -526,7 +551,7 @@ def calibrate_pf(
 ) -> DualState:
     """Calibrate (nu, gamma) so access is uniform and the harvest target binds.
 
-    A target above the equal-access ``_fair_bound`` at ``_access_offsets``
+    A target above the equal-access ``_fair_bound`` at ``pool.access_offsets``
     by more than ``tol_energy`` raises InfeasibleError (skipped below an
     even split of every slot, a floor of the bound); then ``_fair_price``
     runs with ``_PfRule``.
@@ -534,7 +559,7 @@ def calibrate_pf(
     pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     n, tol = pool.block.n_users, settings.tol_access
     if q_req > (1 - 1 / n) * float(pool.total.mean()) + tol_e:
-        _reject_above(_fair_bound(pool, _access_offsets(pool.qn), 1.0, tol), q_req, tol_e,
+        _reject_above(_fair_bound(pool, pool.access_offsets, 1.0, tol), q_req, tol_e,
                       "equal channel access", f"access shares are within {tol:g} of 1/{n}")
     return _fair_price(_PfRule(), pool, q_req, tol_e, settings, warm_start,
                        system_fingerprint(config, profiles))

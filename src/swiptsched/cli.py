@@ -32,6 +32,7 @@ from .calibration import (
     CalibrationSettings,
     ConvergenceError,
     InfeasibleError,
+    _pool_share,
     feasible_range,
     load_duals,
     save_duals,
@@ -265,11 +266,12 @@ def _cmd_sweep(args) -> int:
     _at_least_1(args, "workers")
     config, profiles, settings = _setup(args)
     if args.scheme in OPTIMAL_SCHEMES:
-        grid = _parse_grid(args.grid, profiles, config, settings)
-        points = sweep_q_req(
-            args.scheme, grid, profiles, config, settings,
-            config.n_slots, config.seed, workers=args.workers,
-        )
+        with _pool_share():  # lo:auto's pool is the sweep's, which drops it before its runs
+            grid = _parse_grid(args.grid, profiles, config, settings)
+            points = sweep_q_req(
+                args.scheme, grid, profiles, config, settings,
+                config.n_slots, config.seed, workers=args.workers,
+            )
     else:
         policies = default_order_policies(args.scheme, config.n_users)
         points = sweep_orders(args.scheme, policies, profiles, config, config.n_slots, config.seed)

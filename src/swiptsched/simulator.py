@@ -29,7 +29,8 @@ import numpy as np
 
 from . import seeds
 from .baselines import ORDER_SCHEMES, OrderPolicy, make_order_scheduler
-from .calibration import _CALIBRATORS, CalibrationSettings, ConvergenceError, InfeasibleError
+from .calibration import (_CALIBRATORS, CalibrationSettings, ConvergenceError,
+                          InfeasibleError, _pool_share)
 from .channel import SystemConfig, UserProfile, draw_block
 from .scheduling import DualState, SlotScheduler, make_optimal_scheduler
 
@@ -206,7 +207,8 @@ def sweep_q_req(
 
     The calibration pool and the run stream are shared across grid
     points (common random numbers), so the traced curve is smooth in
-    the targets.  The grid is calibrated in order, each point
+    the targets; the pool is drawn and normalized once, in a ``_pool_share``
+    dropped before the runs.  The grid is calibrated in order, each point
     warm-started from the previous feasible one; then the feasible
     points are run by ``workers`` threads (at least 1).  The output is
     in grid order and does not depend on ``workers``.  Infeasible
@@ -217,19 +219,20 @@ def sweep_q_req(
     calibrate = _CALIBRATORS[scheme]
     points: list[SweepPoint] = []
     warm: DualState | None = None
-    for q in q_req_grid:
-        try:
-            if scheme == "mt":
-                duals = calibrate(q, profiles, config, settings)
+    with _pool_share():
+        for q in q_req_grid:
+            try:
+                if scheme == "mt":
+                    duals = calibrate(q, profiles, config, settings)
+                else:
+                    duals = calibrate(q, profiles, config, settings, warm_start=warm)
+            except (InfeasibleError, ConvergenceError) as exc:
+                points.append(SweepPoint(scheme=scheme, q_req=q, duals=None, stats=None,
+                                         feasible=False, error=str(exc)))
             else:
-                duals = calibrate(q, profiles, config, settings, warm_start=warm)
-        except (InfeasibleError, ConvergenceError) as exc:
-            points.append(SweepPoint(scheme=scheme, q_req=q, duals=None, stats=None,
-                                     feasible=False, error=str(exc)))
-        else:
-            warm = duals
-            points.append(SweepPoint(scheme=scheme, q_req=q, duals=duals, stats=None,
-                                     feasible=True))
+                warm = duals
+                points.append(SweepPoint(scheme=scheme, q_req=q, duals=duals, stats=None,
+                                         feasible=True))
 
     def simulate(point: SweepPoint) -> None:
         scheduler = make_optimal_scheduler(scheme, point.duals)

@@ -28,10 +28,10 @@ from swiptsched import ConfigError, linear_argmax
 from swiptsched.calibration import (
     _EtRule,
     _PfRule,
-    _access_offsets,
     _build_pool,
     _fair_bound,
     _pool_of,
+    _pool_share,
     settings_hash,
     system_fingerprint,
 )
@@ -313,7 +313,7 @@ class TestEqualAccessBound:
             best = self.best_harvest(inst, tol_access)
             if best is None:
                 continue
-            for offsets in (g, np.zeros_like(g), _access_offsets(pool.qn)):
+            for offsets in (g, np.zeros_like(g), pool.access_offsets):
                 bound = _fair_bound(pool, offsets, 1.0, tol_access)
                 assert bound >= best - 1e-12 * max(abs(best), pool.q_scale)
 
@@ -321,7 +321,7 @@ class TestEqualAccessBound:
         # well above an even split of every slot, a floor the bound never
         # goes under, and well below the pool maximum
         pool = _build_pool(profiles5, config5, CalibrationSettings(mc_slots=20_000, seed=7))
-        g = _access_offsets(pool.qn)
+        g = pool.access_offsets
         bound = _fair_bound(pool, g, 1.0, 0.0)
         assert 0.8 * pool.total.mean() < 0.9 * pool.q_max < bound < 0.99 * pool.q_max
         assert _fair_bound(pool, g, 1.0, 0.005) >= bound
@@ -459,6 +459,30 @@ class TestPool:
         assert pool.block.capacities.flags.c_contiguous
         assert np.array_equal(pool.cn, pool.block.capacities / pool.c_scale)
         assert np.array_equal(pool.qn, pool.block.harvests / pool.q_scale)
+
+    def test_arrays_are_read_only(self, config5, profiles5):
+        # a sweep's grid points share one pool: a pass writing to it would change the next
+        pool = _build_pool(profiles5, config5, CalibrationSettings(mc_slots=2000, seed=7))
+        for arr in (pool.block.capacities, pool.block.harvests, pool.total, pool.cn, pool.qn):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_share_never_reuses_a_pool_for_another_system(self, config5, profiles5):
+        base = CalibrationSettings(mc_slots=5000, seed=7)
+        cases = [(profiles5, base), (profiles5, replace(base, seed=8)),
+                 (profiles5, replace(base, mc_slots=6000)), (make_profiles(config5, seed=8), base)]
+        # binding targets, so that the price depends on the pool
+        targets = [0.5 * feasible_range(p, config5, s).maximum for p, s in cases]
+        outside = [calibrate_mt(q, p, config5, s) for q, (p, s) in zip(targets, cases)]
+        with _pool_share():
+            inside = [calibrate_mt(q, p, config5, s) for q, (p, s) in zip(targets, cases)]
+            assert _build_pool(profiles5, config5, base) is _build_pool(profiles5, config5, base)
+        assert _build_pool(profiles5, config5, base) is not _build_pool(profiles5, config5, base)
+        assert len({d.calibration_residuals["q_scale"] for d in outside}) == len(cases)
+        assert all(d.nu > 0 for d in outside)
+        for plain, shared in zip(outside, inside):
+            assert plain.nu == shared.nu
+            assert plain.calibration_residuals == shared.calibration_residuals
 
 
 class TestResidualRecord:

@@ -1,8 +1,9 @@
 import json
+from unittest.mock import Mock
 
 import pytest
 
-from swiptsched import cli, read_csv
+from swiptsched import calibration, cli, read_csv
 from swiptsched.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -372,6 +373,16 @@ class TestSweepCommand:
         assert all(row["feasible_flag"] == 1 for row in rows)
         harvests = [row["avg_sum_harvest_watts"] for row in rows]
         assert harvests == sorted(harvests)
+
+    def test_auto_grid_sweep_builds_one_pool(self, config_file, tmp_path, monkeypatch, capsys):
+        # lo:auto's feasible range and every grid point's calibration share the pool
+        pool_of = Mock(wraps=calibration._pool_of)
+        monkeypatch.setattr(calibration, "_pool_of", pool_of)
+        assert run_cli(
+            "sweep", "--config", config_file, "--scheme", "pf", "--grid", "0:auto:3",
+            "--mc-slots", "5000", "--slots", "2000", "--out", str(tmp_path / "curve.csv"),
+        ) == EXIT_OK
+        assert pool_of.call_count == 1
 
     def test_baseline_sweep_all_orders(self, config_file, tmp_path, capsys):
         out = tmp_path / "orders.csv"

@@ -1,4 +1,4 @@
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from swiptsched import (
     CalibrationSettings,
+    ConvergenceError,
+    InfeasibleError,
     LinearScheduler,
+    calibrate_et,
+    calibrate_mt,
+    calibrate_pf,
     OrderPolicy,
     SystemConfig,
     default_order_policies,
@@ -24,7 +29,7 @@ from swiptsched import (
     write_csv,
     write_jsonl,
 )
-from swiptsched import DualState, seeds, simulator
+from swiptsched import DualState, calibration, seeds, simulator
 from swiptsched.simulator import RunStatistics, SweepPoint
 
 from conftest import make_profiles, profiles_at
@@ -140,6 +145,50 @@ def sweep_points(table_config, table_profiles):
     return sweep_q_req("mt", [0.0, 1e-7], table_profiles, table_config, settings, 5_000, seed=14)
 
 
+@pytest.fixture(scope="module")
+def et_tail(table_config, table_profiles):
+    # 0.994 of the pool maximum is reachable under equal throughput on this
+    # pool; 1.002 is above the certified equal-throughput bound plus the
+    # energy tolerance, so it is recorded as failed instead of aborting
+    settings = CalibrationSettings(mc_slots=20_000, seed=16)
+    fr = feasible_range(table_profiles, table_config, settings)
+    grid = [0.0, 0.35 * fr.maximum, 0.6 * fr.maximum, 0.994 * fr.maximum,
+            1.002 * fr.maximum]
+    return settings, sweep_q_req("et", grid, table_profiles, table_config, settings, 20_000,
+                                 seed=16)
+
+
+@pytest.fixture(scope="module")
+def pf_above_bound(table_config, table_profiles):
+    # the top two targets lie above the equal-access bound (0.980 of the pool
+    # maximum here) plus the energy tolerance (0.005 of it), below the maximum
+    settings = CalibrationSettings(mc_slots=10_000, seed=12)
+    fr = feasible_range(table_profiles, table_config, settings)
+    grid = [0.0, 0.5 * fr.maximum, 0.99 * fr.maximum, 0.995 * fr.maximum]
+    return settings, sweep_q_req("pf", grid, table_profiles, table_config, settings, 5_000,
+                                 seed=12)
+
+
+def assert_plain_calibrations(points, profiles, config, settings):
+    """Each sweep point is what its calibrator returns outside any sweep, warm-started
+    from the previous feasible point: the same duals and residuals, or error text."""
+    calibrate = {"mt": calibrate_mt, "pf": calibrate_pf, "et": calibrate_et}[points[0].scheme]
+    warm = None
+    for point in points:
+        kwargs = {} if point.scheme == "mt" else {"warm_start": warm}
+        try:
+            duals = calibrate(point.q_req, profiles, config, settings, **kwargs)
+        except (InfeasibleError, ConvergenceError) as exc:
+            assert not point.feasible and str(exc) == point.error
+            continue
+        assert point.feasible and duals.nu == point.duals.nu
+        for name in ("gamma", "theta"):
+            mine, swept = getattr(duals, name), getattr(point.duals, name)
+            assert (mine is None and swept is None) or np.array_equal(mine, swept)
+        assert duals.calibration_residuals == point.duals.calibration_residuals
+        warm = point.duals
+
+
 class TestSweep:
     def test_zero_grid_is_unconstrained(self, table_config, table_profiles, small_settings):
         points = sweep_q_req(
@@ -195,20 +244,31 @@ class TestSweep:
             rates = [p.stats.avg_sum_rate for p in points]
             assert rates[0] >= rates[-1] - 2 * points[0].stats.stderr_sum_rate
 
-    def test_et_sweep_tail_reports_failure(self, table_config, table_profiles):
-        # 0.994 of the pool maximum is reachable under equal throughput on this
-        # pool; 1.002 is above the certified equal-throughput bound plus the
-        # energy tolerance, so it is recorded as failed instead of aborting
-        settings = CalibrationSettings(mc_slots=20_000, seed=16)
-        fr = feasible_range(table_profiles, table_config, settings)
-        grid = [0.0, 0.35 * fr.maximum, 0.6 * fr.maximum, 0.994 * fr.maximum,
-                1.002 * fr.maximum]
-        points = sweep_q_req(
-            "et", grid, table_profiles, table_config, settings, 20_000, seed=16
-        )
+    def test_et_sweep_tail_reports_failure(self, et_tail):
+        _, points = et_tail
         assert [p.feasible for p in points] == [True, True, True, True, False]
         assert "equal throughput" in points[-1].error
         assert "above the bound" in points[-1].error
+
+    @pytest.mark.parametrize("scheme", ["mt", "pf", "et"])
+    def test_one_pool_per_sweep(self, scheme, table_config, table_profiles, monkeypatch):
+        settings = CalibrationSettings(mc_slots=5_000, seed=17)
+        fr = feasible_range(table_profiles, table_config, settings)
+        pool_of = Mock(wraps=calibration._pool_of)
+        monkeypatch.setattr(calibration, "_pool_of", pool_of)
+        grid = [0.0, 0.3 * fr.maximum, 0.6 * fr.maximum]
+        points = sweep_q_req(scheme, grid, table_profiles, table_config, settings, 2_000, seed=17)
+        assert pool_of.call_count == 1
+        assert calibration._shared is None  # dropped: the runs hold no pool
+        assert_plain_calibrations(points, table_profiles, table_config, settings)
+
+    @pytest.mark.parametrize("sweep", ["et_tail", "pf_above_bound"])
+    def test_points_equal_plain_calibrations(self, sweep, request, table_config, table_profiles):
+        settings, points = request.getfixturevalue(sweep)
+        if sweep == "pf_above_bound":
+            assert [p.feasible for p in points] == [True, True, False, False]
+            assert all("equal channel access" in p.error for p in points[2:])
+        assert_plain_calibrations(points, table_profiles, table_config, settings)
 
     def test_order_sweep_covers_all_ranks(self, table_config, table_profiles):
         points = sweep_orders(
