@@ -14,7 +14,8 @@ on the rate-energy tradeoff.  All three are one rank rule:
     maximization; j = N maximizes harvested energy.
 
 Ranks are descending (rank 1 = strongest) and ties break toward the
-lower user index.
+lower user index.  Every block becomes one candidate table: per slot,
+the users whose rank is eligible, in user-index order.
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ class OrderPolicy:
 class OrderScheduler(SlotScheduler):
     """Schedules by per-slot rank of the gains, divided by ``mean_gains`` if given.
 
-    With one eligible rank the user of that rank is scheduled and the
-    scheduler is stateless.  With several, the per-run state from
-    ``start`` is each user's cumulative delivered rate; only the
-    scheduled user's total grows each slot, and the eligible user with
-    the lowest total is chosen, which orders users exactly like their
+    ``select_block`` reads the block's candidate table.  With one
+    eligible rank the table has one column, which is the schedule, and
+    the scheduler is stateless.  With several, the per-run state from
+    ``start`` is each user's cumulative delivered rate; each slot picks
+    the row's candidate with the lowest total (the first on ties) and
+    only that total grows, which orders users exactly like their
     average throughput over the elapsed slots.
     """
 
@@ -82,19 +84,17 @@ class OrderScheduler(SlotScheduler):
         check_orders(self.orders, block.n_users)
         gains = block.gains if self.mean_gains is None else block.gains / self.mean_gains
         rank_sorted = np.argsort(-gains, axis=1, kind="stable")
-        if len(self.orders) == 1:
-            (j,) = self.orders
-            return rank_sorted[:, j - 1]
+        # each slot's eligible users, in user-index order
+        table = rank_sorted[:, sorted(o - 1 for o in self.orders)]
+        table.sort(axis=1)
+        if table.shape[1] == 1:
+            return table[:, 0]
         if state is None:
             raise ValueError(f"{self.tag} with several orders needs per-run state from start()")
         # The running argmin over cumulative throughput is inherently sequential.
-        eligible_rank = np.zeros(block.n_users + 1, dtype=bool)
-        eligible_rank[list(self.orders)] = True
         selections = np.empty(block.n_slots, dtype=np.int64)
-        for i in range(block.n_slots):
-            candidates = rank_sorted[i][eligible_rank[1 : block.n_users + 1]]
-            candidates.sort()
-            chosen = candidates[np.argmin(state[candidates])]
+        for i, row in enumerate(table):
+            chosen = row[np.argmin(state[row])]
             state[chosen] += block.capacities[i, chosen]
             selections[i] = chosen
         return selections

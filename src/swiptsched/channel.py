@@ -74,10 +74,12 @@ class SystemConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for names, kind, what in ((_INT_FIELDS, numbers.Integral, "an integer"),
+                                  (_REAL_FIELDS, numbers.Real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
         for name in _FLOAT_FIELDS:
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise ConfigError(f"{name} must be finite")
@@ -126,6 +128,7 @@ class SystemConfig:
 
 _INT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 _FLOAT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type != "int")
+_REAL_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "float")
 
 
 @dataclass

@@ -202,12 +202,10 @@ def _build_scheduler(args, config, profiles, settings):
     else:
         policy = OrderPolicy(scheme, j=args.j)
     try:
-        policy.validate(config.n_users)
+        scheduler = make_order_scheduler(policy, profiles)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return make_order_scheduler(policy, profiles), dict(
-        q_req=None, duals=None, order_j=policy.j, order_set=policy.s_a
-    )
+    return scheduler, dict(q_req=None, duals=None, order_j=policy.j, order_set=policy.s_a)
 
 
 def _emit(args, config, points) -> None:

@@ -26,18 +26,15 @@ from .calibration import _mt_price, _pool_of
 from .channel import SlotBlock, SystemConfig, UserProfile, draw_block
 from .scheduling import linear_argmax
 
-ENUMERATION_BUDGET = 1_000_000
 _BATCH = 1 << 14
 
 
 def check_size(n_slots: int, n_users: int) -> None:
-    """Reject an instance brute force cannot enumerate: empty, or beyond the budget."""
+    """Reject an instance brute force cannot enumerate: empty, or beyond 8 slots and 4 users."""
     if n_slots < 1 or n_users < 1:
         raise ValueError("an instance needs at least 1 slot and 1 user")
     if n_slots > 8 or n_users > 4:
         raise ValueError("instance too large: at most 8 slots and 4 users")
-    if n_users**n_slots > ENUMERATION_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {n_users}^{n_slots} assignments")
 
 
 @dataclass

@@ -184,6 +184,11 @@ class TestOrderEt:
         with pytest.raises(ValueError):
             scheduler.select_block(block, scheduler.start(5))
 
+    def test_several_orders_need_run_state(self, table_config, table_profiles):
+        block = draw_block(table_profiles, table_config, np.random.default_rng(13), 4)
+        with pytest.raises(ValueError, match="per-run state from start"):
+            order_et({1, 2}, mean_gains(table_profiles)).select_block(block)
+
     def test_block_matches_slot_by_slot(self, table_config, table_profiles):
         # the vectorized path and the per-slot reference share state
         # semantics, including tie handling

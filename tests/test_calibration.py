@@ -32,6 +32,7 @@ from swiptsched.calibration import (
     _fair_bound,
     _pool_of,
     _pool_share,
+    _price,
     settings_hash,
     system_fingerprint,
 )
@@ -442,6 +443,37 @@ class TestCalibrateEt:
         low, high = rates == rates.min(), rates > rates.min()
         before = theta[low, None] / theta[None, high]
         assert np.all(out[low, None] / out[None, high] >= before * (1 - 1e-12))
+
+
+class TestPrice:
+    """``_price`` on synthetic non-decreasing step harvests (window q_req +- tol)."""
+
+    @pytest.mark.parametrize("harvest, q_req, nu0, price, first_probes", [
+        # a warm price overshoots the window and price 0 reaches the target
+        (lambda nu: 3 + math.floor(nu), 3.0, 4.0, 0.0, [4.0, 0.0]),
+        # it overshoots and price 0 misses: bisection over [0, nu0]
+        (lambda nu: math.floor(nu), 3.0, 8.0, 3.0, [8.0, 0.0, 4.0, 2.0, 3.0]),
+        # no price lands in the window: bisection to the step at 3
+        (lambda nu: 10 * math.floor(nu), 25.0, 8.0, 3.0, [8.0, 0.0, 4.0, 2.0, 3.0]),
+        # a cold miss doubles from 1 until the target is reached
+        (lambda nu: math.floor(nu), 5.0, 0.0, 5.0, [0.0, 1.0, 2.0, 4.0, 8.0, 6.0, 5.0]),
+    ], ids=["overshoot_zero_reaches", "overshoot_bisects", "step_past_window", "cold_doubles"])
+    def test_branches(self, harvest, q_req, nu0, price, first_probes):
+        tol = 0.5
+        probes = []
+
+        def harvest_at(nu):
+            probes.append(nu)
+            return harvest(nu)
+
+        nu = _price(harvest_at, q_req, tol, nu0)
+        assert nu == price
+        assert probes[:len(first_probes)] == first_probes
+        # invariant: the target is reached, and either the harvest lies in the
+        # window or no price a bracket width below reaches the target
+        assert harvest(nu) >= q_req - tol
+        assert (harvest(nu) <= q_req + tol or nu == 0.0
+                or harvest(nu * (1 - 2e-13)) < q_req - tol)
 
 
 class TestFeasibleRange:

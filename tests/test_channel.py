@@ -221,6 +221,16 @@ class TestConfigValidation:
             SystemConfig(n_users=2, ref_distance_m=10.0, max_distance_m=5.0)
         with pytest.raises(ConfigError):
             SystemConfig(n_users=2, noise_power_per_user=[1e-10, 1e-10, 1e-10])
+        for kwargs, message in (
+            (dict(noise_power_per_user=0.0), "noise power must be positive"),
+            (dict(ref_distance_m=0.0), "ref_distance_m must be positive"),
+            (dict(path_loss_exponent=-0.1), "path_loss_exponent must be nonnegative"),
+            (dict(carrier_hz=0.0), "carrier_hz must be positive"),
+            (dict(n_slots=0), "n_slots must be at least 1"),
+            (dict(bandwidth_hz=-1.0), "bandwidth_hz must be positive"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                SystemConfig(n_users=2, **kwargs)
 
     @pytest.mark.parametrize("field", [
         "tx_power", "noise_power_per_user", "rf_dc_efficiency_per_user", "path_loss_exponent",
@@ -238,6 +248,15 @@ class TestConfigValidation:
         kwargs = {"n_users": 2, field: value}
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", [
+        "tx_power", "path_loss_exponent", "ref_distance_m", "max_distance_m",
+        "ap_antenna_gain_dbi", "ut_antenna_gain_dbi", "carrier_hz", "q_req", "bandwidth_hz",
+    ])
+    @pytest.mark.parametrize("value", [[1, 2], "1"], ids=["list", "string"])
+    def test_scalar_field_takes_numbers_only(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            SystemConfig(n_users=2, **{field: value})
 
     def test_numpy_integers_accepted(self):
         config = SystemConfig(n_users=np.int64(3), n_slots=np.int32(10), seed=np.uint8(4))

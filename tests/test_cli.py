@@ -3,7 +3,17 @@ from unittest.mock import Mock
 
 import pytest
 
-from swiptsched import calibration, cli, read_csv
+from swiptsched import (
+    OrderPolicy,
+    calibration,
+    cli,
+    load_config,
+    make_order_scheduler,
+    place_users,
+    read_csv,
+    run,
+    seeds,
+)
 from swiptsched.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -57,9 +67,43 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
-    def test_bad_order_is_config_error(self, config_file, capsys):
-        code = run_cli("run", "--config", config_file, "--scheme", "order-mt", "--j", "9")
+    @pytest.mark.parametrize("argv, message", [
+        (["--scheme", "order-mt", "--j", "9"], "non-empty subset of [1, 4]"),
+        (["--scheme", "order-et", "--orders", "1,x"], "cannot parse --orders value"),
+        (["--scheme", "order-et", "--orders", "0,1"], "non-empty subset of [1, 4]"),
+    ], ids=["j=9", "orders=1,x", "orders=0,1"])
+    def test_bad_order_is_config_error(self, argv, message, config_file, capsys):
+        code = run_cli("run", "--config", config_file, *argv)
         assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_order_et_run_matches_library_run(self, config_file, tmp_path, capsys):
+        out = tmp_path / "order_et.csv"
+        assert run_cli("run", "--config", config_file, "--scheme", "order-et", "--orders", "1,2",
+                       "--out", str(out)) == EXIT_OK
+        config = load_config(config_file)
+        profiles = place_users(config, seeds.substream(config.seed, seeds.PLACEMENT))
+        policy = OrderPolicy("order-et", s_a=frozenset({1, 2}))
+        stats = run(make_order_scheduler(policy, profiles), profiles, config, config.n_slots,
+                    config.seed)
+        row = read_csv(out)[0]
+        assert row["scheme"] == "order-et[orders=1,2]"
+        assert row["avg_sum_rate_bpcu"] == stats.avg_sum_rate
+        assert row["avg_sum_harvest_watts"] == stats.avg_sum_harvest
+        assert row["jain_index"] == stats.jain_index
+        for n in range(config.n_users):
+            assert row[f"per_user_rate_{n}"] == stats.per_user_rate[n]
+            assert row[f"access_freq_{n}"] == stats.access_freq[n]
+
+    def test_order_et_single_rank_equals_order_pf(self, config_file, tmp_path, capsys):
+        rows = []
+        for scheme in ("order-et", "order-pf"):
+            out = tmp_path / f"{scheme}.csv"
+            assert run_cli("run", "--config", config_file, "--scheme", scheme, "--j", "3",
+                           "--out", str(out)) == EXIT_OK
+            rows.append(read_csv(out)[0])
+        assert [row.pop("scheme") for row in rows] == ["order-et[orders=3]", "order-pf[j=3]"]
+        assert rows[0] == rows[1]
 
     def test_negative_target_is_config_error(self, config_file, capsys):
         code = run_cli(
@@ -351,6 +395,18 @@ class TestIntegerConfigFields:
         assert read_csv(out)[0]["n_users"] == 2
 
 
+class TestScalarConfigFields:
+    def test_comma_list_in_scalar_field_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "system.cfg"
+        config.write_text("n_users = 3\nut_antenna_gain_dbi = 1, 2, 3\n")
+        out = tmp_path / "out.csv"
+        code = run_cli("run", "--config", str(config), "--scheme", "mt", "--mc-slots", "2000",
+                       "--slots", "2000", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "ut_antenna_gain_dbi must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_config_error(self, config_file, workers, tmp_path, capsys):
@@ -409,7 +465,8 @@ class TestSweepCommand:
             "sweep", "--config", config_file, "--scheme", "mt", "--grid", "0-1-5"
         ) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("grid", ["zero:auto:5", "0:high:5", "0:1e-6:five", "-1e-7:auto:3"])
+    @pytest.mark.parametrize("grid", ["zero:auto:5", "0:high:5", "0:1e-6:five", "-1e-7:auto:3",
+                                      "2e-6:1e-6:3", "0:1e-6:0"])
     def test_unparsable_or_negative_grid_is_config_error(self, config_file, grid, capsys):
         assert run_cli(
             "sweep", "--config", config_file, "--scheme", "pf", f"--grid={grid}",

@@ -15,7 +15,7 @@ from swiptsched import (
     dual_mt_schedule,
     random_instance,
 )
-from swiptsched.oracle import _brute_force
+from swiptsched.oracle import _brute_force, check_size
 
 from conftest import profiles_at
 
@@ -63,6 +63,9 @@ class TestBruteForceMt:
         caps = np.ones((9, 2))
         with pytest.raises(ValueError):
             brute_force_mt(instance_of(caps, caps))
+        for n_slots, n_users in ((0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="at least 1 slot and 1 user"):
+                check_size(n_slots, n_users)
 
     def test_dual_schedule_within_gap(self, three_user_setup):
         config, profiles = three_user_setup

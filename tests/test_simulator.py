@@ -169,6 +169,18 @@ def pf_above_bound(table_config, table_profiles):
                                  seed=12)
 
 
+@pytest.fixture(scope="module")
+def pf_descending(table_config, table_profiles):
+    # a descending grid warm-starts each point from a price that overshoots
+    # its target: at 0.6 of the pool maximum the price bisects below the
+    # previous one, at 0 it drops to 0
+    settings = CalibrationSettings(mc_slots=10_000, seed=12)
+    fr = feasible_range(table_profiles, table_config, settings)
+    grid = [0.95 * fr.maximum, 0.6 * fr.maximum, 0.0]
+    return settings, sweep_q_req("pf", grid, table_profiles, table_config, settings, 2_000,
+                                 seed=12)
+
+
 def assert_plain_calibrations(points, profiles, config, settings):
     """Each sweep point is what its calibrator returns outside any sweep, warm-started
     from the previous feasible point: the same duals and residuals, or error text."""
@@ -262,12 +274,15 @@ class TestSweep:
         assert calibration._shared is None  # dropped: the runs hold no pool
         assert_plain_calibrations(points, table_profiles, table_config, settings)
 
-    @pytest.mark.parametrize("sweep", ["et_tail", "pf_above_bound"])
+    @pytest.mark.parametrize("sweep", ["et_tail", "pf_above_bound", "pf_descending"])
     def test_points_equal_plain_calibrations(self, sweep, request, table_config, table_profiles):
         settings, points = request.getfixturevalue(sweep)
         if sweep == "pf_above_bound":
             assert [p.feasible for p in points] == [True, True, False, False]
             assert all("equal channel access" in p.error for p in points[2:])
+        if sweep == "pf_descending":
+            nus = [p.duals.nu for p in points]
+            assert nus[0] > nus[1] > nus[2] == 0.0
         assert_plain_calibrations(points, table_profiles, table_config, settings)
 
     def test_order_sweep_covers_all_ranks(self, table_config, table_profiles):

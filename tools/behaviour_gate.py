@@ -61,6 +61,7 @@ COMMANDS = [
     ["run", "--scheme", "order-mt", "--j", "2", "--out", "run_order_mt.csv"],
     ["run", "--scheme", "order-pf", "--j", "3", "--out", "run_order_pf.csv"],
     ["run", "--scheme", "order-et", "--orders", "1,2", "--out", "run_order_et.csv"],
+    ["run", "--scheme", "order-et", "--orders", "2,3,4", "--out", "run_order_et_234.csv"],
     ["sweep", "--scheme", "mt", "--grid", "0:auto:5", *SWEEP, "--out", "sweep_mt.csv"],
     ["sweep", "--scheme", "pf", "--grid", "0:auto:5", *SWEEP, "--out", "sweep_pf.csv"],
     ["sweep", "--scheme", "pf", "--grid", "0:auto:5", *SWEEP, "--max-iters", "300",
