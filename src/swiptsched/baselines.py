@@ -15,7 +15,8 @@ on the rate-energy tradeoff.  All three are one rank rule:
 
 Ranks are descending (rank 1 = strongest) and ties break toward the
 lower user index.  Every block becomes one candidate table: per slot,
-the users whose rank is eligible, in user-index order.
+the users whose rank is eligible, in user-index order, peeled rank by
+rank off the nearer end of the ranking instead of sorting each slot.
 """
 
 from __future__ import annotations
@@ -82,10 +83,20 @@ class OrderScheduler(SlotScheduler):
 
     def select_block(self, block: SlotBlock, state: np.ndarray | None = None) -> np.ndarray:
         check_orders(self.orders, block.n_users)
-        gains = block.gains if self.mean_gains is None else block.gains / self.mean_gains
-        rank_sorted = np.argsort(-gains, axis=1, kind="stable")
+        n, orders = block.n_users, self.orders
+        top = max(orders) <= n + 1 - min(orders)
+        omega = np.ones(n) if self.mean_gains is None else self.mean_gains
+        # Peel ranks off the nearer end: the first maximum is the lowest index (stable
+        # rank 1), that of the column-reversed minima the highest index (rank N).
+        work = block.gains / omega if top else block.gains[:, ::-1] / omega[::-1]
+        flat, rows, columns = work.reshape(-1), np.arange(0, work.size, n), []
+        for rank in range(1, max(orders) + 1) if top else range(n, min(orders) - 1, -1):
+            pick = work.argmax(axis=1) if top else work.argmin(axis=1)
+            flat[rows + pick] = -np.inf if top else np.inf
+            if rank in orders:
+                columns.append(pick if top else n - 1 - pick)
         # each slot's eligible users, in user-index order
-        table = rank_sorted[:, sorted(o - 1 for o in self.orders)]
+        table = np.stack(columns, axis=1)
         table.sort(axis=1)
         if table.shape[1] == 1:
             return table[:, 0]

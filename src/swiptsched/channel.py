@@ -342,10 +342,11 @@ def load_config(path: str | Path) -> SystemConfig:
                 target = _DBM_KEYS[key]
                 if target in values:
                     raise ConfigError(f"both {key} and {target} given")
-                if isinstance(value, list):
-                    kwargs[target] = [dbm_to_watts(float(v)) for v in value]
-                else:
-                    kwargs[target] = dbm_to_watts(float(value))
+                levels = value if isinstance(value, list) else [value]
+                if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in levels):
+                    raise ConfigError(f"{key} must be a number, got {value!r}")
+                watts = [dbm_to_watts(float(v)) for v in levels]
+                kwargs[target] = watts if isinstance(value, list) else watts[0]
             elif key in _CONFIG_KEYS:
                 # an integral float (n_slots = 1e5) is an int; SystemConfig rejects other values
                 if key in _INT_FIELDS and isinstance(value, float) and value.is_integer():

@@ -3,9 +3,9 @@
 A run draws T fading slots, lets the scheduler pick one user per slot
 and accumulates the averages the tradeoff curves are made of: the
 scheduled users' capacities (average sum rate) and the idle users'
-harvests (average sum harvested power).  Slots are processed in fixed
-chunks so memory stays bounded at any T; the chunking does not change
-the drawn realizations.
+harvests (average sum harvested power).  Chunks of ``CHUNK_SLOTS`` fix
+the float summation order and sub-blocks of about 256 KiB per array keep
+drawing, selection and scoring in L2 cache; neither changes a result bit.
 
 ``sweep_q_req`` traces a rate-energy curve for one of the optimal
 schemes by calibrating and running at each harvest target of a grid;
@@ -35,6 +35,7 @@ from .channel import SystemConfig, UserProfile, draw_block
 from .scheduling import DualState, SlotScheduler, make_optimal_scheduler
 
 CHUNK_SLOTS = 1 << 16
+_SUB_BLOCK_BYTES = 1 << 18
 
 OPTIMAL_SCHEMES = tuple(_CALIBRATORS)
 
@@ -81,8 +82,7 @@ class _Accumulator:
         self.harvest_sumsq = 0.0
         self.slots = 0
 
-    def add(self, block, selections: np.ndarray) -> None:
-        picked_c, harvest = block.outcome(selections)
+    def add(self, selections: np.ndarray, picked_c: np.ndarray, harvest: np.ndarray) -> None:
         n = self.rate_sums.shape[0]
         self.rate_sums += np.bincount(selections, weights=picked_c, minlength=n)
         self.counts += np.bincount(selections, minlength=n)
@@ -116,11 +116,18 @@ class _Accumulator:
         )
 
 
-def _blocks(profiles: Sequence[UserProfile], config: SystemConfig, seed: int, n_slots: int):
-    """The run substream of ``seed`` as consecutive blocks of at most CHUNK_SLOTS."""
+def _outcomes(profiles: Sequence[UserProfile], config: SystemConfig, seed: int,
+              n_slots: int, choose):
+    """Per chunk, (selections, rate, idle); ``choose(start, block)`` selects in a sub-block."""
     rng = seeds.substream(seed, seeds.RUN)
+    step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles)))
     for start in range(0, n_slots, CHUNK_SLOTS):
-        yield start, draw_block(profiles, config, rng, min(CHUNK_SLOTS, n_slots - start))
+        end, parts = min(start + CHUNK_SLOTS, n_slots), []
+        for lo in range(start, end, step):
+            block = draw_block(profiles, config, rng, min(step, end - lo))
+            selections = choose(lo, block)
+            parts.append((selections, *block.outcome(selections)))
+        yield [np.concatenate(part) for part in zip(*parts)]
 
 
 def run(
@@ -141,11 +148,11 @@ def run(
     state = scheduler.start(len(profiles))
     acc = _Accumulator(len(profiles))
     log: list[np.ndarray] = []
-    for _, block in _blocks(profiles, config, seed, int(n_slots)):
-        selections = scheduler.select_block(block, state)
-        acc.add(block, selections)
+    for chunk in _outcomes(profiles, config, seed, int(n_slots),
+                           lambda _, block: scheduler.select_block(block, state)):
+        acc.add(*chunk)
         if keep_log:
-            log.append(selections)
+            log.append(chunk[0])
     return acc.finish(scheduler.tag, np.concatenate(log) if keep_log else None)
 
 
@@ -158,15 +165,16 @@ def replay(
 ) -> RunStatistics:
     """Recompute run statistics from a decision log.
 
-    Re-draws the same slot stream as ``run`` (same seed, same chunking)
-    and applies the logged selections, so a log taken from a run
-    reproduces that run's accumulators exactly.
+    Re-draws the same slot stream as ``run`` (same seed, same chunks
+    and sub-blocks) and applies the logged selections, so a log taken
+    from a run reproduces that run's accumulators exactly.
     """
     if len(selections) < 1:
         raise ValueError("selections must be non-empty")
     acc = _Accumulator(len(profiles))
-    for start, block in _blocks(profiles, config, seed, len(selections)):
-        acc.add(block, selections[start : start + block.n_slots])
+    for chunk in _outcomes(profiles, config, seed, len(selections),
+                           lambda start, block: selections[start : start + block.n_slots]):
+        acc.add(*chunk)
     return acc.finish(scheme, None)
 
 

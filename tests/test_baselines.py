@@ -1,5 +1,10 @@
+import itertools
+
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swiptsched import (
     LinearScheduler,
@@ -234,6 +239,57 @@ class TestOrderEt:
 
     def test_singleton_set_is_stateless(self, table_profiles):
         assert order_et({2}, mean_gains(table_profiles)).start(5) is None
+
+
+@st.composite
+def tie_heavy_blocks(draw):
+    """Up to 12 slots of 1-8 users with gains and capacities in {0, 1, 2}, and means in {1, 2}."""
+    n = draw(st.integers(1, 8))
+    slots = draw(st.integers(1, 12))
+    cells = st.lists(st.integers(0, 2), min_size=slots * n, max_size=slots * n)
+    gains, caps = (np.array(draw(cells), dtype=float).reshape(slots, n) for _ in range(2))
+    omega = np.array(draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n)))
+    return SlotBlock(gains, caps, np.zeros_like(caps)), omega
+
+
+class TestPeeledRanks:
+    """The peeled candidate table against the stable-sort rank definition, ties included."""
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @given(case=tie_heavy_blocks())
+    def test_single_rank_matches_definition(self, case):
+        block, omega = case
+        for mean in (None, omega):
+            values = block.gains if mean is None else block.gains / mean
+            for j in range(1, block.n_users + 1):
+                chosen = OrderScheduler("order-pf", frozenset({j}), mean).select_block(block)
+                assert [ranks_desc(v)[c] for v, c in zip(values, chosen)] == [j] * len(values)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @given(case=tie_heavy_blocks())
+    def test_multi_rank_matches_reference(self, case):
+        block, omega = case
+        n = block.n_users
+        for mean, reference_mean in ((None, np.ones(n)), (omega, omega)):
+            for size in range(2, n + 1):
+                for s_a in itertools.combinations(range(1, n + 1), size):
+                    scheduler = OrderScheduler("order-et", frozenset(s_a), mean)
+                    state = scheduler.start(n)
+                    chosen = scheduler.select_block(block, state)
+                    totals = np.zeros(n)
+                    expected = [order_et_reference(g, c, reference_mean, s_a, totals)
+                                for g, c in zip(block.gains, block.capacities)]
+                    assert chosen.tolist() == expected
+                    assert np.array_equal(state, totals)
+
+    def test_n32_ranks_match_stable_argsort(self):
+        # rounded gains tie often; ranks 1, 2 and 16 peel from the top, 31 and 32 from the bottom
+        g = np.round(np.random.default_rng(32).exponential(size=(2000, 32)), 1)
+        block = SlotBlock(g, np.zeros_like(g), np.zeros_like(g))
+        order = np.argsort(-g, axis=1, kind="stable")
+        for j in (1, 2, 16, 31, 32):
+            assert np.array_equal(order_mt(j).select_block(block), order[:, j - 1])
+        assert np.array_equal(block.gains, g)
 
 
 class TestFactory:

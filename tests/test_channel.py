@@ -326,6 +326,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["tx_power_dbm", "noise_power_per_user_dbm"])
+    @pytest.mark.parametrize("value", [True, "-62", [-62, False], [-62, "-62"]],
+                             ids=["bool", "string", "list-bool", "list-string"])
+    def test_dbm_key_takes_numbers_only(self, tmp_path, key, value):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"n_users": 2, key: value}))
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            load_config(path)
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("n_users = 2\nshadowing_db = 8\n")

@@ -406,6 +406,19 @@ class TestScalarConfigFields:
         assert "ut_antenna_gain_dbi must be a number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["tx_power_dbm", "noise_power_per_user_dbm"])
+    @pytest.mark.parametrize("value", ["true", '"-62"', "-62, true", '-62, "-62"'],
+                             ids=["bool", "string", "list-bool", "list-string"])
+    def test_non_number_dbm_exits_2(self, key, value, tmp_path, capsys):
+        config = tmp_path / "system.cfg"
+        config.write_text(f"n_users = 2\n{key} = {value}\n")
+        out = tmp_path / "out.csv"
+        code = run_cli("run", "--config", str(config), "--scheme", "order-mt", "--slots", "2000",
+                       "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert f"{key} must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     @pytest.mark.parametrize("workers", ["0", "-3"])

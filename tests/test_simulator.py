@@ -86,17 +86,20 @@ class TestRun:
 
     @hypothesis.settings(max_examples=12, deadline=None)
     @given(chunk=st.integers(min_value=1, max_value=300),
+           sub=st.integers(min_value=1, max_value=300),
            n=st.integers(min_value=1, max_value=1500),
            scheme=st.sampled_from(["mt", "order-et"]))
-    def test_replay_matches_run_exactly(self, chunk, n, scheme, table_config, table_profiles):
-        # run and replay share the chunking, so the accumulators agree bit for
-        # bit wherever the chunk boundaries fall
+    def test_replay_matches_run_exactly(self, chunk, sub, n, scheme, table_config,
+                                        table_profiles):
+        # run and replay share the chunks and sub-blocks, so the accumulators
+        # agree bit for bit wherever either boundary falls
         if scheme == "mt":
             scheduler = LinearScheduler("mt", nu=3e5)
         else:
             policy = OrderPolicy("order-et", s_a=frozenset({1, 2, 3}))
             scheduler = make_order_scheduler(policy, table_profiles)
-        with patch.object(simulator, "CHUNK_SLOTS", chunk):
+        with patch.object(simulator, "CHUNK_SLOTS", chunk), \
+                patch.object(simulator, "_SUB_BLOCK_BYTES", 8 * 5 * sub):
             stats = run(scheduler, table_profiles, table_config, n, seed=9, keep_log=True)
             again = replay(stats.selections, table_profiles, table_config, seed=9)
         assert again.avg_sum_rate == stats.avg_sum_rate
@@ -107,23 +110,48 @@ class TestRun:
         assert again.stderr_sum_harvest == stats.stderr_sum_harvest
 
     @hypothesis.settings(max_examples=15, deadline=None)
-    @given(chunk=st.integers(min_value=1, max_value=5000))
-    def test_chunk_size_invariance(self, chunk, table_config, table_profiles):
-        # chunking redraws no slot: decisions and counts are identical, and
-        # the float accumulators differ only by summation order
+    @given(chunk=st.integers(min_value=1, max_value=5000),
+           sub=st.integers(min_value=1, max_value=300))
+    def test_chunk_size_invariance(self, chunk, sub, table_config, table_profiles):
+        # chunks and sub-blocks redraw no slot: decisions and counts are
+        # identical, and the float accumulators differ only by summation order
         schedulers = [
             LinearScheduler("pf", nu=1e5, g=np.linspace(-0.5, 0.5, 5)),
             make_order_scheduler(OrderPolicy("order-et", s_a=frozenset({1, 2})), table_profiles),
         ]
         for scheduler in schedulers:
             base = run(scheduler, table_profiles, table_config, 3000, seed=17, keep_log=True)
-            with patch.object(simulator, "CHUNK_SLOTS", chunk):
+            with patch.object(simulator, "CHUNK_SLOTS", chunk), \
+                    patch.object(simulator, "_SUB_BLOCK_BYTES", 8 * 5 * sub):
                 other = run(scheduler, table_profiles, table_config, 3000, seed=17, keep_log=True)
             assert np.array_equal(other.selections, base.selections)
             assert np.array_equal(other.access_freq, base.access_freq)
             assert other.avg_sum_rate == pytest.approx(base.avg_sum_rate, rel=1e-12)
             assert other.avg_sum_harvest == pytest.approx(base.avg_sum_harvest, rel=1e-12)
             assert other.per_user_rate == pytest.approx(base.per_user_rate, rel=1e-12)
+
+    def test_sub_blocks_change_no_bit(self):
+        # N=32 draws 1024-slot sub-blocks; the reference draws, scores and
+        # sums whole chunks, as the run loop did before sub-blocks
+        config = SystemConfig(n_users=32, seed=21)
+        profiles = make_profiles(config)
+        scheduler = LinearScheduler("mt", nu=2e5)
+        n_slots = simulator.CHUNK_SLOTS + 777
+        with patch.object(simulator, "draw_block", Mock(wraps=draw_block)) as draws:
+            stats = run(scheduler, profiles, config, n_slots, seed=22)
+        assert draws.call_count == simulator.CHUNK_SLOTS // 1024 + 1
+        acc = simulator._Accumulator(32)
+        rng = seeds.substream(22, seeds.RUN)
+        for start in range(0, n_slots, simulator.CHUNK_SLOTS):
+            block = draw_block(profiles, config, rng, min(simulator.CHUNK_SLOTS, n_slots - start))
+            selections = scheduler.select_block(block)
+            acc.add(selections, *block.outcome(selections))
+        expected = acc.finish("mt", None)
+        for name in ("slots", "avg_sum_rate", "avg_sum_harvest", "jain_index",
+                     "stderr_sum_rate", "stderr_sum_harvest"):
+            assert getattr(stats, name) == getattr(expected, name), name
+        assert np.array_equal(stats.per_user_rate, expected.per_user_rate)
+        assert np.array_equal(stats.access_freq, expected.access_freq)
 
     def test_stateful_baseline_runs(self, table_config, table_profiles):
         scheduler = make_order_scheduler(

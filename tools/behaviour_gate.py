@@ -6,8 +6,8 @@
 Runs ``python -m swiptsched.cli`` from this checkout's ``src`` on an
 N=4, seed-19 config: ``calibrate`` for mt/pf/et and for a pf target
 above the equal-access bound, ``run --duals`` on each saved
-calibration, ``run`` and ``sweep`` for every scheme, and
-``oracle-check``.  OUTDIR receives the config, every output file, ``stdout.txt`` and ``stderr.txt`` (each command
+calibration, ``run`` and ``sweep`` for every scheme, runs of several
+chunks and of 12 users, and ``oracle-check``.  OUTDIR receives the config, every output file, ``stdout.txt`` and ``stderr.txt`` (each command
 line, its output and its exit code) and ``SHA256SUMS``.  Commands run
 inside OUTDIR with relative paths, so the logs do not depend on where
 OUTDIR is.
@@ -62,6 +62,15 @@ COMMANDS = [
     ["run", "--scheme", "order-pf", "--j", "3", "--out", "run_order_pf.csv"],
     ["run", "--scheme", "order-et", "--orders", "1,2", "--out", "run_order_et.csv"],
     ["run", "--scheme", "order-et", "--orders", "2,3,4", "--out", "run_order_et_234.csv"],
+    # several run chunks; order ranks peeled from the bottom (j=11 of 12) and the top
+    ["run", "--scheme", "mt", "--duals", "cal_mt.json", "--slots", "150000",
+     "--out", "run_mt_150k.csv"],
+    ["run", "--scheme", "order-pf", "--j", "3", "--slots", "150000",
+     "--out", "run_order_pf_150k.csv"],
+    ["run", "--scheme", "order-mt", "--users", "12", "--j", "11", "--slots", "70000",
+     "--out", "run_order_mt_n12.csv"],
+    ["run", "--scheme", "order-et", "--users", "12", "--orders", "2,3,4", "--slots", "70000",
+     "--out", "run_order_et_n12.csv"],
     ["sweep", "--scheme", "mt", "--grid", "0:auto:5", *SWEEP, "--out", "sweep_mt.csv"],
     ["sweep", "--scheme", "pf", "--grid", "0:auto:5", *SWEEP, "--out", "sweep_pf.csv"],
     ["sweep", "--scheme", "pf", "--grid", "0:auto:5", *SWEEP, "--max-iters", "300",
