@@ -120,7 +120,7 @@ def _outcomes(profiles: Sequence[UserProfile], config: SystemConfig, seed: int,
               n_slots: int, choose):
     """Per chunk, (selections, rate, idle); ``choose(start, block)`` selects in a sub-block."""
     rng = seeds.substream(seed, seeds.RUN)
-    step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles)))
+    step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles) or 1))  # no users: draw_block raises
     for start in range(0, n_slots, CHUNK_SLOTS):
         end, parts = min(start + CHUNK_SLOTS, n_slots), []
         for lo in range(start, end, step):

@@ -153,6 +153,10 @@ class TestRun:
         assert np.array_equal(stats.per_user_rate, expected.per_user_rate)
         assert np.array_equal(stats.access_freq, expected.access_freq)
 
+    def test_no_users_rejected(self, table_config):
+        with pytest.raises(ValueError, match="profiles must be non-empty"):
+            run(LinearScheduler("mt", nu=0.0), [], table_config, 10, seed=1)
+
     def test_stateful_baseline_runs(self, table_config, table_profiles):
         scheduler = make_order_scheduler(
             OrderPolicy("order-et", s_a=frozenset({1, 2})), table_profiles
