@@ -122,12 +122,14 @@ def _outcomes(profiles: Sequence[UserProfile], config: SystemConfig, seed: int,
     rng = seeds.substream(seed, seeds.RUN)
     step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles) or 1))  # no users: draw_block raises
     for start in range(0, n_slots, CHUNK_SLOTS):
-        end, parts = min(start + CHUNK_SLOTS, n_slots), []
-        for lo in range(start, end, step):
-            block = draw_block(profiles, config, rng, min(step, end - lo))
-            selections = choose(lo, block)
-            parts.append((selections, *block.outcome(selections)))
-        yield [np.concatenate(part) for part in zip(*parts)]
+        m = min(CHUNK_SLOTS, n_slots - start)
+        out = np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)
+        for lo in range(0, m, step):
+            block = draw_block(profiles, config, rng, min(step, m - lo))
+            selections = choose(start + lo, block)
+            for buf, part in zip(out, (selections, *block.outcome(selections))):
+                buf[lo : lo + block.n_slots] = part
+        yield out
 
 
 def run(

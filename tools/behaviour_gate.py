@@ -7,10 +7,11 @@ Runs ``python -m swiptsched.cli`` from this checkout's ``src`` on an
 N=4, seed-19 config: ``calibrate`` for mt/pf/et and for a pf target
 above the equal-access bound, ``run --duals`` on each saved
 calibration, ``run`` and ``sweep`` for every scheme, runs of several
-chunks and of 12 users, and ``oracle-check``.  OUTDIR receives the config, every output file, ``stdout.txt`` and ``stderr.txt`` (each command
-line, its output and its exit code) and ``SHA256SUMS``.  Commands run
-inside OUTDIR with relative paths, so the logs do not depend on where
-OUTDIR is.
+chunks and of 12 users, and ``oracle-check``.  OUTDIR receives the
+config, every output file, ``stdout.txt`` and ``stderr.txt`` (each
+command line, its output and its exit code) and ``SHA256SUMS``.
+Commands run inside OUTDIR with relative paths, so the logs do not
+depend on where OUTDIR is.
 
 With ``--against REV`` the script extracts REV's ``src`` with
 ``git archive``, runs the same commands on both trees into
