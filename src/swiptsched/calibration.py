@@ -4,7 +4,8 @@ The long-run constraints (minimum average harvested energy, equal
 channel access, equal throughput) depend only on channel statistics,
 so their multipliers are fitted once, offline, on a fixed Monte-Carlo
 pool of fading slots; fresh slots serve only out-of-sample validation
-(``estimate_constraints``).
+(``estimate_constraints``), which draws them one sub-block ahead on a
+helper thread through the run loop, ``channel.slot_outcomes``.
 
 Every calibrator takes the same three steps:
 
@@ -49,7 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from . import seeds
-from .channel import ConfigError, SlotBlock, SystemConfig, UserProfile, draw_block
+from .channel import (ConfigError, SlotBlock, SystemConfig, UserProfile, draw_block,
+                      slot_outcomes, summarize)
 from .scheduling import DualState, linear_argmax, make_optimal_scheduler
 
 _SINKHORN_SLOTS = 1000
@@ -261,13 +263,18 @@ def estimate_constraints(
     """Replay a calibrated scheduler on fresh slots and average the constraints.
 
     Fresh means independent of the calibration pool: by default the
-    validation substream of ``settings.seed`` is used.
+    validation substream of ``settings.seed`` is used.  The
+    ``settings.mc_slots`` slots are one chunk of ``channel.slot_outcomes``:
+    a helper thread draws them one sub-block ahead and is the only reader
+    of ``rng``, at most two sub-blocks are alive at once, and the result is
+    that of scheduling and summarizing one block of all the slots, bit for bit.
     """
     if rng is None:
         rng = seeds.substream(settings.seed, seeds.VALIDATION)
     scheduler = make_optimal_scheduler(scheme, duals)
-    block = draw_block(profiles, config, rng, settings.mc_slots)
-    qbar, access, rates = block.summary(scheduler.select_block(block))
+    (outcomes,) = slot_outcomes(profiles, config, rng, settings.mc_slots, settings.mc_slots,
+                                lambda _, block: scheduler.select_block(block))
+    qbar, access, rates = summarize(*outcomes, len(profiles))
     return ConstraintEstimate(mean_sum_harvest=qbar, access_freq=access, per_user_rate=rates)
 
 

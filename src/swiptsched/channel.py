@@ -15,6 +15,13 @@ fading, independent across users and slots).  From the gain we derive
 where P is the transmit power, sigma_n^2 the receiver noise power and
 xi_n the RF-to-DC conversion efficiency.  Slots are unit length, so
 harvested power and harvested energy coincide.
+
+``slot_outcomes`` is the one slot loop of long runs, their replays and
+out-of-sample validation.  It draws, selects and scores sub-blocks of
+about 256 KiB per array, which stay in L2 cache.  A helper thread draws
+the next sub-block while the caller selects and scores the current one.
+Only that thread reads the generator, in slot order, and at most two
+sub-blocks are alive at once, so no variate and no result bit changes.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -29,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
+_SUB_BLOCK_BYTES = 1 << 18
 
 
 class ConfigError(ValueError):
@@ -193,14 +202,19 @@ class SlotBlock:
     def summary(self, selections: np.ndarray, total: np.ndarray | None = None
                 ) -> tuple[float, np.ndarray, np.ndarray]:
         """Mean idle harvest, access shares and per-user rates of a selection."""
-        rate, idle = self.outcome(selections, total)
-        m, n = self.capacities.shape
-        counts = np.bincount(selections, minlength=n)
-        return float(idle.sum()) / m, counts / m, np.bincount(selections, rate, n) / m
+        return summarize(selections, *self.outcome(selections, total), self.n_users)
 
     def max_harvest(self) -> np.ndarray:
         """Largest idle harvest of each slot: the weakest harvester is scheduled."""
         return self.harvests.sum(axis=1) - self.harvests.min(axis=1)
+
+
+def summarize(selections: np.ndarray, rate: np.ndarray, idle: np.ndarray, n_users: int
+              ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean idle harvest, access shares and per-user rates of per-slot outcomes."""
+    m = len(selections)
+    counts = np.bincount(selections, minlength=n_users)
+    return float(idle.sum()) / m, counts / m, np.bincount(selections, rate, n_users) / m
 
 
 def mean_channel_gain(distance_m: float, config: SystemConfig) -> float:
@@ -259,27 +273,69 @@ def draw_block(
     config: SystemConfig,
     rng: np.random.Generator,
     n_slots: int,
+    out: SlotBlock | None = None,
 ) -> SlotBlock:
     """Draw ``n_slots`` independent fading slots for all users at once.
 
     The exponential variates are consumed from ``rng`` in slot-major
     order, so drawing one block of T slots and drawing consecutive
     blocks of a and T - a slots from the same generator state produce
-    identical realizations.
+    identical realizations.  Given ``out``, a block of at least
+    ``n_slots`` rows, the slots are written into its first rows and the
+    returned block views them.
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
     omega, xi, sigma2 = profile_arrays(profiles)
+    if out is None:
+        out = SlotBlock(*(np.empty((n_slots, len(profiles))) for _ in range(3)))
+    gains, capacities, harvests = (a[:n_slots] for a in (out.gains, out.capacities, out.harvests))
     # In place, in the operation order of log2(1 + P * h / sigma2) and
     # xi * P * h, so the values do not change by a bit.
-    gains = rng.standard_exponential((n_slots, len(profiles)))
+    rng.standard_exponential(out=gains)
     gains *= omega
-    capacities = config.tx_power * gains
+    np.multiply(config.tx_power, gains, out=capacities)
     capacities /= sigma2
     capacities += 1.0
     np.log2(capacities, out=capacities)
-    harvests = (xi * config.tx_power) * gains
+    np.multiply(xi * config.tx_power, gains, out=harvests)
     return SlotBlock(gains=gains, capacities=capacities, harvests=harvests)
+
+
+def slot_outcomes(profiles: Sequence[UserProfile], config: SystemConfig,
+                  rng: np.random.Generator, n_slots: int, chunk_slots: int, choose):
+    """Per chunk of ``chunk_slots`` slots, its (selections, rate, idle) buffers.
+
+    Each chunk is filled one sub-block at a time: ``choose(start, block)``
+    selects in the sub-block whose first slot is ``start`` and
+    ``SlotBlock.outcome`` scores it.  A single helper thread draws sub-block
+    i + 1 from ``rng`` while the caller selects and scores sub-block i; the
+    helper is joined when the loop ends, raises or is closed.  It draws into
+    two blocks the caller allocates, in turn, so a block is overwritten once
+    scored.  A helper that allocated its own sub-blocks took them from its
+    own malloc arena, which raised calib-et's peak RSS by 1.7 MB.
+    """
+    step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles) or 1))  # no users: draw_block raises
+    chunks = [min(chunk_slots, n_slots - start) for start in range(0, n_slots, chunk_slots)]
+    sizes = [min(step, m - lo) for m in chunks for lo in range(0, m, step)]
+    shape = (max(sizes), len(profiles))
+    spare = [SlotBlock(*(np.empty(shape) for _ in range(3))) for _ in range(2)]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        # submitted one at a time; draw_block is looked up per draw, so a wrapper
+        # installed on it sees every draw
+        draws = (helper.submit(draw_block, profiles, config, rng, size, spare[i % 2])
+                 for i, size in enumerate(sizes))
+        pending, start = next(draws), 0
+        for m in chunks:
+            out = np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)
+            for lo in range(0, m, step):
+                block = pending.result()
+                pending = next(draws, None)
+                selections = choose(start + lo, block)
+                for buf, part in zip(out, (selections, *block.outcome(selections))):
+                    buf[lo : lo + block.n_slots] = part
+            start += m
+            yield out
 
 
 # Keys accepted in configuration files: the SystemConfig fields.

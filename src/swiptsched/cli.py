@@ -174,6 +174,8 @@ def _parse_orders(text: str) -> frozenset[int]:
 def _build_scheduler(args, config, profiles, settings):
     """Returns (scheduler, point metadata) for the run subcommand."""
     scheme = args.scheme
+    if args.orders is not None and scheme != "order-et":
+        raise ConfigError(f"--orders applies to order-et only, not {scheme}")
     if scheme in OPTIMAL_SCHEMES:
         q_req = config.q_req
         if args.duals:
@@ -197,7 +199,7 @@ def _build_scheduler(args, config, profiles, settings):
             scheduler = make_optimal_scheduler(scheme, duals)
         return scheduler, dict(q_req=q_req, duals=duals)
     if scheme == "order-et":
-        orders = _parse_orders(args.orders) if args.orders else frozenset({args.j})
+        orders = frozenset({args.j}) if args.orders is None else _parse_orders(args.orders)
         policy = OrderPolicy(scheme, s_a=orders)
     else:
         policy = OrderPolicy(scheme, j=args.j)

@@ -4,8 +4,11 @@ A run draws T fading slots, lets the scheduler pick one user per slot
 and accumulates the averages the tradeoff curves are made of: the
 scheduled users' capacities (average sum rate) and the idle users'
 harvests (average sum harvested power).  Chunks of ``CHUNK_SLOTS`` fix
-the float summation order and sub-blocks of about 256 KiB per array keep
-drawing, selection and scoring in L2 cache; neither changes a result bit.
+the float summation order.  Within a chunk, ``channel.slot_outcomes``
+works in L2-sized sub-blocks and draws each one ahead on a helper thread,
+the only reader of the run generator, while the caller selects and scores
+the one before; at most two sub-blocks are alive at once, and no result
+bit changes.
 
 ``sweep_q_req`` traces a rate-energy curve for one of the optimal
 schemes by calibrating and running at each harvest target of a grid;
@@ -31,11 +34,10 @@ from . import seeds
 from .baselines import ORDER_SCHEMES, OrderPolicy, make_order_scheduler
 from .calibration import (_CALIBRATORS, CalibrationSettings, ConvergenceError,
                           InfeasibleError, _pool_share)
-from .channel import SystemConfig, UserProfile, draw_block
+from .channel import SystemConfig, UserProfile, slot_outcomes
 from .scheduling import DualState, SlotScheduler, make_optimal_scheduler
 
 CHUNK_SLOTS = 1 << 16
-_SUB_BLOCK_BYTES = 1 << 18
 
 OPTIMAL_SCHEMES = tuple(_CALIBRATORS)
 
@@ -116,22 +118,6 @@ class _Accumulator:
         )
 
 
-def _outcomes(profiles: Sequence[UserProfile], config: SystemConfig, seed: int,
-              n_slots: int, choose):
-    """Per chunk, (selections, rate, idle); ``choose(start, block)`` selects in a sub-block."""
-    rng = seeds.substream(seed, seeds.RUN)
-    step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles) or 1))  # no users: draw_block raises
-    for start in range(0, n_slots, CHUNK_SLOTS):
-        m = min(CHUNK_SLOTS, n_slots - start)
-        out = np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)
-        for lo in range(0, m, step):
-            block = draw_block(profiles, config, rng, min(step, m - lo))
-            selections = choose(start + lo, block)
-            for buf, part in zip(out, (selections, *block.outcome(selections))):
-                buf[lo : lo + block.n_slots] = part
-        yield out
-
-
 def run(
     scheduler: SlotScheduler,
     profiles: Sequence[UserProfile],
@@ -150,8 +136,8 @@ def run(
     state = scheduler.start(len(profiles))
     acc = _Accumulator(len(profiles))
     log: list[np.ndarray] = []
-    for chunk in _outcomes(profiles, config, seed, int(n_slots),
-                           lambda _, block: scheduler.select_block(block, state)):
+    for chunk in slot_outcomes(profiles, config, seeds.substream(seed, seeds.RUN), int(n_slots),
+                               CHUNK_SLOTS, lambda _, block: scheduler.select_block(block, state)):
         acc.add(*chunk)
         if keep_log:
             log.append(chunk[0])
@@ -174,8 +160,9 @@ def replay(
     if len(selections) < 1:
         raise ValueError("selections must be non-empty")
     acc = _Accumulator(len(profiles))
-    for chunk in _outcomes(profiles, config, seed, len(selections),
-                           lambda start, block: selections[start : start + block.n_slots]):
+    for chunk in slot_outcomes(profiles, config, seeds.substream(seed, seeds.RUN),
+                               len(selections), CHUNK_SLOTS,
+                               lambda start, block: selections[start : start + block.n_slots]):
         acc.add(*chunk)
     return acc.finish(scheme, None)
 

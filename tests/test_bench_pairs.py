@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,34 @@ class TestSummarize:
     def test_mismatched_runs_rejected(self):
         with pytest.raises(ValueError):
             summarize(PARENT, PARENT[:-1], "lower", 0.25)
+
+
+class TestRunBench:
+    RECORD = 'record {"digest": ["abc"], "env": {}}'
+
+    def fake_run(self, monkeypatch, last_line):
+        stdout = "\n".join(["metric wall_norm_s 1 s", self.RECORD, last_line]) + "\n"
+        monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kw:
+                            subprocess.CompletedProcess(argv, 0, stdout, ""))
+
+    def test_result_line_parsed(self, monkeypatch):
+        self.fake_run(monkeypatch, '{"correct": true, "attempted": 3, "failed": 0, '
+                                   '"metrics": {"wall_norm_s": {"value": 1.5, "unit": "s"}}}')
+        out = bench_pairs.run_bench(Path("."), "change", "calib-et", 4, 27)
+        assert out["metrics"] == {"wall_norm_s": 1.5} and out["digest"] == ["abc"]
+
+    @pytest.mark.parametrize("last_line", [
+        '{"correct": true, "attempted": 3, "failed": 0, '
+        '"metrics": {"wall_norm_s": {"value": NaN, "unit": "s"}}}',
+        '{"correct": true, "attempted": 3, "failed": 0, '
+        '"metrics": {"wall_norm_s": {"value": -Infinity, "unit": "s"}}}',
+        "Exception ignored in thread started by: <function>",
+        '["not", "a", "result"]',
+    ], ids=["NaN", "-Infinity", "text", "list"])
+    def test_line_that_is_not_a_result_names_the_run(self, monkeypatch, last_line):
+        self.fake_run(monkeypatch, last_line)
+        with pytest.raises(RuntimeError) as err:
+            bench_pairs.run_bench(Path("."), "parent", "calib-et", 4, 27)
+        message = str(err.value)
+        assert "parent benchmark, workload calib-et, seed 4" in message
+        assert repr(last_line) in message

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from unittest.mock import Mock, patch
 
 import hypothesis
 import numpy as np
@@ -24,7 +25,8 @@ from swiptsched import (
     place_users,
     save_duals,
 )
-from swiptsched import ConfigError, linear_argmax
+from swiptsched import (ConfigError, channel, draw_block, linear_argmax,
+                        make_optimal_scheduler, seeds)
 from swiptsched.calibration import (
     _EtRule,
     _PfRule,
@@ -102,6 +104,27 @@ class TestEstimateConstraints:
         var_small = np.var(harvest_samples(2000))
         var_large = np.var(harvest_samples(4000))
         assert 1.3 < var_small / var_large < 3.2
+
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("scheme", ["mt", "pf", "et"])
+    def test_sub_blocks_change_no_bit(self, scheme, n):
+        # 5003 slots in 700-slot sub-blocks against one block of all of them,
+        # scheduled and summarized as estimate_constraints did before sub-blocks
+        config = SystemConfig(n_users=n, seed=23)
+        profiles = make_profiles(config)
+        duals = DualState(nu=2e5, gamma=np.linspace(-0.5, 0.5, n),
+                          theta=1 / np.arange(1.0, n + 1) / np.sum(1 / np.arange(1.0, n + 1)))
+        settings = CalibrationSettings(mc_slots=5003, seed=24)
+        with patch.object(channel, "_SUB_BLOCK_BYTES", 8 * n * 700), \
+                patch.object(channel, "draw_block", Mock(wraps=draw_block)) as draws:
+            est = estimate_constraints(scheme, duals, profiles, config, settings)
+        assert draws.call_count == 8
+        block = draw_block(profiles, config, seeds.substream(24, seeds.VALIDATION), 5003)
+        qbar, access, rates = block.summary(
+            make_optimal_scheduler(scheme, duals).select_block(block))
+        assert est.mean_sum_harvest == qbar
+        assert np.array_equal(est.access_freq, access)
+        assert np.array_equal(est.per_user_rate, rates)
 
 
 class TestCalibrateMt:

@@ -16,6 +16,7 @@ from swiptsched import (
     replay,
 )
 from swiptsched import seeds
+from swiptsched.channel import profile_arrays
 from swiptsched.oracle import FiniteInstance
 
 from conftest import make_profiles
@@ -112,6 +113,21 @@ class TestDrawing:
             for name in ("gains", "capacities", "harvests"):
                 joined = np.concatenate([getattr(head, name), getattr(tail, name)])
                 assert np.array_equal(joined, getattr(block, name))
+
+    def test_out_block_changes_no_bit(self, table_config, table_profiles):
+        # the fresh-array arithmetic draw_block had before it took ``out``
+        omega, xi, sigma2 = profile_arrays(table_profiles)
+        gains = np.random.default_rng(43).standard_exponential((50, 5)) * omega
+        capacities = table_config.tx_power * gains
+        capacities /= sigma2
+        capacities += 1.0
+        expected = gains, np.log2(capacities), (xi * table_config.tx_power) * gains
+        spare = SlotBlock(*(np.full((64, 5), np.nan) for _ in range(3)))
+        for out in (None, spare):
+            block = draw_block(table_profiles, table_config, np.random.default_rng(43), 50, out)
+            for got, want in zip((block.gains, block.capacities, block.harvests), expected):
+                assert np.array_equal(got, want)
+        assert np.shares_memory(block.gains, spare.gains)
 
     def test_deterministic_by_seed(self, table_config, table_profiles):
         a = draw_block(table_profiles, table_config, seeds.substream(4, seeds.RUN), 100)

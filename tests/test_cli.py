@@ -71,7 +71,10 @@ class TestRunCommand:
         (["--scheme", "order-mt", "--j", "9"], "non-empty subset of [1, 4]"),
         (["--scheme", "order-et", "--orders", "1,x"], "cannot parse --orders value"),
         (["--scheme", "order-et", "--orders", "0,1"], "non-empty subset of [1, 4]"),
-    ], ids=["j=9", "orders=1,x", "orders=0,1"])
+        (["--scheme", "order-et", "--orders", ""], "cannot parse --orders value ''"),
+        (["--scheme", "order-mt", "--orders", "2,3"], "--orders applies to order-et only"),
+        (["--scheme", "mt", "--orders", "1"], "--orders applies to order-et only"),
+    ], ids=["j=9", "orders=1,x", "orders=0,1", "orders empty", "order-mt orders", "mt orders"])
     def test_bad_order_is_config_error(self, argv, message, config_file, capsys):
         code = run_cli("run", "--config", config_file, *argv)
         assert code == EXIT_CONFIG

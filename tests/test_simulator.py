@@ -1,3 +1,6 @@
+import itertools
+import sys
+import threading
 from unittest.mock import Mock, patch
 
 import numpy as np
@@ -29,7 +32,7 @@ from swiptsched import (
     write_csv,
     write_jsonl,
 )
-from swiptsched import DualState, calibration, seeds, simulator
+from swiptsched import DualState, calibration, channel, seeds, simulator
 from swiptsched.simulator import RunStatistics, SweepPoint
 
 from conftest import make_profiles, profiles_at
@@ -99,7 +102,7 @@ class TestRun:
             policy = OrderPolicy("order-et", s_a=frozenset({1, 2, 3}))
             scheduler = make_order_scheduler(policy, table_profiles)
         with patch.object(simulator, "CHUNK_SLOTS", chunk), \
-                patch.object(simulator, "_SUB_BLOCK_BYTES", 8 * 5 * sub):
+                patch.object(channel, "_SUB_BLOCK_BYTES", 8 * 5 * sub):
             stats = run(scheduler, table_profiles, table_config, n, seed=9, keep_log=True)
             again = replay(stats.selections, table_profiles, table_config, seed=9)
         assert again.avg_sum_rate == stats.avg_sum_rate
@@ -122,7 +125,7 @@ class TestRun:
         for scheduler in schedulers:
             base = run(scheduler, table_profiles, table_config, 3000, seed=17, keep_log=True)
             with patch.object(simulator, "CHUNK_SLOTS", chunk), \
-                    patch.object(simulator, "_SUB_BLOCK_BYTES", 8 * 5 * sub):
+                    patch.object(channel, "_SUB_BLOCK_BYTES", 8 * 5 * sub):
                 other = run(scheduler, table_profiles, table_config, 3000, seed=17, keep_log=True)
             assert np.array_equal(other.selections, base.selections)
             assert np.array_equal(other.access_freq, base.access_freq)
@@ -137,7 +140,7 @@ class TestRun:
         profiles = make_profiles(config)
         scheduler = LinearScheduler("mt", nu=2e5)
         n_slots = simulator.CHUNK_SLOTS + 777
-        with patch.object(simulator, "draw_block", Mock(wraps=draw_block)) as draws:
+        with patch.object(channel, "draw_block", Mock(wraps=draw_block)) as draws:
             stats = run(scheduler, profiles, config, n_slots, seed=22)
         assert draws.call_count == simulator.CHUNK_SLOTS // 1024 + 1
         acc = simulator._Accumulator(32)
@@ -152,6 +155,53 @@ class TestRun:
             assert getattr(stats, name) == getattr(expected, name), name
         assert np.array_equal(stats.per_user_rate, expected.per_user_rate)
         assert np.array_equal(stats.access_freq, expected.access_freq)
+
+    def test_draws_ahead_change_no_bit_under_fast_switching(self, table_config, table_profiles):
+        # 7-slot sub-blocks while the interpreter switches threads every
+        # microsecond: a draw into a reused block never overtakes its scoring
+        schedulers = [
+            LinearScheduler("mt", nu=2e5),
+            make_order_scheduler(OrderPolicy("order-et", s_a=frozenset({1, 3})), table_profiles),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with patch.object(channel, "_SUB_BLOCK_BYTES", 8 * 5 * 7):
+                runs = [run(s, table_profiles, table_config, 3001, seed=25, keep_log=True)
+                        for s in schedulers]
+        finally:
+            sys.setswitchinterval(interval)
+        block = draw_block(table_profiles, table_config, seeds.substream(25, seeds.RUN), 3001)
+        for scheduler, stats in zip(schedulers, runs):
+            selections = scheduler.select_block(block, scheduler.start(5))
+            rate, idle = block.outcome(selections)
+            assert np.array_equal(stats.selections, selections)
+            assert stats.avg_sum_harvest == float(idle.sum()) / 3001
+            assert np.array_equal(stats.per_user_rate, np.bincount(selections, rate, 5) / 3001)
+
+    @pytest.mark.parametrize("layer", ["select_block", "draw_block"])
+    def test_failure_joins_the_draw_thread(self, layer, table_config, table_profiles):
+        # a failing selection (third sub-block) or draw (second) ends run with
+        # that error and leaves no helper thread behind
+        def fail_on(k, fn):
+            calls = itertools.count(1)
+
+            def wrapped(*args):
+                if next(calls) == k:
+                    raise RuntimeError(f"{layer} failed")
+                return fn(*args)
+            return wrapped
+
+        scheduler = LinearScheduler("mt", nu=1e5)
+        if layer == "select_block":
+            target = patch.object(scheduler, "select_block", fail_on(3, scheduler.select_block))
+        else:
+            target = patch.object(channel, "draw_block", fail_on(2, draw_block))
+        before = threading.active_count()
+        with target, patch.object(channel, "_SUB_BLOCK_BYTES", 8 * 5 * 100), \
+                pytest.raises(RuntimeError, match=f"{layer} failed"):
+            run(scheduler, table_profiles, table_config, 1000, seed=3)
+        assert threading.active_count() == before
 
     def test_no_users_rejected(self, table_config):
         with pytest.raises(ValueError, match="profiles must be non-empty"):

@@ -92,19 +92,33 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``root``: its metric values, failures and digests."""
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+def run_bench(root: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``root``: its metric values, failures and digests.
+
+    The last line of its output must be the result object in strict JSON:
+    ``NaN`` and ``Infinity``, which ``json.dumps`` writes for a non-finite
+    metric, are rejected like any other line that is not a result.
+    """
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
+    where = f"{side} benchmark, workload {workload}, seed {seed}"
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"benchmark in {root} exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(lines[-1])
+        raise RuntimeError(f"{where} exited {proc.returncode}:\n{proc.stderr}")
+    try:
+        result = json.loads(lines[-1], parse_constant=_reject_constant)
+        metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise RuntimeError(f"{where}: last line is not a result ({exc}): {lines[-1]!r}") from exc
     record = next(json.loads(line[len("record "):]) for line in lines
                   if line.startswith("record "))
-    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    return {"metrics": metrics,
             "attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"], "digest": record["digest"], "env": record["env"]}
 
@@ -142,7 +156,8 @@ def main(argv: list[str]) -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_bench(roots[side], args.workload, args.seed + i, seconds))
+                runs[side].append(run_bench(roots[side], side, args.workload, args.seed + i,
+                                            seconds))
                 print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} {side}: "
                       + json.dumps(runs[side][-1]["metrics"]), file=sys.stderr)
     metrics = {}
