@@ -81,7 +81,8 @@ class TestRunBench:
         '"metrics": {"wall_norm_s": {"value": -Infinity, "unit": "s"}}}',
         "Exception ignored in thread started by: <function>",
         '["not", "a", "result"]',
-    ], ids=["NaN", "-Infinity", "text", "list"])
+        '{"correct": true, "metrics": {"wall_norm_s": {"value": 1.5, "unit": "s"}}}',
+    ], ids=["NaN", "-Infinity", "text", "list", "no counts"])
     def test_line_that_is_not_a_result_names_the_run(self, monkeypatch, last_line):
         self.fake_run(monkeypatch, last_line)
         with pytest.raises(RuntimeError) as err:

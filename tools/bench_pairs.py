@@ -113,14 +113,13 @@ def run_bench(root: Path, side: str, workload: str, seed: int, seconds: float) -
         raise RuntimeError(f"{where} exited {proc.returncode}:\n{proc.stderr}")
     try:
         result = json.loads(lines[-1], parse_constant=_reject_constant)
-        metrics = {k: v["value"] for k, v in result["metrics"].items()}
+        run = {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+               **{key: result[key] for key in ("attempted", "failed", "correct")}}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise RuntimeError(f"{where}: last line is not a result ({exc}): {lines[-1]!r}") from exc
     record = next(json.loads(line[len("record "):]) for line in lines
                   if line.startswith("record "))
-    return {"metrics": metrics,
-            "attempted": result["attempted"], "failed": result["failed"],
-            "correct": result["correct"], "digest": record["digest"], "env": record["env"]}
+    return {**run, "digest": record["digest"], "env": record["env"]}
 
 
 def git(*args: str) -> str:
