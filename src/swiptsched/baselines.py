@@ -102,13 +102,15 @@ class OrderScheduler(SlotScheduler):
             return table[:, 0]
         if state is None:
             raise ValueError(f"{self.tag} with several orders needs per-run state from start()")
-        # The running argmin over cumulative throughput is inherently sequential.
-        selections = np.empty(block.n_slots, dtype=np.int64)
-        for i, row in enumerate(table):
-            chosen = row[np.argmin(state[row])]
-            state[chosen] += block.capacities[i, chosen]
-            selections[i] = chosen
-        return selections
+        # The running argmin over cumulative throughput is inherently sequential,
+        # and on Python lists a slot costs less than on numpy scalars.
+        totals, selections = state.tolist(), []
+        for row, caps in zip(table.tolist(), block.capacities.tolist()):
+            chosen = min(row, key=totals.__getitem__)
+            totals[chosen] += caps[chosen]
+            selections.append(chosen)
+        state[:] = totals
+        return np.array(selections, dtype=np.int64)
 
 
 def make_order_scheduler(

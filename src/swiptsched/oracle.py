@@ -10,14 +10,15 @@ integral and reach the optimum up to a gap of at most one slot's
 maximum capacity divided by the horizon, the worst case a single
 fractional time-share could recover.  Instance harvests and rates come
 from ``SlotBlock.outcome``; the one enumerator, ``_brute_force``, keeps
-its own batch arithmetic as the independent reference, and each scheme
-supplies only the value of a batch of assignments.
+its own arithmetic as the independent reference: ``_outer_sums`` turns
+any per-slot, per-user array into the totals of every assignment at
+once, and each scheme's value is a function of those totals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,8 +26,6 @@ import numpy as np
 from .calibration import _mt_price, _pool_of
 from .channel import SlotBlock, SystemConfig, UserProfile, draw_block
 from .scheduling import linear_argmax
-
-_BATCH = 1 << 14
 
 
 def check_size(n_slots: int, n_users: int) -> None:
@@ -95,41 +94,50 @@ class BruteForceResult:
     value: float | None  # avg sum rate (MT) or min per-user avg rate (ET)
 
 
+def _outer_sums(x: np.ndarray) -> np.ndarray:
+    """Per-assignment totals of a (T, N) per-slot, per-user array, shape (N**T,).
+
+    Entry k is the sum over slots i of ``x[i, a_i]``, where a is the k-th
+    assignment in lexicographic order, slot 0 most significant.  The
+    slots are added in the order of numpy's row sum of the picked
+    values: in sequence below 8 slots, pairwise at 8, as
+    ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``.
+    """
+    def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.add.outer(a, b).ravel()
+
+    if len(x) < 8:
+        return reduce(add, x[1:], x[0].copy())
+    pairs = [add(x[i], x[i + 1]) for i in range(0, 8, 2)]
+    return add(add(pairs[0], pairs[1]), add(pairs[2], pairs[3]))
+
+
 def _brute_force(instance: FiniteInstance, value: Callable) -> BruteForceResult:
     """Enumerate every assignment; keep the best value among those meeting the target.
 
-    ``value(batch, picked_c)`` scores a (B, T) batch of assignments,
-    given the scheduled users' (B, T) capacities, with one value each;
-    ``-inf`` marks an assignment that breaks a fairness rule.  It is
-    called only for batches holding an assignment that meets the
+    ``value(sums)`` is passed ``_outer_sums``, calls it on the (T, N)
+    per-slot, per-user arrays it needs, and returns one value per
+    assignment in the same table order; ``-inf`` marks an assignment
+    that breaks a fairness rule.  It is called only when some assignment meets the
     harvest target.  Ties go to the first best assignment in
     lexicographic order, slot 0 most significant.
     """
     t, n = instance.n_slots, instance.n_users
     check_size(t, n)
-    cols = np.arange(t)
     q_total = float(instance.harvests.sum())
-    digits = n ** np.arange(t - 1, -1, -1, dtype=np.int64)
-    best_value, best = -math.inf, None
-    for start in range(0, n**t, _BATCH):
-        idx = np.arange(start, min(start + _BATCH, n**t), dtype=np.int64)
-        batch = (idx[:, None] // digits) % n
-        picked_q = instance.harvests[cols, batch].sum(axis=1)
-        feasible = (q_total - picked_q) / t >= instance.q_req - 1e-12
-        if not feasible.any():
-            continue
-        values = np.where(feasible, value(batch, instance.capacities[cols, batch]), -math.inf)
+    feasible = (q_total - _outer_sums(instance.harvests)) / t >= instance.q_req - 1e-12
+    if feasible.any():
+        values = np.where(feasible, value(_outer_sums), -np.inf)
         k = int(np.argmax(values))
-        if values[k] > best_value:
-            best_value, best = float(values[k]), batch[k].copy()
-    if best is None:
-        return BruteForceResult(feasible=False, schedule=None, value=None)
-    return BruteForceResult(feasible=True, schedule=best, value=best_value)
+        if values[k] > -np.inf:
+            schedule = np.array(np.unravel_index(k, (n,) * t), dtype=np.int64)
+            return BruteForceResult(feasible=True, schedule=schedule, value=float(values[k]))
+    return BruteForceResult(feasible=False, schedule=None, value=None)
 
 
 def brute_force_mt(instance: FiniteInstance) -> BruteForceResult:
     """Enumerate all schedules; maximize average sum rate under the target."""
-    return _brute_force(instance, lambda batch, picked_c: picked_c.sum(axis=1) / instance.n_slots)
+    return _brute_force(instance, lambda sums: sums(instance.capacities) / instance.n_slots)
 
 
 def brute_force_et(instance: FiniteInstance) -> BruteForceResult:
@@ -137,13 +145,11 @@ def brute_force_et(instance: FiniteInstance) -> BruteForceResult:
 
     This max-min throughput is what ET means (see ``calibrate_et``).
     """
-    t, n = instance.n_slots, instance.n_users
+    caps, users = instance.capacities, np.arange(instance.n_users)
 
-    def min_rate(batch: np.ndarray, picked_c: np.ndarray) -> np.ndarray:
-        per_user = np.stack(
-            [np.where(batch == u, picked_c, 0.0).sum(axis=1) for u in range(n)], axis=1
-        ) / t
-        return per_user.min(axis=1)
+    def min_rate(sums: Callable) -> np.ndarray:
+        per_user = (sums(np.where(users == u, caps, 0.0)) for u in users)
+        return reduce(np.minimum, per_user) / instance.n_slots
 
     return _brute_force(instance, min_rate)
 

@@ -53,6 +53,20 @@ def order_et_reference(gains, capacities, omega, s_a, totals) -> int:
     return chosen
 
 
+def order_et_numpy_loop(gains, capacities, omega, s_a, state) -> tuple[np.ndarray, int]:
+    """The per-slot loop on numpy scalars that the list loop replaced, over the
+    stable-sort candidate table; also returns how many slots had a tied minimum."""
+    table = np.sort(np.argsort(-(gains / omega), axis=1, kind="stable")[:, sorted(
+        o - 1 for o in s_a)], axis=1)
+    selections, ties = np.empty(len(table), dtype=np.int64), 0
+    for i, row in enumerate(table):
+        ties += np.count_nonzero(state[row] == state[row].min()) > 1
+        chosen = row[np.argmin(state[row])]
+        state[chosen] += capacities[i, chosen]
+        selections[i] = chosen
+    return selections, ties
+
+
 @pytest.fixture(scope="module")
 def iid_config():
     return SystemConfig(n_users=4, seed=5)
@@ -225,6 +239,29 @@ class TestOrderEt:
         expected = fresh.select_block(block, fresh.start(5))
         assert np.array_equal(stats.selections, expected)
 
+
+    @pytest.mark.parametrize("integer_caps", [False, True], ids=["drawn", "tied"])
+    @pytest.mark.parametrize("s_a", [{1, 2}, {1, 2, 3}, {2, 3, 4}], ids=["12", "123", "234"])
+    def test_list_loop_matches_numpy_loop_across_blocks(self, table_config, table_profiles,
+                                                        s_a, integer_caps):
+        # several blocks of one run share the state; the zero start ties every
+        # total, and capacities in {0, 1, 2} keep ties coming
+        rng = np.random.default_rng(17)
+        omega = mean_gains(table_profiles)
+        scheduler = order_et(s_a, omega)
+        state, reference_state, ties = scheduler.start(5), np.zeros(5), 0
+        for n_slots in (1, 300, 1024, 77):
+            block = draw_block(table_profiles, table_config, rng, n_slots)
+            if integer_caps:
+                block = SlotBlock(block.gains, rng.integers(0, 3, block.gains.shape) * 1.0,
+                                  block.harvests)
+            chosen = scheduler.select_block(block, state)
+            expected, block_ties = order_et_numpy_loop(
+                block.gains, block.capacities, omega, s_a, reference_state)
+            ties += block_ties
+            assert chosen.dtype == expected.dtype and np.array_equal(chosen, expected)
+            assert np.array_equal(state, reference_state)
+        assert ties >= (100 if integer_caps else 1)
 
     def test_singleton_set_equals_order_pf(self, table_config, table_profiles):
         # order-et with {j} schedules the rank-j user, as order-pf with j does

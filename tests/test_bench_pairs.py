@@ -1,5 +1,7 @@
 import importlib.util
+import io
 import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,24 @@ class TestRunBench:
         message = str(err.value)
         assert "parent benchmark, workload calib-et, seed 4" in message
         assert repr(last_line) in message
+
+
+class TestMakeTrees:
+    def test_both_sides_side_by_side_with_the_same_perfbench(self, tmp_path):
+        buffer = io.BytesIO()
+        with tarfile.open(fileobj=buffer, mode="w") as tar:
+            data = b"PARENT = True\n"
+            info = tarfile.TarInfo("src/swiptsched/__init__.py")
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+        roots = bench_pairs.make_trees(tmp_path, buffer.getvalue())
+        assert roots == {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+        assert (roots["parent"] / "src/swiptsched/__init__.py").read_bytes() == data
+        checkout = bench_pairs.ROOT
+        for name in ("__init__.py", "oracle.py"):
+            assert (roots["change"] / "src/swiptsched" / name).read_bytes() == (
+                checkout / "src/swiptsched" / name).read_bytes()
+        for root in roots.values():
+            assert (root / "perfbench/run.py").read_bytes() == (
+                checkout / "perfbench/run.py").read_bytes()
+            assert not list(root.rglob("__pycache__"))

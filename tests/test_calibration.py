@@ -309,12 +309,12 @@ class TestEqualAccessBound:
         """Largest harvest over assignments whose access shares are within
         ``tol_access`` of 1/N, by brute force; None when there is none."""
         t, n = inst.n_slots, inst.n_users
-        cols, q_total = np.arange(t), float(inst.harvests.sum())
+        q_total, one_hot = float(inst.harvests.sum()), np.eye(n)
 
-        def harvest_within(batch: np.ndarray, picked_c: np.ndarray) -> np.ndarray:
-            counts = np.stack([(batch == u).sum(axis=1) for u in range(n)], axis=1)
-            ok = (np.abs(counts / t - 1 / n) <= tol_access).all(axis=1)
-            harvest = (q_total - inst.harvests[cols, batch].sum(axis=1)) / t
+        def harvest_within(sums) -> np.ndarray:
+            counts = [sums(np.broadcast_to(one_hot[u], (t, n))) for u in range(n)]
+            ok = np.all([np.abs(c / t - 1 / n) <= tol_access for c in counts], axis=0)
+            harvest = (q_total - sums(inst.harvests)) / t
             return np.where(ok, harvest, -math.inf)
 
         result = _brute_force(inst, harvest_within)
@@ -360,13 +360,13 @@ class TestEqualThroughputBound:
         """Largest harvest over assignments whose rate spread is at most
         ``tol_rate`` times the mean rate, by brute force; None when there is none."""
         t, n = inst.n_slots, inst.n_users
-        cols, q_total = np.arange(t), float(inst.harvests.sum())
+        q_total, users = float(inst.harvests.sum()), np.arange(n)
 
-        def harvest_within(batch: np.ndarray, picked_c: np.ndarray) -> np.ndarray:
-            rates = np.stack([np.where(batch == u, picked_c, 0.0).sum(axis=1)
-                              for u in range(n)], axis=1) / t
+        def harvest_within(sums) -> np.ndarray:
+            rates = np.stack([sums(np.where(users == u, inst.capacities, 0.0))
+                              for u in users], axis=1) / t
             ok = rates.max(axis=1) - rates.min(axis=1) <= tol_rate * rates.mean(axis=1)
-            harvest = (q_total - inst.harvests[cols, batch].sum(axis=1)) / t
+            harvest = (q_total - sums(inst.harvests)) / t
             return np.where(ok, harvest, -math.inf)
 
         result = _brute_force(inst, harvest_within)

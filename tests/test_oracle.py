@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from swiptsched import (
+    BruteForceResult,
     FiniteInstance,
     SystemConfig,
     brute_force_et,
@@ -86,8 +87,8 @@ class TestBruteForceMt:
 
 class TestInstanceArithmetic:
     def test_matches_brute_force_batch_formula(self, three_user_setup):
-        # harvest_of/rate_of go through SlotBlock.outcome; the brute-force
-        # search keeps its own batch arithmetic, and the two must agree
+        # harvest_of/rate_of go through SlotBlock.outcome; the batch reference
+        # enumerator below keeps its own arithmetic, and the two must agree
         config, profiles = three_user_setup
         rng = np.random.default_rng(6)
         inst = random_instance(profiles, config, rng, 7, 0.5)
@@ -166,13 +167,67 @@ def naive_et(assignment, picked_c, n):
     return min(float(picked_c[assignment == u].sum()) / len(assignment) for u in range(n))
 
 
-def equal_access_rate(n_users: int, n_slots: int):
+def naive_equal_access(assignment, picked_c, n):
+    equal = (np.bincount(assignment, minlength=n) == len(assignment) // n).all()
+    return naive_mt(assignment, picked_c) if equal else -math.inf
+
+
+def equal_access_rate(inst: FiniteInstance):
     """Sum rate under equal access: -inf unless every user is scheduled
     exactly n_slots / n_users times."""
-    def value(batch: np.ndarray, picked_c: np.ndarray) -> np.ndarray:
-        counts = np.stack([(batch == u).sum(axis=1) for u in range(n_users)], axis=1)
-        equal = (counts == n_slots // n_users).all(axis=1)
-        return np.where(equal, picked_c.sum(axis=1) / n_slots, -math.inf)
+    t, n = inst.n_slots, inst.n_users
+
+    def value(sums) -> np.ndarray:
+        one_hot = np.eye(n)
+        equal = np.all([sums(np.broadcast_to(one_hot[u], (t, n))) == t // n
+                        for u in range(n)], axis=0)
+        return np.where(equal, sums(inst.capacities) / t, -math.inf)
+    return value
+
+
+def batch_reference(instance: FiniteInstance, value) -> BruteForceResult:
+    """The enumerator as it was written before the outer-sum tables: batches of
+    base-N digit rows, the picked values gathered and summed per row.
+    ``value(batch, picked_c)`` scores a (B, T) batch of assignments."""
+    t, n = instance.n_slots, instance.n_users
+    cols = np.arange(t)
+    q_total = float(instance.harvests.sum())
+    digits = n ** np.arange(t - 1, -1, -1, dtype=np.int64)
+    best_value, best = -math.inf, None
+    for start in range(0, n**t, 1 << 14):
+        idx = np.arange(start, min(start + (1 << 14), n**t), dtype=np.int64)
+        batch = (idx[:, None] // digits) % n
+        picked_q = instance.harvests[cols, batch].sum(axis=1)
+        feasible = (q_total - picked_q) / t >= instance.q_req - 1e-12
+        if not feasible.any():
+            continue
+        values = np.where(feasible, value(batch, instance.capacities[cols, batch]), -math.inf)
+        k = int(np.argmax(values))
+        if values[k] > best_value:
+            best_value, best = float(values[k]), batch[k].copy()
+    if best is None:
+        return BruteForceResult(feasible=False, schedule=None, value=None)
+    return BruteForceResult(feasible=True, schedule=best, value=best_value)
+
+
+def batch_mt(batch, picked_c):
+    return picked_c.sum(axis=1) / batch.shape[1]
+
+
+def batch_et(n):
+    def min_rate(batch, picked_c):
+        per_user = np.stack(
+            [np.where(batch == u, picked_c, 0.0).sum(axis=1) for u in range(n)], axis=1
+        ) / batch.shape[1]
+        return per_user.min(axis=1)
+    return min_rate
+
+
+def batch_equal_access(n):
+    def value(batch, picked_c):
+        counts = np.stack([(batch == u).sum(axis=1) for u in range(n)], axis=1)
+        equal = (counts == batch.shape[1] // n).all(axis=1)
+        return np.where(equal, picked_c.sum(axis=1) / batch.shape[1], -math.inf)
     return value
 
 
@@ -209,10 +264,9 @@ class TestEnumerator:
     def test_minus_inf_excludes_an_assignment(self, inst):
         # equal access is defined only when T is a multiple of N
         hypothesis.assume(inst.n_slots % inst.n_users == 0)
-        value = equal_access_rate(inst.n_users, inst.n_slots)
-        result = _brute_force(inst, value)
+        result = _brute_force(inst, equal_access_rate(inst))
         assert_same(result, naive_search(
-            inst, lambda a, c: float(value(a[None, :], c[None, :])[0])))
+            inst, lambda a, c: naive_equal_access(a, c, inst.n_users)))
         if result.feasible:
             assert np.bincount(result.schedule, minlength=inst.n_users).tolist() == (
                 [inst.n_slots // inst.n_users] * inst.n_users)
@@ -220,7 +274,7 @@ class TestEnumerator:
 
     def test_all_minus_inf_is_infeasible(self):
         inst = instance_of([[3.0, 5.0]], [[1.0, 4.0]])
-        result = _brute_force(inst, lambda batch, picked_c: np.full(len(batch), -math.inf))
+        result = _brute_force(inst, lambda sums: np.full(inst.n_users ** inst.n_slots, -math.inf))
         assert not result.feasible and result.schedule is None and result.value is None
 
     def test_first_best_assignment_wins_ties(self):
@@ -230,3 +284,33 @@ class TestEnumerator:
         # max-min ties: [0, 1] comes before [1, 0]
         et = brute_force_et(instance_of(np.ones((2, 2)), np.zeros((2, 2))))
         assert et.schedule.tolist() == [0, 1]
+
+
+class TestBatchReference:
+    """The outer-sum tables against the batch enumerator they replaced, bit for bit.
+
+    Float instances make every rounding visible: at 8 slots the tables
+    must add the slots pairwise, as numpy's row sum does, and below 8
+    in sequence.
+    """
+
+    @pytest.mark.parametrize("n_slots", range(1, 9))
+    @pytest.mark.parametrize("n_users", range(1, 5))
+    def test_matches_batch_reference(self, n_users, n_slots):
+        config = SystemConfig(n_users=n_users, seed=23)
+        profiles = profiles_at([8.0, 30.0, 70.0, 15.0][:n_users], config)
+        rng = np.random.default_rng(100 * n_users + n_slots)
+        for fraction in (0.0, float(rng.uniform(0.2, 0.9)), 1.0):
+            inst = random_instance(profiles, config, rng, n_slots, fraction)
+            for ours, reference in (
+                (brute_force_mt(inst), batch_reference(inst, batch_mt)),
+                (brute_force_et(inst), batch_reference(inst, batch_et(n_users))),
+                (_brute_force(inst, equal_access_rate(inst)),
+                 batch_reference(inst, batch_equal_access(n_users))),
+            ):
+                assert ours.feasible == reference.feasible
+                if reference.feasible:
+                    assert ours.schedule.tolist() == reference.schedule.tolist()
+                    assert ours.value == reference.value
+                else:
+                    assert ours.schedule is None and ours.value is None

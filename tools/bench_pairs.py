@@ -3,11 +3,14 @@
     python tools/bench_pairs.py --against REV --workload W --pairs K --out BENCH.json
                                 [--seed S]
 
-Extracts REV's ``src`` with ``git archive`` into a temporary tree next to
-a copy of this checkout's ``perfbench``, so both sides run identical
-benchmark code.  Then it runs ``perfbench/run.py --workload W`` K times
-on each side at BENCHMARK.json's ``run_seconds``, pair i at seed S + i
-(S defaults to 1), alternating which side runs first.
+Builds two trees side by side in one temporary directory: ``parent``
+holds REV's ``src`` from ``git archive`` and ``change`` a copy of this
+checkout's ``src``, and each gets a copy of this checkout's
+``perfbench``, so both sides run identical benchmark code from the same
+kind of place (where the tree lies moves ``setup_s``, which is mostly
+the package import).  Then it runs ``perfbench/run.py --workload W`` K
+times on each side at BENCHMARK.json's ``run_seconds``, pair i at seed
+S + i (S defaults to 1), alternating which side runs first.
 
 For every end-to-end metric of BENCHMARK.json the summary gives each
 side's median and quartiles, the share of pairs the change wins (ties
@@ -122,6 +125,23 @@ def run_bench(root: Path, side: str, workload: str, seed: int, seconds: float) -
     return {**run, "digest": record["digest"], "env": record["env"]}
 
 
+def make_trees(tmp: Path, parent_src_tar: bytes) -> dict[str, Path]:
+    """The parent's and the change's trees, ``tmp/parent`` and ``tmp/change``.
+
+    ``parent_src_tar`` is a tar archive of the parent's ``src``; the
+    change's ``src`` and both sides' ``perfbench`` are copied from this
+    checkout.
+    """
+    roots = {"parent": tmp / "parent", "change": tmp / "change"}
+    with tarfile.open(fileobj=io.BytesIO(parent_src_tar)) as tar:
+        tar.extractall(roots["parent"], filter="data")
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "src", roots["change"] / "src", ignore=skip)
+    for root in roots.values():
+        shutil.copytree(ROOT / "perfbench", root / "perfbench", ignore=skip)
+    return roots
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -146,12 +166,7 @@ def main(argv: list[str]) -> int:
         return 2
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(parent_root, filter="data")
-        shutil.copytree(ROOT / "perfbench", parent_root / "perfbench",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        roots = {"parent": parent_root, "change": ROOT}
+        roots = make_trees(Path(tmp), archive.stdout)
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -186,7 +201,10 @@ def main(argv: list[str]) -> int:
         "revisions": {"parent": git("rev-parse", args.against),
                       "change": git("rev-parse", "HEAD"),
                       "change_src_matches_head": git("status", "--porcelain", "src") == ""},
-        "environment": {**runs["change"][0]["env"], "tool_python": platform.python_version()},
+        # both trees lie outside git, so the runs' own git_commit reads "unknown"
+        "environment": {**{k: v for k, v in runs["change"][0]["env"].items()
+                           if k != "git_commit"},
+                        "tool_python": platform.python_version()},
     })
     doc["entries"].append(entry)
     out.write_text(json.dumps(doc, indent=2) + "\n")
