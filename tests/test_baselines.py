@@ -54,7 +54,7 @@ def order_et_reference(gains, capacities, omega, s_a, totals) -> int:
 
 
 def order_et_numpy_loop(gains, capacities, omega, s_a, state) -> tuple[np.ndarray, int]:
-    """The per-slot loop on numpy scalars that the list loop replaced, over the
+    """The per-slot loop on numpy scalars, the reference for the list loop, over the
     stable-sort candidate table; also returns how many slots had a tied minimum."""
     table = np.sort(np.argsort(-(gains / omega), axis=1, kind="stable")[:, sorted(
         o - 1 for o in s_a)], axis=1)

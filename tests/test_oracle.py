@@ -186,8 +186,8 @@ def equal_access_rate(inst: FiniteInstance):
 
 
 def batch_reference(instance: FiniteInstance, value) -> BruteForceResult:
-    """The enumerator as it was written before the outer-sum tables: batches of
-    base-N digit rows, the picked values gathered and summed per row.
+    """The batch enumerator, the exact reference for the outer-sum tables: batches
+    of base-N digit rows, the picked values gathered and summed per row.
     ``value(batch, picked_c)`` scores a (B, T) batch of assignments."""
     t, n = instance.n_slots, instance.n_users
     cols = np.arange(t)
@@ -287,7 +287,7 @@ class TestEnumerator:
 
 
 class TestBatchReference:
-    """The outer-sum tables against the batch enumerator they replaced, bit for bit.
+    """The outer-sum tables against the batch enumerator, bit for bit.
 
     Float instances make every rounding visible: at 8 slots the tables
     must add the slots pairwise, as numpy's row sum does, and below 8
