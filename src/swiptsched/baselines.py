@@ -65,6 +65,11 @@ class OrderPolicy:
 class OrderScheduler(SlotScheduler):
     """Schedules by per-slot rank of the gains, divided by ``mean_gains`` if given.
 
+    A block whose own ``mean_gains`` holds the same omega, tiled to its
+    rows by ``channel.slot_outcomes``, is divided by that tile: one loop
+    over the block instead of one per slot.  Without ``mean_gains`` the
+    gains are copied.
+
     ``select_block`` reads the block's candidate table.  With one
     eligible rank the table has one column, which is the schedule, and
     the scheduler is stateless.  With several, the per-run state from
@@ -85,10 +90,13 @@ class OrderScheduler(SlotScheduler):
         check_orders(self.orders, block.n_users)
         n, orders = block.n_users, self.orders
         top = max(orders) <= n + 1 - min(orders)
-        omega = np.ones(n) if self.mean_gains is None else self.mean_gains
+        omega, tile = self.mean_gains, block.mean_gains
+        if omega is not None and tile is not None and np.array_equal(tile[:1], omega[None]):
+            omega = tile  # one loop over the block, not one per slot
         # Peel ranks off the nearer end: the first maximum is the lowest index (stable
         # rank 1), that of the column-reversed minima the highest index (rank N).
-        work = block.gains / omega if top else block.gains[:, ::-1] / omega[::-1]
+        gains = block.gains if top else block.gains[:, ::-1]
+        work = gains.copy() if omega is None else gains / (omega if top else omega[..., ::-1])
         flat, rows, columns = work.reshape(-1), np.arange(0, work.size, n), []
         for rank in range(1, max(orders) + 1) if top else range(n, min(orders) - 1, -1):
             pick = work.argmax(axis=1) if top else work.argmin(axis=1)

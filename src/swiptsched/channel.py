@@ -22,6 +22,16 @@ about 256 KiB per array, which stay in L2 cache.  A helper thread draws
 the next sub-block while the caller selects and scores the current one.
 Only that thread reads the generator, in slot order, and at most two
 sub-blocks are alive at once, so no variate and no result bit changes.
+
+No numpy call in that loop runs over the user axis of one slot, because
+with a handful of users numpy would pay its per-loop cost once per slot.
+The per-user factors omega, sigma^2 and xi * P are tiled once per loop to
+the sub-block's shape, so each product or quotient with them is one loop
+over the sub-block.  Below ``_SWEEP_USERS`` users, per-slot sums and
+argmaxes sweep whole user columns instead: a row's harvest total adds
+its columns in sequence, which is numpy's own order for fewer than 8
+terms (from 8 on it sums pairwise), and ``scheduling.linear_argmax``
+keeps a running maximum over the columns.
 """
 
 from __future__ import annotations
@@ -38,6 +48,9 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 _SUB_BLOCK_BYTES = 1 << 18
+# Below this many users per-slot reductions sweep the user columns; numpy
+# adds fewer than 8 terms in sequence, so row totals keep every bit.
+_SWEEP_USERS = 8
 
 
 class ConfigError(ValueError):
@@ -156,11 +169,15 @@ class SlotBlock:
 
     ``gains`` may be None for a block given only by capacities and
     harvests (the oracle's instances); the order schedulers need it.
+    ``mean_gains`` is the omega the gains were drawn with, a (1, users)
+    row or a tile of one row per slot, or None when unknown; an order
+    scheduler dividing by the same omega divides by it.
     """
 
     gains: np.ndarray | None
     capacities: np.ndarray
     harvests: np.ndarray
+    mean_gains: np.ndarray | None = None
 
     @property
     def n_slots(self) -> int:
@@ -175,9 +192,9 @@ class SlotBlock:
         """Per-slot capacity of the scheduled user and summed harvest of the idle users.
 
         One user per slot decodes, every other user harvests.  ``total``
-        is ``harvests.sum(axis=1)``, computed here when absent; a pool
-        scored many times passes it in.  Caching it on per-chunk blocks
-        raised the peak memory of long runs.  A selection outside
+        is ``harvests.sum(axis=1)``, computed here by ``row_total`` when
+        absent; a pool scored many times passes it in.  Caching it on
+        per-chunk blocks raised the peak memory of long runs.  A selection outside
         ``[0, n_users)`` raises IndexError, and one that is not one entry
         per slot ValueError.
         """
@@ -195,7 +212,7 @@ class SlotBlock:
         flat = np.arange(0, len(selections) * n, n)
         flat += selections
         if total is None:
-            total = self.harvests.sum(axis=1)
+            total = row_total(self.harvests)
         return (self.capacities.reshape(-1).take(flat),
                 total - self.harvests.reshape(-1).take(flat))
 
@@ -207,6 +224,22 @@ class SlotBlock:
     def max_harvest(self) -> np.ndarray:
         """Largest idle harvest of each slot: the weakest harvester is scheduled."""
         return self.harvests.sum(axis=1) - self.harvests.min(axis=1)
+
+
+def row_total(values: np.ndarray) -> np.ndarray:
+    """``values.sum(axis=1)``, bit for bit; below ``_SWEEP_USERS`` columns, column by column.
+
+    numpy adds fewer than 8 terms of a row in sequence but runs one loop
+    per row; adding whole columns in the same sequence is one loop per
+    column.
+    """
+    n = values.shape[1]
+    if not 0 < n < _SWEEP_USERS:
+        return values.sum(axis=1)
+    total = values[:, 0] + 0.0  # numpy starts from +0.0, which turns a -0.0 into +0.0
+    for j in range(1, n):
+        total += values[:, j]
+    return total
 
 
 def summarize(selections: np.ndarray, rate: np.ndarray, idle: np.ndarray, n_users: int
@@ -268,12 +301,24 @@ def profile_arrays(profiles: Sequence[UserProfile]) -> tuple[np.ndarray, np.ndar
     return omega, xi, sigma2
 
 
+def user_factors(profiles: Sequence[UserProfile], config: SystemConfig, rows: int = 1
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-user factors (omega, sigma^2, xi * P) of ``draw_block``, as (rows, N) tiles.
+
+    Against a block of as many rows a tile is one loop over the block;
+    against a per-user vector numpy runs one loop of N per slot.
+    """
+    omega, xi, sigma2 = profile_arrays(profiles)
+    return tuple(np.tile(f, (rows, 1)) for f in (omega, sigma2, xi * config.tx_power))
+
+
 def draw_block(
     profiles: Sequence[UserProfile],
     config: SystemConfig,
     rng: np.random.Generator,
     n_slots: int,
     out: SlotBlock | None = None,
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SlotBlock:
     """Draw ``n_slots`` independent fading slots for all users at once.
 
@@ -282,11 +327,15 @@ def draw_block(
     blocks of a and T - a slots from the same generator state produce
     identical realizations.  Given ``out``, a block of at least
     ``n_slots`` rows, the slots are written into its first rows and the
-    returned block views them.
+    returned block views them.  ``factors`` are ``user_factors`` of at
+    least ``n_slots`` rows, computed here (one row) when absent; the
+    block's ``mean_gains`` views their omega.
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
-    omega, xi, sigma2 = profile_arrays(profiles)
+    if factors is None:
+        factors = user_factors(profiles, config)
+    omega, sigma2, xi_power = (f[:n_slots] for f in factors)
     if out is None:
         out = SlotBlock(*(np.empty((n_slots, len(profiles))) for _ in range(3)))
     gains, capacities, harvests = (a[:n_slots] for a in (out.gains, out.capacities, out.harvests))
@@ -298,8 +347,8 @@ def draw_block(
     capacities /= sigma2
     capacities += 1.0
     np.log2(capacities, out=capacities)
-    np.multiply(xi * config.tx_power, gains, out=harvests)
-    return SlotBlock(gains=gains, capacities=capacities, harvests=harvests)
+    np.multiply(xi_power, gains, out=harvests)
+    return SlotBlock(gains, capacities, harvests, omega)
 
 
 def slot_outcomes(profiles: Sequence[UserProfile], config: SystemConfig,
@@ -313,17 +362,19 @@ def slot_outcomes(profiles: Sequence[UserProfile], config: SystemConfig,
     helper is joined when the loop ends, raises or is closed.  It draws into
     two blocks the caller allocates, in turn, so a block is overwritten once
     scored.  A helper that allocated its own sub-blocks took them from its
-    own malloc arena, which raised calib-et's peak RSS by 1.7 MB.
+    own malloc arena, which raised calib-et's peak RSS by 1.7 MB.  The
+    per-user factors are tiled once, to the sub-block shape, next to them.
     """
     step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles) or 1))  # no users: draw_block raises
     chunks = [min(chunk_slots, n_slots - start) for start in range(0, n_slots, chunk_slots)]
     sizes = [min(step, m - lo) for m in chunks for lo in range(0, m, step)]
     shape = (max(sizes), len(profiles))
     spare = [SlotBlock(*(np.empty(shape) for _ in range(3))) for _ in range(2)]
+    factors = user_factors(profiles, config, shape[0])
     with ThreadPoolExecutor(max_workers=1) as helper:
         # submitted one at a time; draw_block is looked up per draw, so a wrapper
         # installed on it sees every draw
-        draws = (helper.submit(draw_block, profiles, config, rng, size, spare[i % 2])
+        draws = (helper.submit(draw_block, profiles, config, rng, size, spare[i % 2], factors)
                  for i, size in enumerate(sizes))
         pending, start = next(draws), 0
         for m in chunks:

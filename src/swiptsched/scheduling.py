@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SlotBlock
+from .channel import _SWEEP_USERS, SlotBlock
 
 
 @dataclass
@@ -59,30 +59,35 @@ def linear_argmax(
     """Per-row argmax of ``w * caps - nu * harvests - g``, ties to the lowest index.
 
     ``caps`` and ``harvests`` are (slots, users) arrays.  An absent
-    ``w`` means unit weights and an absent ``g`` zero offsets; absent
-    terms are skipped, not computed with ones or zeros.
+    ``w`` means unit weights, an absent ``g`` zero offsets and ``nu == 0``
+    no harvest term; absent terms are skipped, not computed with ones or
+    zeros, which for finite harvests changes no score (``s - 0.0 * h``
+    is ``s``).
 
-    Both memory layouts give the same result (for scores without NaN);
-    the layout of ``caps`` picks the faster way.  User-major
-    (Fortran-order) arrays, such as the calibration pool scored
-    thousands of times, are scored one contiguous user column at a time
-    into a running maximum, which allocates only slot-length
-    temporaries.  Row-major arrays, such as the online schedulers'
-    freshly drawn chunks, are scored whole and reduced by ``np.argmax``:
-    looping over their strided columns was two to three times slower.
-    A user displaces the best so far only when strictly greater, so
-    either way ties go to the lowest index.
+    Both memory layouts give the same result (for scores without NaN).
+    User-major (Fortran-order) arrays, such as the calibration pool
+    scored thousands of times, and row-major arrays of fewer than
+    ``channel._SWEEP_USERS`` users, such as the online schedulers'
+    sub-blocks, are scored one user column at a time into a running
+    maximum, which allocates only slot-length temporaries.  Wider
+    row-major arrays are scored whole and reduced by ``np.argmax``: on
+    1024-slot sub-blocks of 32 users a sweep over the strided columns
+    took four times as long.  A user displaces the best so far only when
+    strictly greater, so either way ties go to the lowest index.
     """
     n = caps.shape[1]
-    if caps.flags.f_contiguous and n > 0:
+    if n > 0 and (caps.flags.f_contiguous or n < _SWEEP_USERS):
         def column(j: int) -> np.ndarray:
             score = caps[:, j] if w is None else caps[:, j] * w[j]
-            score = score - nu * harvests[:, j]
-            if g is not None:
-                score -= g[j]
+            if nu:
+                score = score - nu * harvests[:, j]
+            if g is not None:  # in place unless score still views caps
+                score = np.subtract(score, g[j], out=score if score.flags.owndata else None)
             return score
 
         best = column(0)
+        if not best.flags.owndata:
+            best = best.copy()
         picks = np.zeros(len(best), dtype=np.intp)
         for j in range(1, n):
             score = column(j)
@@ -90,10 +95,11 @@ def linear_argmax(
             np.maximum(best, score, out=best)
         return picks
     if w is None:
-        scores = caps - nu * harvests
+        scores = caps - nu * harvests if nu else caps.copy()
     else:
         scores = caps * w
-        scores -= nu * harvests
+        if nu:
+            scores -= nu * harvests
     if g is not None:
         scores -= g
     return scores.argmax(axis=1)  # the method skips np.argmax's Python wrapper

@@ -105,7 +105,7 @@ class TestEstimateConstraints:
         var_large = np.var(harvest_samples(4000))
         assert 1.3 < var_small / var_large < 3.2
 
-    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("n", [1, 5, 7, 8, 12, 32])
     @pytest.mark.parametrize("scheme", ["mt", "pf", "et"])
     def test_sub_blocks_change_no_bit(self, scheme, n):
         # 5003 slots in 700-slot sub-blocks against one block of all of them,

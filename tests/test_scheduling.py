@@ -172,20 +172,25 @@ class TestLinearArgmaxProperties:
         )
 
     @hypothesis.settings(max_examples=200, deadline=None)
-    @given(integer_slots())
+    @given(integer_slots(max_users=10))
     def test_matches_reference_scores(self, slots):
-        # absent terms are skipped, which must equal unit weights and zero offsets
+        # absent terms (a zero price too) are skipped, which must equal unit
+        # weights, zero offsets and 0 * harvests; the inputs stay untouched
         caps, harv, nu, w, g = slots
-        for kw in ({}, {"w": w}, {"g": g}, {"w": w, "g": g}):
-            expected = np.argmax(reference_scores(caps, harv, nu, **kw), axis=1)
-            assert np.array_equal(linear_argmax(caps, harv, nu, **kw), expected)
+        inputs = caps.copy(), harv.copy()
+        for price in (nu, 0.0):
+            for kw in ({}, {"w": w}, {"g": g}, {"w": w, "g": g}):
+                expected = np.argmax(reference_scores(caps, harv, price, **kw), axis=1)
+                assert np.array_equal(linear_argmax(caps, harv, price, **kw), expected)
+        assert np.array_equal(caps, inputs[0]) and np.array_equal(harv, inputs[1])
 
 
 class TestMemoryLayout:
     @hypothesis.settings(max_examples=200, deadline=None)
-    @given(integer_slots(max_slots=40, max_users=6))
+    @given(integer_slots(max_slots=40, max_users=10))
     def test_user_major_equals_row_major(self, slots):
-        # the per-user running maximum on Fortran arrays against the row path
+        # the per-user running maximum on Fortran arrays against the row path,
+        # which sweeps the columns too below 8 users and reduces rows from 8 on
         caps, harv, nu, w, g = slots
         caps_f, harv_f = np.asfortranarray(caps), np.asfortranarray(harv)
         for kw in ({}, {"w": w}, {"g": g}, {"w": w, "g": g}):

@@ -133,17 +133,20 @@ class TestRun:
             assert other.avg_sum_harvest == pytest.approx(base.avg_sum_harvest, rel=1e-12)
             assert other.per_user_rate == pytest.approx(base.per_user_rate, rel=1e-12)
 
-    def test_sub_blocks_change_no_bit(self):
+    @pytest.mark.parametrize("n", [1, 7, 8, 32])
+    def test_sub_blocks_change_no_bit(self, n):
         # N=32 draws 1024-slot sub-blocks; the reference draws, scores and
-        # sums whole chunks, as the run loop did before sub-blocks
-        config = SystemConfig(n_users=32, seed=21)
+        # sums whole chunks, as the run loop did before sub-blocks.  Below 8
+        # users the sub-blocks sweep user columns, from 8 on they reduce rows.
+        config = SystemConfig(n_users=n, seed=21)
         profiles = make_profiles(config)
         scheduler = LinearScheduler("mt", nu=2e5)
         n_slots = simulator.CHUNK_SLOTS + 777
         with patch.object(channel, "draw_block", Mock(wraps=draw_block)) as draws:
             stats = run(scheduler, profiles, config, n_slots, seed=22)
-        assert draws.call_count == simulator.CHUNK_SLOTS // 1024 + 1
-        acc = simulator._Accumulator(32)
+        step = channel._SUB_BLOCK_BYTES // (8 * n)
+        assert draws.call_count == -(-simulator.CHUNK_SLOTS // step) + -(-777 // step)
+        acc = simulator._Accumulator(n)
         rng = seeds.substream(22, seeds.RUN)
         for start in range(0, n_slots, simulator.CHUNK_SLOTS):
             block = draw_block(profiles, config, rng, min(simulator.CHUNK_SLOTS, n_slots - start))
