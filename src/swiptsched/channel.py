@@ -23,15 +23,14 @@ the next sub-block while the caller selects and scores the current one.
 Only that thread reads the generator, in slot order, and at most two
 sub-blocks are alive at once, so no variate and no result bit changes.
 
-No numpy call in that loop runs over the user axis of one slot, because
-with a handful of users numpy would pay its per-loop cost once per slot.
-The per-user factors omega, sigma^2 and xi * P are tiled once per loop to
-the sub-block's shape, so each product or quotient with them is one loop
-over the sub-block.  Below ``_SWEEP_USERS`` users, per-slot sums and
-argmaxes sweep whole user columns instead: a row's harvest total adds
-its columns in sequence, which is numpy's own order for fewer than 8
-terms (from 8 on it sums pairwise), and ``scheduling.linear_argmax``
-keeps a running maximum over the columns.
+With a handful of users a numpy call over the user axis of each slot
+pays its per-loop cost once per slot, so the loop avoids such calls where
+that is faster.  The per-user factors omega, sigma^2 and xi * P are tiled
+once per loop to the sub-block's shape, so each product or quotient with
+them is one loop over the sub-block.  Below ``_SWEEP_USERS`` users a
+row's harvest total adds whole columns in sequence, which is numpy's own
+order for fewer than 8 terms (from 8 on it sums pairwise), and
+``scheduling.linear_argmax`` keeps a running maximum over the columns.
 """
 
 from __future__ import annotations
