@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SlotBlock, UserProfile, profile_arrays
-from .scheduling import SlotScheduler
+from .channel import _SWEEP_USERS, SlotBlock, UserProfile, profile_arrays
+from .scheduling import SlotScheduler, sweep_argbest
 
 ORDER_SCHEMES = ("order-mt", "order-pf", "order-et")
 
@@ -99,7 +99,10 @@ class OrderScheduler(SlotScheduler):
         work = gains.copy() if omega is None else gains / (omega if top else omega[..., ::-1])
         flat, rows, columns = work.reshape(-1), np.arange(0, work.size, n), []
         for rank in range(1, max(orders) + 1) if top else range(n, min(orders) - 1, -1):
-            pick = work.argmax(axis=1) if top else work.argmin(axis=1)
+            if n < _SWEEP_USERS:  # one loop per column, not one per row
+                pick = sweep_argbest((work[:, j] for j in range(n)), lowest=not top)
+            else:
+                pick = work.argmax(axis=1) if top else work.argmin(axis=1)
             flat[rows + pick] = -np.inf if top else np.inf
             if rank in orders:
                 columns.append(pick if top else n - 1 - pick)

@@ -30,7 +30,7 @@ once per loop to the sub-block's shape, so each product or quotient with
 them is one loop over the sub-block.  Below ``_SWEEP_USERS`` users a
 row's harvest total adds whole columns in sequence, which is numpy's own
 order for fewer than 8 terms (from 8 on it sums pairwise), and
-``scheduling.linear_argmax`` keeps a running maximum over the columns.
+``scheduling.sweep_argbest`` keeps a running maximum over the columns.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class SlotBlock:
         """Per-slot capacity of the scheduled user and summed harvest of the idle users.
 
         One user per slot decodes, every other user harvests.  ``total``
-        is ``harvests.sum(axis=1)``, computed here by ``row_total`` when
+        is ``harvests.sum(axis=1)``, computed here by ``row_reduce`` when
         absent; a pool scored many times passes it in.  Caching it on
         per-chunk blocks raised the peak memory of long runs.  A selection outside
         ``[0, n_users)`` raises IndexError, and one that is not one entry
@@ -211,7 +211,7 @@ class SlotBlock:
         flat = np.arange(0, len(selections) * n, n)
         flat += selections
         if total is None:
-            total = row_total(self.harvests)
+            total = row_reduce(self.harvests)
         return (self.capacities.reshape(-1).take(flat),
                 total - self.harvests.reshape(-1).take(flat))
 
@@ -220,25 +220,32 @@ class SlotBlock:
         """Mean idle harvest, access shares and per-user rates of a selection."""
         return summarize(selections, *self.outcome(selections, total), self.n_users)
 
-    def max_harvest(self) -> np.ndarray:
-        """Largest idle harvest of each slot: the weakest harvester is scheduled."""
-        return self.harvests.sum(axis=1) - self.harvests.min(axis=1)
+    def max_harvest(self, total: np.ndarray | None = None) -> np.ndarray:
+        """Largest idle harvest of each slot: the weakest harvester is scheduled.
+
+        ``total`` is the row total of the harvests, as in ``outcome``.
+        """
+        if total is None:
+            total = row_reduce(self.harvests)
+        return total - row_reduce(self.harvests, np.minimum)
 
 
-def row_total(values: np.ndarray) -> np.ndarray:
-    """``values.sum(axis=1)``, bit for bit; below ``_SWEEP_USERS`` columns, column by column.
+def row_reduce(values: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
+    """``ufunc.reduce(values, axis=1)`` for np.add, np.minimum or np.maximum, bit for bit.
 
-    numpy adds fewer than 8 terms of a row in sequence but runs one loop
-    per row; adding whole columns in the same sequence is one loop per
-    column.
+    That is ``values.sum``, ``min`` or ``max(axis=1)``.  numpy reduces
+    fewer than 8 terms of a row in sequence but runs one loop per row;
+    below ``_SWEEP_USERS`` columns the same sequence over whole columns
+    is one loop per column.
     """
     n = values.shape[1]
     if not 0 < n < _SWEEP_USERS:
-        return values.sum(axis=1)
-    total = values[:, 0] + 0.0  # numpy starts from +0.0, which turns a -0.0 into +0.0
+        return ufunc.reduce(values, axis=1)
+    # numpy's sum starts from +0.0, which turns a -0.0 into +0.0
+    out = values[:, 0] + 0.0 if ufunc is np.add else values[:, 0].copy()
     for j in range(1, n):
-        total += values[:, j]
-    return total
+        ufunc(out, values[:, j], out=out)
+    return out
 
 
 def summarize(selections: np.ndarray, rate: np.ndarray, idle: np.ndarray, n_users: int

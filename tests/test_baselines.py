@@ -17,6 +17,7 @@ from swiptsched import (
 )
 from swiptsched import seeds
 from swiptsched.baselines import OrderScheduler
+from swiptsched.scheduling import sweep_argbest
 
 from conftest import profiles_at
 
@@ -318,6 +319,19 @@ class TestPeeledRanks:
                                 for g, c in zip(block.gains, block.capacities)]
                     assert chosen.tolist() == expected
                     assert np.array_equal(state, totals)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_column_sweep_matches_numpy_arg_reductions(self, data):
+        # the peel's sweep over strided columns below 8 users: integer gains tie
+        # often, and -inf (+inf) marks the ranks already peeled from the top (bottom)
+        n = data.draw(st.integers(1, 7))
+        m = data.draw(st.integers(1, 30))
+        cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, -np.inf, np.inf])
+        work = np.array(data.draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
+        for lowest, expected in ((False, work.argmax(axis=1)), (True, work.argmin(axis=1))):
+            picks = sweep_argbest((work[:, j] for j in range(n)), lowest=lowest)
+            assert picks.dtype == expected.dtype and np.array_equal(picks, expected)
 
     def test_n32_ranks_match_stable_argsort(self):
         # rounded gains tie often; ranks 1, 2 and 16 peel from the top, 31 and 32 from the bottom

@@ -300,6 +300,44 @@ class TestCalibratePf:
         assert np.all(rise[over, None] >= rise[None, under] - 1e-12 * scale)
 
 
+def pf_step_reference(pool, nu_t, gamma_t):
+    """``_PfRule.step`` with each user's rival score taken by ``np.where``."""
+    scores = [pool.cn[:, j] - nu_t * pool.qn[:, j] - gamma_t[j] for j in range(pool.cn.shape[1])]
+    (m, n), best, second = pool.cn.shape, scores[0].copy(), np.full(len(pool.cn), -np.inf)
+    for s in scores[1:]:
+        np.maximum(second, np.minimum(best, s), out=second)
+        np.maximum(best, s, out=best)
+    k = m - math.ceil(m / n)
+    delta = np.array([np.partition(s - np.where(s < best, best, second), k)[k] for s in scores])
+    gamma_t = gamma_t + (1 - 1 / n) * delta
+    return gamma_t - gamma_t.mean()
+
+
+@st.composite
+def tie_heavy_pools(draw):
+    """Pools of 1-20 slots and 1-6 users on small integers, so scores tie for the best."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 20))
+    cells = st.lists(st.integers(0, 3).map(float), min_size=m * n, max_size=m * n)
+    caps, harvests = (np.reshape(draw(cells), (m, n)) for _ in range(2))
+    gamma = np.array(draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n)))
+    return caps, harvests, gamma
+
+
+class TestPfStep:
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @given(tie_heavy_pools(), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    @hypothesis.example((np.array([[2.0, 2.0, 1.0]]), np.zeros((1, 3)), np.zeros(3)), 0.0)
+    @hypothesis.example((np.array([[1.0], [3.0]]), np.zeros((2, 1)), np.zeros(1)), 1.0)
+    @hypothesis.example((np.array([[1.0, 3.0], [3.0, 3.0]]), np.ones((2, 2)), np.zeros(2)), 0.5)
+    def test_equals_where_reference_bit_for_bit(self, case, nu_t):
+        # the arithmetic rival score against np.where, ties for the best and N = 1, 2 included
+        caps, harvests, gamma = case
+        with np.errstate(invalid="ignore"):  # all-zero capacities: 0 / 0; one user: 0 * inf
+            pool = _pool_of(FiniteInstance(caps, harvests, q_req=0.0).block)
+            out = _PfRule().step(pool, nu_t, gamma, 0.5, None)
+            assert out.tobytes() == pf_step_reference(pool, nu_t, gamma).tobytes()
+
+
 class TestEqualAccessBound:
     """The equal-access ``_fair_bound`` is a proof: no schedule within the access tolerance
     harvests more, whatever the offsets it is evaluated at."""
@@ -514,6 +552,21 @@ class TestPool:
         assert pool.block.capacities.flags.c_contiguous
         assert np.array_equal(pool.cn, pool.block.capacities / pool.c_scale)
         assert np.array_equal(pool.qn, pool.block.harvests / pool.q_scale)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_scales_equal_row_reductions_bit_for_bit(self, n, data):
+        # the column sweeps below 8 users against numpy's sum, min and max over rows
+        m = data.draw(st.integers(1, 30))
+        cells = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=m * n,
+                         max_size=m * n)
+        caps, harvests = (np.reshape(data.draw(cells), (m, n)) for _ in range(2))
+        with np.errstate(invalid="ignore"):  # all-zero capacities: 0 / 0 in cn
+            pool = _pool_of(channel.SlotBlock(None, caps, harvests))
+        assert pool.total.tobytes() == harvests.sum(axis=1).tobytes()
+        assert pool.q_max == float(np.mean(harvests.sum(axis=1) - harvests.min(axis=1)))
+        assert pool.c_scale == float(np.mean(caps.max(axis=1)))
 
     def test_arrays_are_read_only(self, config5, profiles5):
         # a sweep's grid points share one pool: a pass writing to it would change the next

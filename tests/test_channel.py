@@ -19,7 +19,7 @@ from swiptsched import (
     replay,
 )
 from swiptsched import seeds
-from swiptsched.channel import profile_arrays, row_total
+from swiptsched.channel import profile_arrays, row_reduce
 from swiptsched.oracle import FiniteInstance
 
 from conftest import make_profiles
@@ -184,7 +184,24 @@ class TestRowTotal:
     def test_equals_numpy_row_sum_bit_for_bit(self, n, data):
         # guards the column sweep below 8 users against a change of numpy's summation order
         values = data.draw(mixed_rows(n))
-        assert row_total(values).tobytes() == values.sum(axis=1).tobytes()
+        assert row_reduce(values).tobytes() == values.sum(axis=1).tobytes()
+
+
+class TestRowReduce:
+    @pytest.mark.parametrize("n", range(1, 13))
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_min_and_max_equal_numpy_bit_for_bit(self, n, data):
+        # the column sweep below 8 users against numpy's row reduction, signed zeros,
+        # NaN and infinities included
+        cell = st.one_of(st.floats(min_value=-1e6, max_value=1e6),
+                         st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+        m = data.draw(st.integers(min_value=1, max_value=20))
+        values = np.array(data.draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
+        assert row_reduce(values, np.minimum).tobytes() == values.min(axis=1).tobytes()
+        assert row_reduce(values, np.maximum).tobytes() == values.max(axis=1).tobytes()
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert row_reduce(values, np.add).tobytes() == values.sum(axis=1).tobytes()
 
 
 def fancy_outcome(block, selections):

@@ -186,6 +186,16 @@ class TestLinearArgmaxProperties:
 
 
 class TestMemoryLayout:
+    def test_user_major_sweep_past_255_users(self):
+        # the sweep keeps its picks in bytes up to user 255 and widens them after
+        rng = np.random.default_rng(300)
+        caps = rng.integers(0, 40, size=(500, 300)).astype(float)
+        harv = rng.integers(0, 5, size=(500, 300)).astype(float)
+        expected = np.argmax(caps - 2.0 * harv, axis=1)
+        assert expected.max() > 255
+        picks = linear_argmax(np.asfortranarray(caps), np.asfortranarray(harv), 2.0)
+        assert picks.dtype == np.intp and np.array_equal(picks, expected)
+
     @hypothesis.settings(max_examples=200, deadline=None)
     @given(integer_slots(max_slots=40, max_users=10))
     def test_user_major_equals_row_major(self, slots):

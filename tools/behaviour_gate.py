@@ -7,12 +7,12 @@ Runs ``python -m swiptsched.cli`` from this checkout's ``src`` on an
 N=4, seed-19 config: ``calibrate`` for mt/pf/et and for a pf target
 above the equal-access bound, ``run --duals`` on each saved
 calibration, ``run`` and ``sweep`` for every scheme, runs of several
-chunks and of 12 users, runs of mt, pf, et and order-pf at 7 and 8
-users, and ``oracle-check``.  OUTDIR receives the
-config, every output file, ``stdout.txt`` and ``stderr.txt`` (each
-command line, its output and its exit code) and ``SHA256SUMS``.
-Commands run inside OUTDIR with relative paths, so the logs do not
-depend on where OUTDIR is.
+chunks and of 12 users, runs of mt, pf, et and order-pf and
+calibrations of mt, pf and et at 7 and 8 users, and ``oracle-check``.
+OUTDIR receives the config, every output file, ``stdout.txt`` and
+``stderr.txt`` (each command line, its output and its exit code) and
+``SHA256SUMS``.  Commands run inside OUTDIR with relative paths, so the
+logs do not depend on where OUTDIR is.
 
 With ``--against REV`` the script extracts REV's ``src`` with
 ``git archive``, runs the same commands on both trees into
@@ -83,16 +83,20 @@ COMMANDS = [
     ["sweep", "--scheme", "order-pf", "--out", "sweep_order_pf.csv"],
     ["sweep", "--scheme", "order-et", "--out", "sweep_order_et.csv"],
 ]
-# Both sides of the 8-user threshold below which the slot loop sweeps user
-# columns: binding mt, pf and et targets, a slack et target (nu = 0) and order-pf.
+# Both sides of the 8-user threshold below which per-slot reductions sweep
+# user columns: binding mt, pf and et targets, a slack et target (nu = 0) and
+# order-pf runs, and calibrations of the binding targets, whose saved residuals
+# (c_scale, q_scale, qbar_pool) hash the pool build.
+BINDING = (("mt", ["--q-req", "8e-5"]), ("pf", ["--q-req", "8e-5"]), ("et", ["--q-req", "9e-5"]))
 COMMANDS += [["run", "--scheme", scheme, "--users", str(n), *args, *CAL,
               "--out", f"run_{name}_n{n}.csv"]
              for n in (7, 8)
-             for scheme, name, args in (("mt", "mt", ["--q-req", "8e-5"]),
-                                        ("pf", "pf", ["--q-req", "8e-5"]),
-                                        ("et", "et", ["--q-req", "9e-5"]),
-                                        ("et", "et_slack", ["--q-req", "5e-5"]),
-                                        ("order-pf", "order_pf", ["--j", "3"]))]
+             for scheme, name, args in [(s, s, a) for s, a in BINDING] + [
+                 ("et", "et_slack", ["--q-req", "5e-5"]),
+                 ("order-pf", "order_pf", ["--j", "3"])]]
+COMMANDS += [["calibrate", "--scheme", scheme, "--users", str(n), *args, *CAL,
+              "--out", f"cal_{scheme}_n{n}.json"]
+             for n in (7, 8) for scheme, args in BINDING]
 ORACLE = [["oracle-check"], ["oracle-check", "--users", "4", "--slots-per-instance", "8"]]
 
 
