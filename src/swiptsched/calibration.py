@@ -57,9 +57,7 @@ from .channel import (ConfigError, SlotBlock, SystemConfig, UserProfile, draw_bl
                       row_reduce, slot_outcomes, summarize)
 from .scheduling import DualState, linear_argmax, make_optimal_scheduler
 
-_SINKHORN_SLOTS = 1000
-_SINKHORN_TAUS = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
-_SINKHORN_SCALINGS = 10  # per temperature
+_ACCESS_FIT_SLOTS = 1000
 
 
 class InfeasibleError(RuntimeError):
@@ -92,8 +90,8 @@ class CalibrationSettings:
     instance, keeping the default meaningful across geometries.
     ``tol_access`` is absolute on access frequencies and ``tol_rate``
     is relative on the per-user rate spread.  ``max_iters`` caps the
-    pool passes of one calibration; ``step_size`` drives ET's theta
-    step only.
+    pool passes of one calibration: one that needs more raises
+    ConvergenceError.  ``step_size`` drives ET's theta step only.
     """
 
     mc_slots: int = 100_000
@@ -140,11 +138,6 @@ class FeasibleRange:
     stderr_maximum: float
 
 
-def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
-    top = z.max(axis=axis, keepdims=True)
-    return top + np.log(np.exp(z - top).sum(axis=axis, keepdims=True))
-
-
 @dataclass
 class _Pool:
     """Fixed slot pool with its normalized capacities and harvests."""
@@ -162,23 +155,24 @@ class _Pool:
 
     @cached_property
     def access_offsets(self) -> np.ndarray:
-        """Offsets g under which the soft minimum of ``qn + g`` over users gives
-        every user an equal share of the first ``_SINKHORN_SLOTS`` slots.
-
-        Annealed Sinkhorn scaling (Cuturi, "Sinkhorn distances", 2013) in the
-        log domain.  As the temperature falls, g approaches the offsets that
-        make the equal-access ``_fair_bound`` tight on those slots.  Fitted
-        once per pool, however many PF targets of a sweep ask for it.
+        """Offsets g of the equal-access ``_fair_bound``, under which the argmin
+        of ``qn + g`` over users (PF's schedule at an infinite energy price)
+        comes closest to an equal share of the first ``_ACCESS_FIT_SLOTS`` slots.
+        PF's own ``_access_step`` fits g on zero capacities at unit price from
+        zero offsets, keeping the offsets of the smallest access gap: it stops at
+        a gap of 0 (one user at once) or at the first step that does not shrink
+        it.  Fitted once per pool, however many PF targets of a sweep ask for it.
         """
-        q = self.qn[:_SINKHORN_SLOTS]
-        m, n = q.shape
+        q = self.qn[:_ACCESS_FIT_SLOTS]
+        (m, n), caps = q.shape, np.broadcast_to(0.0, q.shape)
+
+        def gap(g: np.ndarray) -> float:
+            return _PfRule.gap(np.bincount(linear_argmax(caps, q, 1.0, g=g), minlength=n) / m)
+
         g = np.zeros(n)
-        for tau in _SINKHORN_TAUS:
-            for _ in range(_SINKHORN_SCALINGS):
-                log_p = (q + g) / -tau
-                log_p -= _logsumexp(log_p, axis=1)
-                # raise the offset of a user picked more than 1/N, and vice versa
-                g += tau * (_logsumexp(log_p, axis=0)[0] - math.log(m / n))
+        g_gap = gap(g)
+        while g_gap > 0 and (new_gap := gap(new := _access_step(caps, q, 1.0, g))) < g_gap:
+            g, g_gap = new, new_gap
         return g
 
 
@@ -349,11 +343,10 @@ def _result(scheme: str, pool: _Pool, q_req: float, tol_e: float, fingerprint: s
            "energy_gap": qbar - q_req, **gap, "qbar_pool": qbar, **pooled, "iterations": k,
            "converged": ok, "c_scale": pool.c_scale, "q_scale": pool.q_scale}
     if not ok:
-        raise ConvergenceError(
-            f"{scheme} calibration did not converge in {k} iterations "
-            f"({fair[2].replace('_', ' ')} {fair[3]:.4g}, energy gap {qbar - q_req:.4g} W)",
-            residuals=res,
-        )
+        why = (f"did not converge in {k} iterations ({fair[2].replace('_', ' ')} {fair[3]:.4g}, "
+               if fair else f"price search took {k} passes, more than max_iters (")
+        raise ConvergenceError(f"{scheme} calibration {why}energy gap {qbar - q_req:.4g} W)",
+                               residuals=res)
     return DualState(nu=nu_t * pool.c_scale / pool.q_scale, calibration_residuals=res,
                      fingerprint=fingerprint, **duals)
 
@@ -368,14 +361,15 @@ def calibrate_mt(
 
     ``_mt_price`` searches the pool with the energy tolerance.  If the
     unconstrained scheduler already meets the target, nu = 0 is
-    returned (the harvest constraint is slack at the optimum).
+    returned (the harvest constraint is slack at the optimum).  A search
+    of more than ``max_iters`` passes raises ConvergenceError.
     """
     pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     nu_t, evals = _mt_price(pool, q_req, tol_e)
     qbar, access, rates = pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))
     return _result("mt", pool, q_req, tol_e, system_fingerprint(config, profiles), nu_t, qbar,
-                   evals, True, {"access_freq_pool": access.tolist(),
-                                 "per_user_rate_pool": rates.tolist()})
+                   evals, evals <= settings.max_iters, {"access_freq_pool": access.tolist(),
+                                                         "per_user_rate_pool": rates.tolist()})
 
 
 def _fair_bound(pool: _Pool, lam: np.ndarray, resource, tol: float) -> float:
@@ -387,8 +381,9 @@ def _fair_bound(pool: _Pool, lam: np.ndarray, resource, tol: float) -> float:
         mean_s T_s - mean_s x_s.qn_s <= mean_s T_s - mean_s min_n (qn_sn + lam_n R_sn) + lam.u
 
     and lam.u <= mean(lam) + tol * sum |lam - median(lam)|: for access
-    u sums to one; for throughput lam must sum to zero, and rates within
-    tol_rate of their mean, at most 1/N, give tol = tol_rate / N.
+    u sums to one, and ``pool.access_offsets`` make the bound nearly tight;
+    for throughput lam must sum to zero, and rates within tol_rate of
+    their mean, at most 1/N, give tol = tol_rate / N.
     """
     resource = np.broadcast_to(resource, pool.qn.shape)
     low = pool.qn[:, 0] + lam[0] * resource[:, 0]
@@ -406,16 +401,39 @@ def _reject_above(bound: float, q_req: float, tol_e: float, fairness: str, withi
                               q_req=q_req, achievable=bound)
 
 
-class _PfRule:
-    """Equal channel access: per-user offsets g = gamma, kept zero-mean.
-
-    The step is ``gamma_n += (1 - 1/N) delta_n``, recentred, with delta_n
-    the ceil(M/N)-th largest over M slots of user n's margin
-    ``score_n - max_{m != n} score_m``: that rise alone would leave n the
-    top score in 1/N of the slots, so delta_n >= 0 for a user picked more
-    than 1/N and <= 0 for one picked less.  It needs no step size at any
+def _access_step(caps, harvests, nu_t: float, g: np.ndarray) -> np.ndarray:
+    """PF's step of the offsets g of the scores ``caps - nu_t harvests - g``, (M, N) arrays:
+    ``g_n += (1 - 1/N) delta_n``, recentred, with delta_n the ceil(M/N)-th largest
+    over the M slots of user n's margin ``score_n - max_{m != n} score_m``.  That rise
+    alone would leave n the top score in 1/N of the slots, so delta_n >= 0 for a user
+    picked more than 1/N and <= 0 for one picked less.  It needs no step size at any
     price; the damping allows for the other offsets moving too.
     """
+    def score(j: int) -> np.ndarray:
+        s = caps[:, j] - nu_t * harvests[:, j]
+        s -= g[j]
+        return s
+
+    (m, n), best, second = caps.shape, score(0), np.full(len(caps), -np.inf)
+    for j in range(1, n):  # user-major: slot-length temporaries only
+        s = score(j)
+        np.maximum(second, np.minimum(best, s), out=second)
+        np.maximum(best, s, out=best)
+    delta, k = np.empty(n), m - math.ceil(m / n)
+    for j in range(n):
+        s = score(j)
+        rival = s - second  # kept only where j holds the best score
+        rival *= s == best
+        s -= best  # +0.0 where j holds the best, so adding the rival is exact
+        s += rival  # the margin over the best user, or the best's over the second
+        s.partition(k)
+        delta[j] = s[k]
+    g = g + (1 - 1 / n) * delta
+    return g - g.mean()
+
+
+class _PfRule:
+    """Equal channel access: per-user offsets g = gamma, kept zero-mean by ``_access_step``."""
 
     scheme, tol_key, gap_key = "pf", "tol_access", "access_gap"
 
@@ -428,31 +446,12 @@ class _PfRule:
     def select(self, pool: _Pool, nu_t: float, gamma_t: np.ndarray) -> np.ndarray:
         return linear_argmax(pool.cn, pool.qn, nu_t, g=gamma_t)
 
-    def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
+    @staticmethod
+    def gap(access: np.ndarray, rates: np.ndarray | None = None) -> float:
         return float(np.max(np.abs(access - 1.0 / len(access))))
 
     def step(self, pool, nu_t, gamma_t, step, rates) -> np.ndarray:
-        def score(j: int) -> np.ndarray:
-            s = pool.cn[:, j] - nu_t * pool.qn[:, j]
-            s -= gamma_t[j]
-            return s
-
-        (m, n), best, second = pool.cn.shape, score(0), np.full(len(pool.cn), -np.inf)
-        for j in range(1, n):  # user-major: slot-length temporaries only
-            s = score(j)
-            np.maximum(second, np.minimum(best, s), out=second)
-            np.maximum(best, s, out=best)
-        delta, k = np.empty(n), m - math.ceil(m / n)
-        for j in range(n):
-            s = score(j)
-            rival = s - second  # kept only where j holds the best score
-            rival *= s == best
-            s -= best  # +0.0 where j holds the best, so adding the rival is exact
-            s += rival  # the margin over the best user, or the best's over the second
-            s.partition(k)
-            delta[j] = s[k]
-        gamma_t = gamma_t + (1 - 1 / n) * delta
-        return gamma_t - gamma_t.mean()
+        return _access_step(pool.cn, pool.qn, nu_t, gamma_t)
 
     certify = None  # calibrate_pf checks its bound once, before any pass
 
@@ -565,10 +564,10 @@ def calibrate_pf(
 ) -> DualState:
     """Calibrate (nu, gamma) so access is uniform and the harvest target binds.
 
-    A target above the equal-access ``_fair_bound`` at ``pool.access_offsets``
-    by more than ``tol_energy`` raises InfeasibleError (skipped below an
-    even split of every slot, a floor of the bound); then ``_fair_price``
-    runs with ``_PfRule``.
+    A target above the equal-access ``_fair_bound`` at ``pool.access_offsets``,
+    fitted by the same ``_access_step``, by more than ``tol_energy`` raises
+    InfeasibleError (skipped below an even split of every slot, a floor of
+    the bound); then ``_fair_price`` runs with ``_PfRule``.
     """
     pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     n, tol = pool.block.n_users, settings.tol_access

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from unittest.mock import Mock, patch
 
@@ -248,6 +249,18 @@ class TestCalibratePf:
         assert f"above the bound {err.value.achievable:.6g} W" in str(err.value)
         assert "within 0.005 of 1/5" in str(err.value)
 
+    def test_unreachable_target_rejected_at_32_users(self):
+        # the pool maximum is 0.0130573 W and tol_energy 6.53e-05 W; offsets whose
+        # bound (0.0130661 W) lay above the pool maximum let this target run 257
+        # passes to a ConvergenceError
+        config = SystemConfig(n_users=32, seed=5)
+        profiles = place_users(config, seeds.substream(5, seeds.PLACEMENT))
+        settings = CalibrationSettings(mc_slots=20_000, seed=5, max_iters=1)
+        with pytest.raises(InfeasibleError) as err:
+            calibrate_pf(0.01312, profiles, config, settings)
+        assert err.value.achievable < _build_pool(profiles, config, settings).q_max
+        assert err.value.achievable == pytest.approx(0.0130524, rel=1e-5)
+
     def test_non_convergence_reports_residuals(self, config5, profiles5):
         settings = CalibrationSettings(mc_slots=5000, max_iters=2, seed=7)
         with pytest.raises(ConvergenceError) as err:
@@ -387,6 +400,25 @@ class TestEqualAccessBound:
         bound = _fair_bound(pool, g, 1.0, 0.0)
         assert 0.8 * pool.total.mean() < 0.9 * pool.q_max < bound < 0.99 * pool.q_max
         assert _fair_bound(pool, g, 1.0, 0.005) >= bound
+
+    @pytest.mark.parametrize("shape", [(50, 1), (3, 5)])
+    def test_degenerate_fits_are_finite(self, shape):
+        # one user has access gap 0 from the start (a step there would multiply
+        # 1 - 1/N = 0 by an infinite margin); fewer slots than users never reach 0
+        harvests = np.random.default_rng(3).random(shape)
+        pool = _pool_of(FiniteInstance(np.ones(shape), harvests, q_req=0.0).block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = pool.access_offsets
+        assert g.shape == (shape[1],) and np.all(np.isfinite(g))
+
+    def test_fit_shrinks_the_access_gap(self, config5, profiles5):
+        # the fit keeps the offsets of the smallest gap on its slots, zero offsets included
+        pool = _build_pool(profiles5, config5, CalibrationSettings(mc_slots=20_000, seed=7))
+        q = pool.qn[:1000]
+        gaps = [_PfRule.gap(np.bincount(np.argmin(q + g, axis=1), minlength=5) / len(q))
+                for g in (np.zeros(5), pool.access_offsets)]
+        assert gaps[1] < gaps[0]
 
 
 class TestEqualThroughputBound:
@@ -626,6 +658,17 @@ class TestResidualRecord:
             self.CALIBRATORS[scheme](0.0, profiles5, config5, settings)
         assert list(err.value.residuals) == self.KEYS[scheme]
         assert err.value.residuals["converged"] is False
+
+    def test_mt_convergence_error_has_the_converged_keys(self, config5, profiles5):
+        # a binding target: the price search takes more than the one pass allowed
+        settings = CalibrationSettings(mc_slots=5000, max_iters=1, seed=7)
+        fr = feasible_range(profiles5, config5, settings)
+        with pytest.raises(ConvergenceError) as err:
+            calibrate_mt(0.5 * (fr.greedy + fr.maximum), profiles5, config5, settings)
+        res = err.value.residuals
+        assert list(res) == self.KEYS["mt"]
+        assert res["converged"] is False and res["iterations"] > 1
+        assert "price search took" in str(err.value)
 
 
 class TestDualsIO:

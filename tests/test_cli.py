@@ -243,6 +243,17 @@ class TestCalibrateCommand:
         assert code == EXIT_NO_CONVERGENCE
         assert not out.exists()
 
+    def test_mt_pass_budget_exit_code(self, config_file, tmp_path, capsys):
+        # a binding target: the price search takes more passes than --max-iters
+        out = tmp_path / "unused_duals.json"
+        code = run_cli(
+            "calibrate", "--config", config_file, "--scheme", "mt", "--q-req", "5e-5",
+            "--mc-slots", "5000", "--max-iters", "1", "--out", str(out),
+        )
+        assert code == EXIT_NO_CONVERGENCE
+        assert "price search took" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestZeroEfficiency:
     """With every RF-DC efficiency 0 the achievable harvest is 0 W, not a fallback 1 W."""

@@ -4,8 +4,8 @@
     python tools/behaviour_gate.py --against REV OUTDIR
 
 Runs ``python -m swiptsched.cli`` from this checkout's ``src`` on an
-N=4, seed-19 config: ``calibrate`` for mt/pf/et and for a pf target
-above the equal-access bound, ``run --duals`` on each saved
+N=4, seed-19 config: ``calibrate`` for mt/pf/et and for pf targets
+above the equal-access bound at 4 and 32 users, ``run --duals`` on each saved
 calibration, ``run`` and ``sweep`` for every scheme, runs of several
 chunks and of 12 users, runs of mt, pf, et and order-pf and
 calibrations of mt, pf and et at 7 and 8 users, and ``oracle-check``.
@@ -53,6 +53,9 @@ COMMANDS = [
     # above the equal-access bound: exit 3 before any pass
     ["calibrate", "--scheme", "pf", "--q-req", "9.5692e-05", *SWEEP,
      "--out", "cal_pf_infeasible.json"],
+    # 32 users above the equal-access bound but below the pool maximum: exit 3
+    ["calibrate", "--scheme", "pf", "--users", "32", "--seed", "5", "--q-req", "0.01312", *CAL,
+     "--out", "cal_pf_n32.json"],
     ["run", "--scheme", "mt", "--duals", "cal_mt.json", "--out", "run_mt.csv"],
     ["run", "--scheme", "pf", "--duals", "cal_pf.json", "--out", "run_pf_duals.csv"],
     ["run", "--scheme", "et", "--duals", "cal_et.json", "--out", "run_et_duals.csv"],
