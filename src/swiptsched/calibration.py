@@ -4,8 +4,8 @@ The long-run constraints (minimum average harvested energy, equal
 channel access, equal throughput) depend only on channel statistics,
 so their multipliers are fitted once, offline, on a fixed Monte-Carlo
 pool of fading slots; fresh slots serve only out-of-sample validation
-(``estimate_constraints``), which draws them one sub-block ahead on a
-helper thread through the run loop, ``channel.slot_outcomes``.
+(``estimate_constraints``), which draws them through the run loop,
+``channel.slot_outcomes``.
 
 Every calibrator takes the same three steps:
 
@@ -26,10 +26,7 @@ Every pass schedules the pool with ``scheduling.linear_argmax``, the
 online kernel, and scores it with ``SlotBlock.summary``.  The pool's
 normalized arrays are user-major (Fortran order), oracle instances
 included, which the kernel sweeps a contiguous column at a time without
-a branch per slot; on a 5-user ET pool that is five times as fast as a
-whole-array argmax, and four times a masked copy of each column's picks,
-whose branch mispredicts when the picks spread evenly over the users.
-The raw arrays stay row-major.
+a branch per slot.  The raw arrays stay row-major.
 
 Capacities are normalized by a typical per-slot maximum capacity and
 harvests by the maximum average harvest, so the normalized price is
@@ -263,8 +260,8 @@ def estimate_constraints(
     Fresh means independent of the calibration pool: by default the
     validation substream of ``settings.seed`` is used.  The
     ``settings.mc_slots`` slots are one chunk of ``channel.slot_outcomes``:
-    a helper thread draws them one sub-block ahead and is the only reader
-    of ``rng``, at most two sub-blocks are alive at once, and the result is
+    a helper thread fills their variates one sub-block ahead and is the only
+    reader of ``rng``, at most two sub-blocks are alive at once, and the result is
     that of scheduling and summarizing one block of all the slots, bit for bit.
     """
     if rng is None:

@@ -18,19 +18,18 @@ harvested power and harvested energy coincide.
 
 ``slot_outcomes`` is the one slot loop of long runs, their replays and
 out-of-sample validation.  It draws, selects and scores sub-blocks of
-about 256 KiB per array, which stay in L2 cache.  A helper thread draws
-the next sub-block while the caller selects and scores the current one.
-Only that thread reads the generator, in slot order, and at most two
-sub-blocks are alive at once, so no variate and no result bit changes.
+about 256 KiB per array, which stay in L2 cache.  A helper thread fills
+the exponential variates of the next sub-block while the caller
+transforms, selects and scores the current one.  Only that thread reads
+the generator, in slot order, and at most two sub-blocks are alive at
+once, so no variate and no result bit changes.
 
 With a handful of users a numpy call over the user axis of each slot
-pays its per-loop cost once per slot, so the loop avoids such calls where
-that is faster.  The per-user factors omega, sigma^2 and xi * P are tiled
-once per loop to the sub-block's shape, so each product or quotient with
-them is one loop over the sub-block.  Below ``_SWEEP_USERS`` users a
-row's harvest total adds whole columns in sequence, which is numpy's own
-order for fewer than 8 terms (from 8 on it sums pairwise), and
-``scheduling.sweep_argbest`` keeps a running maximum over the columns.
+pays its per-loop cost once per slot, so the loop makes none where that
+is faster: the per-user factors omega, sigma^2 and xi * P are tiled to
+the sub-block's shape, and below ``_SWEEP_USERS`` users the row totals
+(``row_reduce``) and the argmax (``scheduling.sweep_argbest``) sweep
+whole user columns.
 """
 
 from __future__ import annotations
@@ -192,8 +191,7 @@ class SlotBlock:
 
         One user per slot decodes, every other user harvests.  ``total``
         is ``harvests.sum(axis=1)``, computed here by ``row_reduce`` when
-        absent; a pool scored many times passes it in.  Caching it on
-        per-chunk blocks raised the peak memory of long runs.  A selection outside
+        absent; a pool scored many times passes it in.  A selection outside
         ``[0, n_users)`` raises IndexError, and one that is not one entry
         per slot ValueError.
         """
@@ -201,9 +199,7 @@ class SlotBlock:
         n = self.n_users
         if selections.shape != (self.n_slots,):
             raise ValueError(f"selections must have shape ({self.n_slots},), got {selections.shape}")
-        # The flat index of a user outside [0, n) would read a neighbouring
-        # slot.  On the oracle's 8-slot instances argmin/argmax cost a
-        # third of what min/max cost.
+        # the flat index of a user outside [0, n) would read a neighbouring slot
         if selections.size and (selections[selections.argmin()] < 0
                                 or selections[selections.argmax()] >= n):
             raise IndexError(f"selections must lie in [0, {n}), got "
@@ -236,10 +232,11 @@ def row_reduce(values: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
     That is ``values.sum``, ``min`` or ``max(axis=1)``.  numpy reduces
     fewer than 8 terms of a row in sequence but runs one loop per row;
     below ``_SWEEP_USERS`` columns the same sequence over whole columns
-    is one loop per column.
+    is one loop per column.  One row goes to numpy: an in-place add of one
+    element can keep the other operand's NaN.
     """
-    n = values.shape[1]
-    if not 0 < n < _SWEEP_USERS:
+    m, n = values.shape
+    if m < 2 or not 0 < n < _SWEEP_USERS:
         return ufunc.reduce(values, axis=1)
     # numpy's sum starts from +0.0, which turns a -0.0 into +0.0
     out = values[:, 0] + 0.0 if ufunc is np.add else values[:, 0].copy()
@@ -357,19 +354,28 @@ def draw_block(
     return SlotBlock(gains, capacities, harvests, omega)
 
 
+class _Filled:
+    """A generator stand-in for ``draw_block`` whose draw waits for the helper's fill."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def standard_exponential(self, out):
+        self.fill.result()
+
+
 def slot_outcomes(profiles: Sequence[UserProfile], config: SystemConfig,
                   rng: np.random.Generator, n_slots: int, chunk_slots: int, choose):
     """Per chunk of ``chunk_slots`` slots, its (selections, rate, idle) buffers.
 
     Each chunk is filled one sub-block at a time: ``choose(start, block)``
     selects in the sub-block whose first slot is ``start`` and
-    ``SlotBlock.outcome`` scores it.  A single helper thread draws sub-block
-    i + 1 from ``rng`` while the caller selects and scores sub-block i; the
-    helper is joined when the loop ends, raises or is closed.  It draws into
-    two blocks the caller allocates, in turn, so a block is overwritten once
-    scored.  A helper that allocated its own sub-blocks took them from its
-    own malloc arena, which raised calib-et's peak RSS by 1.7 MB.  The
-    per-user factors are tiled once, to the sub-block shape, next to them.
+    ``SlotBlock.outcome`` scores it.  A single helper thread fills the
+    exponential variates of sub-block i + 1 from ``rng`` while the caller
+    transforms them (``draw_block``), selects and scores sub-block i; the
+    helper is joined when the loop ends, raises or is closed.  It fills two
+    blocks the caller allocates, in turn, so a block is overwritten once
+    scored.  The per-user factors are tiled once, to the sub-block shape.
     """
     step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles) or 1))  # no users: draw_block raises
     chunks = [min(chunk_slots, n_slots - start) for start in range(0, n_slots, chunk_slots)]
@@ -378,16 +384,18 @@ def slot_outcomes(profiles: Sequence[UserProfile], config: SystemConfig,
     spare = [SlotBlock(*(np.empty(shape) for _ in range(3))) for _ in range(2)]
     factors = user_factors(profiles, config, shape[0])
     with ThreadPoolExecutor(max_workers=1) as helper:
-        # submitted one at a time; draw_block is looked up per draw, so a wrapper
-        # installed on it sees every draw
-        draws = (helper.submit(draw_block, profiles, config, rng, size, spare[i % 2], factors)
+        # fill i + 1, submitted before sub-block i is transformed, reuses block i - 1
+        fills = ((spare[i % 2], helper.submit(rng.standard_exponential,
+                                              out=spare[i % 2].gains[:size]))
                  for i, size in enumerate(sizes))
-        pending, start = next(draws), 0
+        pending, start = next(fills), 0
         for m in chunks:
             out = np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)
             for lo in range(0, m, step):
-                block = pending.result()
-                pending = next(draws, None)
+                (into, fill), pending = pending, next(fills, None)
+                # looked up per sub-block, so a wrapper installed on it sees every call
+                block = draw_block(profiles, config, _Filled(fill), min(step, m - lo), into,
+                                   factors)
                 selections = choose(start + lo, block)
                 for buf, part in zip(out, (selections, *block.outcome(selections))):
                     buf[lo : lo + block.n_slots] = part

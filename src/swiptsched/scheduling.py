@@ -71,10 +71,8 @@ def linear_argmax(
     ``channel._SWEEP_USERS`` users, such as the online schedulers'
     sub-blocks, are scored one user column at a time into a running
     maximum, which allocates only slot-length temporaries.  Wider
-    row-major arrays are scored whole and reduced by ``np.argmax``: on
-    1024-slot sub-blocks of 32 users a sweep over the strided columns
-    took four times as long.  The sweep is ``sweep_argbest``, so either
-    way ties go to the lowest index.
+    row-major arrays are scored whole and reduced by ``np.argmax``.  The
+    sweep is ``sweep_argbest``, so either way ties go to the lowest index.
     """
     n = caps.shape[1]
     if n > 0 and (caps.flags.f_contiguous or n < _SWEEP_USERS):
@@ -105,11 +103,9 @@ def sweep_argbest(columns: Iterable[np.ndarray], lowest: bool = False) -> np.nda
     columns, for scores without NaN.  A column displaces the best so far
     only where strictly better, and the picks keep the running maximum of
     ``j * [better]``: j only grows, so that is the last column to displace
-    the best, as a masked copy of j would give, but without its branch,
-    which mispredicts on about every other slot when the picks spread
-    evenly over the users.  The picks are bytes up to column 255, an
-    eighth of the memory traffic of ``intp``.  Only slot-length
-    temporaries are allocated.
+    the best, as a masked copy of j would give, but without its branch.
+    The picks are bytes up to column 255.  Only slot-length temporaries
+    are allocated.
     """
     better, keep = (np.less, np.minimum) if lowest else (np.greater, np.maximum)
     columns = iter(columns)

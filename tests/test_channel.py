@@ -203,6 +203,12 @@ class TestRowReduce:
         with np.errstate(invalid="ignore"):  # inf - inf
             assert row_reduce(values, np.add).tobytes() == values.sum(axis=1).tobytes()
 
+    def test_one_row_total_keeps_numpy_nan(self):
+        # an in-place add of one-element arrays can keep the other operand's NaN
+        values = np.array([[0.0, np.inf, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore"):
+            assert row_reduce(values).tobytes() == values.sum(axis=1).tobytes()
+
 
 def fancy_outcome(block, selections):
     """The outcome gathered by 2-D fancy indexing, the reference for the flat gather."""

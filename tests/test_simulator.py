@@ -161,45 +161,89 @@ class TestRun:
 
     def test_draws_ahead_change_no_bit_under_fast_switching(self, table_config, table_profiles):
         # 7-slot sub-blocks while the interpreter switches threads every
-        # microsecond: a draw into a reused block never overtakes its scoring
-        schedulers = [
-            LinearScheduler("mt", nu=2e5),
-            make_order_scheduler(OrderPolicy("order-et", s_a=frozenset({1, 3})), table_profiles),
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with patch.object(channel, "_SUB_BLOCK_BYTES", 8 * 5 * 7):
-                runs = [run(s, table_profiles, table_config, 3001, seed=25, keep_log=True)
-                        for s in schedulers]
-        finally:
-            sys.setswitchinterval(interval)
-        block = draw_block(table_profiles, table_config, seeds.substream(25, seeds.RUN), 3001)
-        for scheduler, stats in zip(schedulers, runs):
-            selections = scheduler.select_block(block, scheduler.start(5))
-            rate, idle = block.outcome(selections)
-            assert np.array_equal(stats.selections, selections)
-            assert stats.avg_sum_harvest == float(idle.sum()) / 3001
-            assert np.array_equal(stats.per_user_rate, np.bincount(selections, rate, 5) / 3001)
+        # microsecond: the helper's fill of one block never overtakes the
+        # caller's transform and scoring of the other.  9 users take numpy's
+        # pairwise row totals and the argmax over rows.
+        wide = SystemConfig(n_users=9, seed=12)
+        for config, profiles in ((table_config, table_profiles), (wide, make_profiles(wide))):
+            n = config.n_users
+            schedulers = [
+                LinearScheduler("mt", nu=2e5),
+                make_order_scheduler(OrderPolicy("order-et", s_a=frozenset({1, 3})), profiles),
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with patch.object(channel, "_SUB_BLOCK_BYTES", 8 * n * 7):
+                    runs = [run(s, profiles, config, 3001, seed=25, keep_log=True)
+                            for s in schedulers]
+            finally:
+                sys.setswitchinterval(interval)
+            block = draw_block(profiles, config, seeds.substream(25, seeds.RUN), 3001)
+            for scheduler, stats in zip(schedulers, runs):
+                selections = scheduler.select_block(block, scheduler.start(n))
+                rate, idle = block.outcome(selections)
+                assert np.array_equal(stats.selections, selections)
+                assert stats.avg_sum_harvest == float(idle.sum()) / 3001
+                assert np.array_equal(stats.per_user_rate, np.bincount(selections, rate, n) / 3001)
 
-    @pytest.mark.parametrize("layer", ["select_block", "draw_block"])
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_helper_fills_and_caller_transforms(self, n):
+        # the one helper thread makes every generator call, in slot order, and
+        # the calling thread runs draw_block once per sub-block; 9 users take
+        # the row-major argmax
+        config = SystemConfig(n_users=n, seed=31)
+        profiles = make_profiles(config)
+        scheduler = LinearScheduler("mt", nu=2e5)
+        rng = seeds.substream(32, seeds.RUN)
+        fills, transforms = [], []
+
+        class Recorded:
+            def standard_exponential(self, out):
+                fills.append((threading.get_ident(), out.shape))
+                rng.standard_exponential(out=out)
+
+        def transform(*args):
+            transforms.append((threading.get_ident(), args[3]))
+            return draw_block(*args)
+
+        with patch.object(channel, "_SUB_BLOCK_BYTES", 8 * n * 40), \
+                patch.object(channel, "draw_block", transform):
+            chunks = list(channel.slot_outcomes(profiles, config, Recorded(), 250, 100,
+                                                lambda _, block: scheduler.select_block(block)))
+        sizes = [40, 40, 20, 40, 40, 20, 40, 10]
+        assert transforms == [(threading.get_ident(), size) for size in sizes]
+        (helper,) = {ident for ident, _ in fills}
+        assert helper != threading.get_ident()
+        assert [shape for _, shape in fills] == [(size, n) for size in sizes]
+        block = draw_block(profiles, config, seeds.substream(32, seeds.RUN), 250)
+        selections = scheduler.select_block(block)
+        for got, expected in zip(map(np.concatenate, zip(*chunks)),
+                                 (selections, *block.outcome(selections))):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layer", ["select_block", "draw_block", "generator"])
     def test_failure_joins_the_draw_thread(self, layer, table_config, table_profiles):
-        # a failing selection (third sub-block) or draw (second) ends run with
-        # that error and leaves no helper thread behind
+        # a failing selection (third sub-block), draw (second) or generator
+        # call (second) ends run with that error and leaves no helper thread
         def fail_on(k, fn):
             calls = itertools.count(1)
 
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 if next(calls) == k:
                     raise RuntimeError(f"{layer} failed")
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapped
 
         scheduler = LinearScheduler("mt", nu=1e5)
         if layer == "select_block":
             target = patch.object(scheduler, "select_block", fail_on(3, scheduler.select_block))
-        else:
+        elif layer == "draw_block":
             target = patch.object(channel, "draw_block", fail_on(2, draw_block))
+        else:
+            rng = seeds.substream(3, seeds.RUN)
+            target = patch.object(seeds, "substream", return_value=Mock(
+                standard_exponential=fail_on(2, rng.standard_exponential)))
         before = threading.active_count()
         with target, patch.object(channel, "_SUB_BLOCK_BYTES", 8 * 5 * 100), \
                 pytest.raises(RuntimeError, match=f"{layer} failed"):
