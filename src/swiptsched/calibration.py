@@ -22,11 +22,13 @@ Every calibrator takes the same three steps:
   * ``_result`` writes the residual record and returns the DualState,
     or raises ConvergenceError carrying that record.
 
-Every pass schedules the pool with ``scheduling.linear_argmax``, the
-online kernel, and scores it with ``SlotBlock.summary``.  The pool's
-normalized arrays are user-major (Fortran order), oracle instances
-included, which the kernel sweeps a contiguous column at a time without
-a branch per slot.  The raw arrays stay row-major.
+Every pass schedules the pool with the online kernel, ``linear_argmax``'s
+column scores and ``sweep_argbest``, and computes only what the search
+reads: an MT probe the idle harvest, a PF pass the access shares, an ET
+pass the rates; ``_Pool.evaluate`` summarizes the pass that ends a probe.
+The pool's normalized arrays are user-major (Fortran order), oracle
+instances included, swept a contiguous column at a time without a branch
+per slot.  The raw arrays stay row-major.
 
 Capacities are normalized by a typical per-slot maximum capacity and
 harvests by the maximum average harvest, so the normalized price is
@@ -52,7 +54,8 @@ import numpy as np
 from . import seeds
 from .channel import (ConfigError, SlotBlock, SystemConfig, UserProfile, draw_block,
                       row_reduce, slot_outcomes, summarize)
-from .scheduling import DualState, linear_argmax, make_optimal_scheduler
+from .scheduling import (DualState, linear_argmax, make_optimal_scheduler, score_columns,
+                         sweep_argbest)
 
 _ACCESS_FIT_SLOTS = 1000
 
@@ -146,30 +149,31 @@ class _Pool:
     q_scale: float         # q_max, or 1.0 when that is 0
     cn: np.ndarray         # capacities / c_scale
     qn: np.ndarray         # harvests / q_scale
+    rows: np.ndarray       # flat offsets arange(0, M*N, N) of the raw arrays' rows
 
     def evaluate(self, selections: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        return self.block.summary(selections, self.total)
+        """``block.summary`` of the pool's own selections, so without a range check."""
+        flat = self.rows + selections
+        rate = self.block.capacities.reshape(-1).take(flat)
+        idle = self.total - self.block.harvests.reshape(-1).take(flat)
+        return summarize(selections, rate, idle, self.block.n_users)
 
     @cached_property
     def access_offsets(self) -> np.ndarray:
         """Offsets g of the equal-access ``_fair_bound``, under which the argmin
         of ``qn + g`` over users (PF's schedule at an infinite energy price)
         comes closest to an equal share of the first ``_ACCESS_FIT_SLOTS`` slots.
-        PF's own ``_access_step`` fits g on zero capacities at unit price from
-        zero offsets, keeping the offsets of the smallest access gap: it stops at
-        a gap of 0 (one user at once) or at the first step that does not shrink
-        it.  Fitted once per pool, however many PF targets of a sweep ask for it.
+        PF's own ``_pf_pass`` and ``_access_step`` fit g on zero capacities at unit
+        price from zero offsets, keeping the offsets of the smallest access gap: it
+        stops at a gap of 0 (one user at once) or at the first step that does not
+        shrink it.  Fitted once per pool, however many PF targets of a sweep ask for it.
         """
         q = self.qn[:_ACCESS_FIT_SLOTS]
-        (m, n), caps = q.shape, np.broadcast_to(0.0, q.shape)
-
-        def gap(g: np.ndarray) -> float:
-            return _PfRule.gap(np.bincount(linear_argmax(caps, q, 1.0, g=g), minlength=n) / m)
-
-        g = np.zeros(n)
-        g_gap = gap(g)
-        while g_gap > 0 and (new_gap := gap(new := _access_step(caps, q, 1.0, g))) < g_gap:
-            g, g_gap = new, new_gap
+        caps, g = np.broadcast_to(0.0, q.shape), np.zeros(q.shape[1])
+        _, g_gap, scored = _pf_pass(caps, q, 1.0, g)
+        while g_gap > 0 and (new := _pf_pass(caps, q, 1.0, new_g := _access_step(*scored, g))
+                             )[1] < g_gap:
+            g, (_, g_gap, scored) = new_g, new
         return g
 
 
@@ -183,7 +187,8 @@ def _pool_of(block: SlotBlock) -> _Pool:
     # No pass reads the gains; dropping them also frees their memory.
     return _Pool(SlotBlock(None, block.capacities, block.harvests), total,
                  c_scale, q_max, q_scale, np.divide(block.capacities, c_scale, order="F"),
-                 np.divide(block.harvests, q_scale, order="F"))
+                 np.divide(block.harvests, q_scale, order="F"),
+                 np.arange(0, block.capacities.size, block.n_users))
 
 
 _shared: dict | None = None  # (fingerprint, seed, mc_slots) -> _Pool, in a _pool_share
@@ -214,12 +219,8 @@ def _build_pool(
     return shared[key]
 
 
-def _calibration_pool(
-    q_req: float,
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    settings: CalibrationSettings,
-) -> tuple[_Pool, float]:
+def _calibration_pool(q_req: float, profiles: Sequence[UserProfile], config: SystemConfig,
+                      settings: CalibrationSettings) -> tuple[_Pool, float]:
     """The pool and the resolved energy tolerance; rejects a negative target
     (ValueError) and one above the pool maximum plus tolerance (InfeasibleError)."""
     if q_req < 0:
@@ -318,8 +319,9 @@ def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
 
     def qbar_at(nu_t: float) -> float:
         probed.append(nu_t)
-        # the harvest term of ``pool.evaluate``, without its two bincounts
-        idle = pool.block.outcome(linear_argmax(pool.cn, pool.qn, nu_t), pool.total)[1]
+        # the harvest term of ``pool.evaluate`` alone
+        flat = pool.rows + linear_argmax(pool.cn, pool.qn, nu_t)
+        idle = pool.total - pool.block.harvests.reshape(-1).take(flat)
         return float(idle.sum()) / pool.block.n_slots
 
     return _price(qbar_at, q_req, tol), len(probed)
@@ -348,12 +350,8 @@ def _result(scheme: str, pool: _Pool, q_req: float, tol_e: float, fingerprint: s
                      fingerprint=fingerprint, **duals)
 
 
-def calibrate_mt(
-    q_req: float,
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    settings: CalibrationSettings,
-) -> DualState:
+def calibrate_mt(q_req: float, profiles: Sequence[UserProfile], config: SystemConfig,
+                 settings: CalibrationSettings) -> DualState:
     """Find the smallest energy price nu meeting the harvest target.
 
     ``_mt_price`` searches the pool with the energy tolerance.  If the
@@ -398,31 +396,31 @@ def _reject_above(bound: float, q_req: float, tol_e: float, fairness: str, withi
                               q_req=q_req, achievable=bound)
 
 
-def _access_step(caps, harvests, nu_t: float, g: np.ndarray) -> np.ndarray:
-    """PF's step of the offsets g of the scores ``caps - nu_t harvests - g``, (M, N) arrays:
+def _pf_pass(caps, harvests, nu_t: float, g: np.ndarray) -> tuple:
+    """One PF pass over (M, N) arrays: the selections, their access gap and, for
+    ``_access_step``, (score columns, selections), so the step scores no user again."""
+    cols = list(score_columns(caps, harvests, nu_t, g=g))
+    sel = sweep_argbest(c[:] for c in cols)  # views: the sweep copies, not overwrites, cols[0]
+    return sel, _PfRule.gap(np.bincount(sel, minlength=len(cols)) / len(sel)), (cols, sel)
+
+
+def _access_step(cols: list, sel: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """PF's step of the offsets g from a ``_pf_pass`` at g, whose columns it uses up:
     ``g_n += (1 - 1/N) delta_n``, recentred, with delta_n the ceil(M/N)-th largest
     over the M slots of user n's margin ``score_n - max_{m != n} score_m``.  That rise
     alone would leave n the top score in 1/N of the slots, so delta_n >= 0 for a user
     picked more than 1/N and <= 0 for one picked less.  It needs no step size at any
     price; the damping allows for the other offsets moving too.
     """
-    def score(j: int) -> np.ndarray:
-        s = caps[:, j] - nu_t * harvests[:, j]
-        s -= g[j]
-        return s
-
-    (m, n), best, second = caps.shape, score(0), np.full(len(caps), -np.inf)
-    for j in range(1, n):  # user-major: slot-length temporaries only
-        s = score(j)
+    (m, n), best, second = (len(sel), len(cols)), cols[0].copy(), np.full(len(sel), -np.inf)
+    for s in cols[1:]:  # slot-length temporaries only
         np.maximum(second, np.minimum(best, s), out=second)
         np.maximum(best, s, out=best)
+    lead = np.subtract(best, second, out=second)  # the selected user's margin over the second
     delta, k = np.empty(n), m - math.ceil(m / n)
-    for j in range(n):
-        s = score(j)
-        rival = s - second  # kept only where j holds the best score
-        rival *= s == best
-        s -= best  # +0.0 where j holds the best, so adding the rival is exact
-        s += rival  # the margin over the best user, or the best's over the second
+    for j, s in enumerate(cols):
+        s -= best  # the margin over the best user: +0.0 where j ties for it, so
+        s += (sel == j) * lead  # adding the lead where j is selected is exact
         s.partition(k)
         delta[j] = s[k]
     g = g + (1 - 1 / n) * delta
@@ -443,12 +441,16 @@ class _PfRule:
     def select(self, pool: _Pool, nu_t: float, gamma_t: np.ndarray) -> np.ndarray:
         return linear_argmax(pool.cn, pool.qn, nu_t, g=gamma_t)
 
+    def inner(self, pool: _Pool, nu_t: float, gamma_t: np.ndarray) -> tuple:
+        return _pf_pass(pool.cn, pool.qn, nu_t, gamma_t)
+
     @staticmethod
-    def gap(access: np.ndarray, rates: np.ndarray | None = None) -> float:
+    def gap(access: np.ndarray) -> float:
         return float(np.max(np.abs(access - 1.0 / len(access))))
 
-    def step(self, pool, nu_t, gamma_t, step, rates) -> np.ndarray:
-        return _access_step(pool.cn, pool.qn, nu_t, gamma_t)
+    def step(self, pool, nu_t, gamma_t, step, scored: tuple | None = None) -> np.ndarray:
+        """``_access_step`` from the pass ``scored`` at gamma_t, run here if None."""
+        return _access_step(*(scored or self.inner(pool, nu_t, gamma_t)[2]), gamma_t)
 
     certify = None  # calibrate_pf checks its bound once, before any pass
 
@@ -477,10 +479,15 @@ class _EtRule:
         theta = inv_cap if warm is None or warm.theta is None else np.maximum(warm.theta, 0.0)
         return theta / theta.sum() if theta.sum() > 0 else inv_cap / inv_cap.sum()
 
-    def select(self, pool: _Pool, nu_t: float, theta: np.ndarray) -> np.ndarray:
-        return linear_argmax(pool.cn, pool.qn, nu_t, w=theta)
+    def inner(self, pool: _Pool, nu_t: float, theta: np.ndarray) -> tuple:
+        """One ET pass: the selections, their rate spread and the rates ``step`` reads."""
+        sel = linear_argmax(pool.cn, pool.qn, nu_t, w=theta)
+        rate = pool.block.capacities.reshape(-1).take(pool.rows + sel)
+        rates = np.bincount(sel, rate, len(theta)) / len(sel)
+        return sel, self.gap(rates), rates
 
-    def gap(self, access: np.ndarray, rates: np.ndarray) -> float:
+    @staticmethod
+    def gap(rates: np.ndarray) -> float:
         mean = float(rates.mean())
         return float((rates.max() - rates.min()) / mean) if mean > 0 else math.inf
 
@@ -511,10 +518,11 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
     """``_price`` over the scheme's inner fairness solve.
 
     A probe at nu_t runs passes from the multipliers the last probe ended
-    with (first ``warm_start``'s, whose nu is the first probe), each
-    scheduling with ``rule.select`` and, until the fairness gap is within
-    tolerance, stepping with ``rule.step`` at ``step_size / sqrt(k)``, k
-    counting all passes.  A probe below the target runs ``rule.certify``.
+    with (first ``warm_start``'s, whose nu is the first probe).  A pass,
+    ``rule.inner``, computes the fairness gap and what ``rule.step`` reads;
+    the step follows at ``step_size / sqrt(k)``, k counting all passes, until
+    the gap is within tolerance.  ``pool.evaluate`` summarizes the pass that
+    ends the probe.  A probe below the target runs ``rule.certify``.
     ``_result`` gets the last pass when ``max_iters`` run out, else the
     probe at the price found: converged if its harvest is within
     ``tol_e`` of the target, or above it at price 0.
@@ -533,11 +541,12 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
         fair = False
         while not fair and k < settings.max_iters:
             k += 1
-            qbar, access, rates = pool.evaluate(rule.select(pool, nu_t, mult))
-            last = (mult, qbar, access, rates, rule.gap(access, rates))
-            fair = last[4] <= tol
+            sel, gap, scored = rule.inner(pool, nu_t, mult)
+            fair = gap <= tol
+            if fair or k == settings.max_iters:
+                last = (mult, *pool.evaluate(sel), gap)
             if not fair:
-                mult = rule.step(pool, nu_t, mult, settings.step_size / math.sqrt(k), rates)
+                mult = rule.step(pool, nu_t, mult, settings.step_size / math.sqrt(k), scored)
         if rule.certify and last[1] < q_req - tol_e and nu_t > 0:
             rule.certify(pool, nu_t, mult, q_req, tol_e, settings)
         if not fair:  # max_iters ran out
@@ -552,13 +561,8 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
                   probes[nu_t])
 
 
-def calibrate_pf(
-    q_req: float,
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    settings: CalibrationSettings,
-    warm_start: DualState | None = None,
-) -> DualState:
+def calibrate_pf(q_req: float, profiles: Sequence[UserProfile], config: SystemConfig,
+                 settings: CalibrationSettings, warm_start: DualState | None = None) -> DualState:
     """Calibrate (nu, gamma) so access is uniform and the harvest target binds.
 
     A target above the equal-access ``_fair_bound`` at ``pool.access_offsets``,
@@ -575,13 +579,8 @@ def calibrate_pf(
                        system_fingerprint(config, profiles))
 
 
-def calibrate_et(
-    q_req: float,
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    settings: CalibrationSettings,
-    warm_start: DualState | None = None,
-) -> DualState:
+def calibrate_et(q_req: float, profiles: Sequence[UserProfile], config: SystemConfig,
+                 settings: CalibrationSettings, warm_start: DualState | None = None) -> DualState:
     """Calibrate (nu, theta) so per-user throughputs equalize under the target.
 
     ET means max-min throughput; theta >= 0 on the unit simplex is the

@@ -185,15 +185,12 @@ class SlotBlock:
     def n_users(self) -> int:
         return self.capacities.shape[1]
 
-    def outcome(self, selections: np.ndarray, total: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+    def outcome(self, selections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-slot capacity of the scheduled user and summed harvest of the idle users.
 
-        One user per slot decodes, every other user harvests.  ``total``
-        is ``harvests.sum(axis=1)``, computed here by ``row_reduce`` when
-        absent; a pool scored many times passes it in.  A selection outside
-        ``[0, n_users)`` raises IndexError, and one that is not one entry
-        per slot ValueError.
+        One user per slot decodes, every other user harvests.  A selection
+        outside ``[0, n_users)`` raises IndexError, and one that is not one
+        entry per slot ValueError.
         """
         selections = np.asarray(selections)
         n = self.n_users
@@ -206,20 +203,17 @@ class SlotBlock:
                              f"{selections.min()}..{selections.max()}")
         flat = np.arange(0, len(selections) * n, n)
         flat += selections
-        if total is None:
-            total = row_reduce(self.harvests)
         return (self.capacities.reshape(-1).take(flat),
-                total - self.harvests.reshape(-1).take(flat))
+                row_reduce(self.harvests) - self.harvests.reshape(-1).take(flat))
 
-    def summary(self, selections: np.ndarray, total: np.ndarray | None = None
-                ) -> tuple[float, np.ndarray, np.ndarray]:
+    def summary(self, selections: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Mean idle harvest, access shares and per-user rates of a selection."""
-        return summarize(selections, *self.outcome(selections, total), self.n_users)
+        return summarize(selections, *self.outcome(selections), self.n_users)
 
     def max_harvest(self, total: np.ndarray | None = None) -> np.ndarray:
         """Largest idle harvest of each slot: the weakest harvester is scheduled.
 
-        ``total`` is the row total of the harvests, as in ``outcome``.
+        ``total`` is the row total of the harvests, ``row_reduce(harvests)``.
         """
         if total is None:
             total = row_reduce(self.harvests)
@@ -227,13 +221,15 @@ class SlotBlock:
 
 
 def row_reduce(values: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
-    """``ufunc.reduce(values, axis=1)`` for np.add, np.minimum or np.maximum, bit for bit.
+    """``ufunc.reduce(values, axis=1)`` for np.add, np.minimum or np.maximum.
 
-    That is ``values.sum``, ``min`` or ``max(axis=1)``.  numpy reduces
-    fewer than 8 terms of a row in sequence but runs one loop per row;
-    below ``_SWEEP_USERS`` columns the same sequence over whole columns
-    is one loop per column.  One row goes to numpy: an in-place add of one
-    element can keep the other operand's NaN.
+    That is ``values.sum``, ``min`` or ``max(axis=1)``, bit for bit up to
+    the sign of a NaN: in a row with NaNs of both signs the column sweep's
+    min or max may be the other one.  numpy reduces fewer than 8 terms of a
+    row in sequence but runs one loop per row; below ``_SWEEP_USERS``
+    columns the same sequence over whole columns is one loop per column.
+    One row goes to numpy: an in-place add of one element can keep the
+    other operand's NaN.
     """
     m, n = values.shape
     if m < 2 or not 0 < n < _SWEEP_USERS:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,20 +71,12 @@ def linear_argmax(
     ``channel._SWEEP_USERS`` users, such as the online schedulers'
     sub-blocks, are scored one user column at a time into a running
     maximum, which allocates only slot-length temporaries.  Wider
-    row-major arrays are scored whole and reduced by ``np.argmax``.  The
-    sweep is ``sweep_argbest``, so either way ties go to the lowest index.
+    row-major arrays are scored whole and reduced by ``np.argmax``.  The sweep
+    is ``sweep_argbest`` of ``score_columns``, so either way ties go to the lowest index.
     """
     n = caps.shape[1]
     if n > 0 and (caps.flags.f_contiguous or n < _SWEEP_USERS):
-        def column(j: int) -> np.ndarray:
-            score = caps[:, j] if w is None else caps[:, j] * w[j]
-            if nu:
-                score = score - nu * harvests[:, j]
-            if g is not None:  # in place unless score still views caps
-                score = np.subtract(score, g[j], out=score if score.flags.owndata else None)
-            return score
-
-        return sweep_argbest(map(column, range(n)))
+        return sweep_argbest(score_columns(caps, harvests, nu, w, g))
     if w is None:
         scores = caps - nu * harvests if nu else caps.copy()
     else:
@@ -94,6 +86,19 @@ def linear_argmax(
     if g is not None:
         scores -= g
     return scores.argmax(axis=1)  # the method skips np.argmax's Python wrapper
+
+
+def score_columns(caps: np.ndarray, harvests: np.ndarray, nu: float, w: np.ndarray | None = None,
+                  g: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The score columns of ``linear_argmax``, one user at a time: a column
+    views ``caps`` while no term has been applied to it, else owns its data."""
+    for j in range(caps.shape[1]):
+        score = caps[:, j] if w is None else caps[:, j] * w[j]
+        if nu:
+            score = score - nu * harvests[:, j]
+        if g is not None:  # in place unless score still views caps
+            score = np.subtract(score, g[j], out=score if score.flags.owndata else None)
+        yield score
 
 
 def sweep_argbest(columns: Iterable[np.ndarray], lowest: bool = False) -> np.ndarray:

@@ -1,6 +1,8 @@
 import importlib.util
 import io
+import json
 import subprocess
+import sys
 import tarfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 summarize = bench_pairs.summarize
+LAYERS = bench_pairs.LAYERS
 
 PARENT = [10.0, 10.5, 11.0, 9.5, 10.2, 10.8, 9.8, 10.1, 10.4, 10.6]
 
@@ -113,3 +116,58 @@ class TestMakeTrees:
             assert (root / "perfbench/run.py").read_bytes() == (
                 checkout / "perfbench/run.py").read_bytes()
             assert not list(root.rglob("__pycache__"))
+
+
+class TestLayerMode:
+    LINE = json.dumps({"layers": {name: {"value": 0.5, "passes": 3} for name in LAYERS},
+                       "env": {"numpy": "2"}})
+
+    def fake_run(self, monkeypatch, last_line):
+        monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kw:
+                            subprocess.CompletedProcess(argv, 0, last_line + "\n", ""))
+
+    def test_result_line_parsed(self, monkeypatch):
+        self.fake_run(monkeypatch, self.LINE)
+        out = bench_pairs.run_layers(Path("."), "change")
+        assert out["metrics"] == dict.fromkeys(LAYERS, 0.5)
+        assert out["digest"] == dict.fromkeys(LAYERS, 3) and out["failed"] == 0
+
+    @pytest.mark.parametrize("last_line", [
+        LINE.replace("0.5", "NaN", 1),
+        json.dumps({"layers": {"mt_probe_ms": {"value": 0.5, "passes": 9}}, "env": {}}),
+        "Traceback (most recent call last):",
+    ], ids=["NaN", "missing layer", "text"])
+    def test_line_that_is_not_a_result_names_the_run(self, monkeypatch, last_line):
+        self.fake_run(monkeypatch, last_line)
+        with pytest.raises(RuntimeError) as err:
+            bench_pairs.run_layers(Path("."), "parent")
+        assert "parent layer timing" in str(err.value) and repr(last_line) in str(err.value)
+
+    def test_pairs_alternate_and_are_summarized_per_layer(self, monkeypatch, tmp_path):
+        sides = []
+
+        def fake_layers(root, side):
+            sides.append(side)
+            assert root.name == side and (root / "src/swiptsched/calibration.py").is_file()
+            ms = (1.0 if side == "parent" else 0.5) + 0.01 * len(sides)
+            return {"metrics": dict.fromkeys(LAYERS, ms), "attempted": 3, "failed": 0,
+                    "correct": True, "digest": dict.fromkeys(LAYERS, 3), "env": {}}
+
+        monkeypatch.setattr(bench_pairs, "run_layers", fake_layers)
+        out = tmp_path / "bench.json"
+        argv = ["--against", "HEAD", "--layers", "--pairs", "10", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        assert sides[:4] == ["parent", "change", "change", "parent"] and len(sides) == 20
+        entry = json.loads(out.read_text())["entries"][0]
+        assert entry["workload"] == "layers" and entry["digests_equal"]
+        assert set(entry["metrics"]) == set(LAYERS)
+        assert all(m["verdict"] == "gain" and m["win_fraction"] == 1.0
+                   for m in entry["metrics"].values())
+
+    def test_layer_tool_times_this_checkout(self):
+        proc = subprocess.run([sys.executable, str(bench_pairs.LAYER_TOOL), str(bench_pairs.ROOT),
+                               "--reps", "1"], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
+        assert set(layers) == set(LAYERS) and all(v["value"] > 0 for v in layers.values())
+        assert layers["pf_step_pass_ms"]["passes"] == 3  # cut off by max_iters: every pass steps

@@ -26,13 +26,14 @@ from swiptsched import (
     place_users,
     save_duals,
 )
-from swiptsched import (ConfigError, channel, draw_block, linear_argmax,
+from swiptsched import (ConfigError, SlotBlock, channel, draw_block, linear_argmax,
                         make_optimal_scheduler, seeds)
 from swiptsched.calibration import (
     _EtRule,
     _PfRule,
     _build_pool,
     _fair_bound,
+    _mt_price,
     _pool_of,
     _pool_share,
     _price,
@@ -280,6 +281,35 @@ class TestCalibratePf:
         assert res["iterations"] == 1 and not res["converged"]
         assert "averaged" not in res
 
+    @pytest.mark.parametrize("max_iters", [2, 3])
+    @pytest.mark.parametrize("rule", [_PfRule(), _EtRule()], ids=["pf", "et"])
+    def test_non_convergence_reports_last_of_several_passes(self, config5, profiles5, rule,
+                                                            max_iters):
+        # the residuals are those of the last pass, evaluated directly: its selection is
+        # made from the multipliers the earlier passes' steps left (nu = 0 throughout)
+        settings = CalibrationSettings(mc_slots=5000, max_iters=max_iters, seed=7)
+        with pytest.raises(ConvergenceError) as err:
+            {"pf": calibrate_pf, "et": calibrate_et}[rule.scheme](0.0, profiles5, config5,
+                                                                   settings)
+        res = err.value.residuals
+        pool = _build_pool(profiles5, config5, settings)
+        mult, term = rule.start(pool, None), "g" if rule.scheme == "pf" else "w"
+        for k in range(1, max_iters + 1):
+            sel = linear_argmax(pool.cn, pool.qn, 0.0, **{term: mult})
+            qbar, access, rates = pool.block.summary(sel)
+            if k < max_iters:
+                mult = (pf_step_reference(pool, 0.0, mult) if rule.scheme == "pf" else
+                        rule.step(pool, 0.0, mult, settings.step_size / math.sqrt(k), rates))
+        assert res["per_user_rate_pool"] == rates.tolist()
+        assert res["energy_gap"] == qbar
+        assert res["iterations"] == max_iters and not res["converged"]
+        if rule.scheme == "pf":
+            assert res["access_freq_pool"] == access.tolist()
+            assert res["access_gap"] == _PfRule.gap(access)
+        else:
+            assert res["rate_spread"] == _EtRule.gap(rates)
+            assert res["theta_sum"] == float(mult.sum())
+
     def test_pass_budget(self, config5, profiles5, settings, q_range):
         # about 20 passes: the budget leaves room for pool noise and still
         # catches an offset step that needs hundreds
@@ -349,6 +379,47 @@ class TestPfStep:
             pool = _pool_of(FiniteInstance(caps, harvests, q_req=0.0).block)
             out = _PfRule().step(pool, nu_t, gamma, 0.5, None)
             assert out.tobytes() == pf_step_reference(pool, nu_t, gamma).tobytes()
+
+
+def summary_bytes(summary):
+    qbar, access, rates = summary
+    return np.float64(qbar).tobytes(), access.tobytes(), rates.tobytes()
+
+
+class TestLeanPasses:
+    """Every pool pass computes only what its search reads; what it computes is, bit for
+    bit, what ``linear_argmax`` and ``SlotBlock.summary`` give on the same pool."""
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @given(tie_heavy_pools(), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    @hypothesis.example((np.array([[2.0, 2.0, 1.0]]), np.zeros((1, 3)), np.zeros(3)), 0.0)
+    @hypothesis.example((np.array([[1.0], [3.0]]), np.zeros((2, 1)), np.zeros(1)), 1.0)
+    def test_passes_equal_the_kernel_and_the_summary(self, case, nu_t):
+        caps, harvests, gamma = case
+        block = SlotBlock(None, caps, harvests)
+        theta = (np.abs(gamma) + 1.0) / (np.abs(gamma) + 1.0).sum()
+        with np.errstate(invalid="ignore"):  # all-zero capacities: 0 / 0
+            pool = _pool_of(FiniteInstance(caps, harvests, q_req=0.0).block)
+
+            def mt_harvest(nu: float) -> float:
+                return block.summary(linear_argmax(pool.cn, pool.qn, nu))[0]
+
+            # MT: the price search whose probes gather the idle harvest alone
+            q_req = 0.6 * float(np.mean(block.max_harvest()))
+            assert _mt_price(pool, q_req, 0.0)[0] == _price(mt_harvest, q_req, 0.0)
+            sel = linear_argmax(pool.cn, pool.qn, nu_t)
+            assert summary_bytes(pool.evaluate(sel)) == summary_bytes(block.summary(sel))
+            for rule, kw in ((_PfRule(), {"g": gamma}), (_EtRule(), {"w": theta})):
+                sel, gap, scored = rule.inner(pool, nu_t, *kw.values())
+                assert sel.tobytes() == linear_argmax(pool.cn, pool.qn, nu_t, **kw).tobytes()
+                qbar, access, rates = summary = block.summary(sel)
+                assert gap == rule.gap(access if rule.scheme == "pf" else rates)
+                assert summary_bytes(pool.evaluate(sel)) == summary_bytes(summary)
+                if rule.scheme == "pf":
+                    out = rule.step(pool, nu_t, gamma, 0.5, scored)
+                    assert out.tobytes() == pf_step_reference(pool, nu_t, gamma).tobytes()
+                else:
+                    assert scored.tobytes() == rates.tobytes()
 
 
 class TestEqualAccessBound:

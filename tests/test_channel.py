@@ -203,6 +203,15 @@ class TestRowReduce:
         with np.errstate(invalid="ignore"):  # inf - inf
             assert row_reduce(values, np.add).tobytes() == values.sum(axis=1).tobytes()
 
+    def test_equal_up_to_the_sign_of_a_nan(self):
+        # NaNs of both signs in a row: the sweep's min and max can keep the negative NaN
+        # where numpy returns the positive one; every other bit agrees
+        values = np.array([[-np.nan, 1.0, np.nan], [np.nan, -2.0, -np.nan], [0.0, -0.0, 1.0]])
+        for ufunc in (np.add, np.minimum, np.maximum):
+            ours, ref = row_reduce(values, ufunc), ufunc.reduce(values, axis=1)
+            assert np.array_equal(np.isnan(ours), np.isnan(ref))
+            assert ours[~np.isnan(ours)].tobytes() == ref[~np.isnan(ref)].tobytes()
+
     def test_one_row_total_keeps_numpy_nan(self):
         # an in-place add of one-element arrays can keep the other operand's NaN
         values = np.array([[0.0, np.inf, -np.inf, np.nan]])

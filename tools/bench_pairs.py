@@ -2,6 +2,7 @@
 
     python tools/bench_pairs.py --against REV --workload W --pairs K --out BENCH.json
                                 [--seed S]
+    python tools/bench_pairs.py --against REV --layers --pairs K --out BENCH.json
 
 Builds two trees side by side in one temporary directory: ``parent``
 holds REV's ``src`` from ``git archive`` and ``change`` a copy of this
@@ -28,8 +29,15 @@ count for neither side) and a verdict:
 
 The entry also records failed operations and output digests per run,
 the environment and both revisions.  An existing OUT gets the entry
-appended, so one file can hold several workloads.  Standard library
-only.
+appended, so one file can hold several workloads.
+
+``--layers`` pairs in-process timings instead: each run is one
+``tools/layer_passes.py`` subprocess on a side's tree, which times one
+calibration pass per scheme (an MT probe, a PF pass that steps, an ET
+pass) on the benchmark's pinned pool.  Its metrics are the milliseconds
+per pass, summarized as above with the bound ``LAYER_BOUND``, and its
+digest is the pass count of each layer, which must be equal on both sides.
+The entry's workload is ``layers``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -50,6 +58,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GAIN_SHARE = 0.9
 MIN_PAIRS = 10  # fewer pairs can show no gain
+LAYER_TOOL = ROOT / "tools" / "layer_passes.py"
+LAYERS = ("mt_probe_ms", "pf_step_pass_ms", "et_pass_ms")
+LAYER_BOUND = 0.25  # as the end-to-end seconds metrics
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -99,30 +110,47 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
-def run_bench(root: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``root``: its metric values, failures and digests.
-
-    The last line of its output must be the result object in strict JSON:
-    ``NaN`` and ``Infinity``, which ``json.dumps`` writes for a non-finite
-    metric, are rejected like any other line that is not a result.
-    """
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True)
+def _run_result(argv: list[str], root: Path, where: str, parse) -> dict:
+    """``parse(result, lines)`` of a subprocess run in ``root``, whose last output line
+    must be its result object in strict JSON: ``NaN`` and ``Infinity``, which
+    ``json.dumps`` writes for a non-finite metric, are rejected like any other line
+    that is not a result."""
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    where = f"{side} benchmark, workload {workload}, seed {seed}"
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{where} exited {proc.returncode}:\n{proc.stderr}")
     try:
-        result = json.loads(lines[-1], parse_constant=_reject_constant)
-        run = {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-               **{key: result[key] for key in ("attempted", "failed", "correct")}}
+        return parse(json.loads(lines[-1], parse_constant=_reject_constant), lines)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise RuntimeError(f"{where}: last line is not a result ({exc}): {lines[-1]!r}") from exc
-    record = next(json.loads(line[len("record "):]) for line in lines
-                  if line.startswith("record "))
-    return {**run, "digest": record["digest"], "env": record["env"]}
+
+
+def run_bench(root: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``root``: its metric values, failures and digests."""
+    def parse(result: dict, lines: list[str]) -> dict:
+        record = next(json.loads(line[len("record "):]) for line in lines
+                      if line.startswith("record "))
+        return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                **{key: result[key] for key in ("attempted", "failed", "correct")},
+                "digest": record["digest"], "env": record["env"]}
+
+    return _run_result([sys.executable, str(root / "perfbench" / "run.py"), "--workload",
+                        workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                       root, f"{side} benchmark, workload {workload}, seed {seed}", parse)
+
+
+def run_layers(root: Path, side: str) -> dict:
+    """One ``tools/layer_passes.py`` run on ``root``, shaped as ``run_bench``'s result:
+    the milliseconds per pass of ``LAYERS`` and, as the digest, their pass counts."""
+    def parse(result: dict, lines: list[str]) -> dict:
+        layers = {name: result["layers"][name] for name in LAYERS}
+        return {"metrics": {name: float(v["value"]) for name, v in layers.items()},
+                "attempted": len(layers), "failed": 0, "correct": True,
+                "digest": {name: v["passes"] for name, v in layers.items()},
+                "env": result["env"]}
+
+    return _run_result([sys.executable, str(LAYER_TOOL), str(root)], root,
+                       f"{side} layer timing", parse)
 
 
 def make_trees(tmp: Path, parent_src_tar: bytes) -> dict[str, Path]:
@@ -150,7 +178,10 @@ def git(*args: str) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--against", required=True, help="parent revision")
-    parser.add_argument("--workload", required=True)
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload")
+    what.add_argument("--layers", action="store_true",
+                      help="pair in-process timings of one calibration pass per scheme")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--out", required=True)
@@ -170,12 +201,15 @@ def main(argv: list[str]) -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_bench(roots[side], side, args.workload, args.seed + i,
+                runs[side].append(run_layers(roots[side], side) if args.layers else
+                                  run_bench(roots[side], side, args.workload, args.seed + i,
                                             seconds))
                 print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} {side}: "
                       + json.dumps(runs[side][-1]["metrics"]), file=sys.stderr)
     metrics = {}
-    for spec in bench["end_to_end"]:
+    specs = ([{"name": name, "better": "lower", "bound": LAYER_BOUND} for name in LAYERS]
+             if args.layers else bench["end_to_end"])
+    for spec in specs:
         name = spec["name"]
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
@@ -184,10 +218,10 @@ def main(argv: list[str]) -> int:
         else:
             metrics[name] = summarize(parent, change, spec["better"], spec["bound"])
     entry = {
-        "workload": args.workload,
-        "seeds": [args.seed, args.seed + args.pairs - 1],
+        "workload": "layers" if args.layers else args.workload,
+        "seeds": None if args.layers else [args.seed, args.seed + args.pairs - 1],
         "pairs": args.pairs,
-        "run_seconds": seconds,
+        "run_seconds": None if args.layers else seconds,
         "first_in_pair": "parent on odd pairs (1st, 3rd, ...), change on even pairs",
         "metrics": metrics,
         "ops_failed": {side: [f"{r['failed']}/{r['attempted']}" for r in rs]
@@ -209,7 +243,7 @@ def main(argv: list[str]) -> int:
     doc["entries"].append(entry)
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, m in metrics.items():
-        print(f"{args.workload} {name}: {m['verdict']}")
+        print(f"{entry['workload']} {name}: {m['verdict']}")
     return 0
 
 
