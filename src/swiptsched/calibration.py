@@ -22,13 +22,12 @@ Every calibrator takes the same three steps:
   * ``_result`` writes the residual record and returns the DualState,
     or raises ConvergenceError carrying that record.
 
-Every pass schedules the pool with the online kernel, ``linear_argmax``'s
-column scores and ``sweep_argbest``, and computes only what the search
-reads: an MT probe the idle harvest, a PF pass the access shares, an ET
-pass the rates; ``_Pool.evaluate`` summarizes the pass that ends a probe.
-The pool's normalized arrays are user-major (Fortran order), oracle
-instances included, swept a contiguous column at a time without a branch
-per slot.  The raw arrays stay row-major.
+Every pass schedules the pool with the online kernel (``linear_argmax``'s
+column scores and ``sweep_argbest``) and computes only what the search reads:
+an MT probe the idle harvest, a PF pass the access shares, an ET pass the
+rates; ``_Pool.evaluate`` summarizes the pass that ends a probe.  The pool's
+normalized arrays, oracle instances' included, are user-major (Fortran
+order), swept a contiguous column at a time; the raw arrays stay row-major.
 
 Capacities are normalized by a typical per-slot maximum capacity and
 harvests by the maximum average harvest, so the normalized price is
@@ -170,10 +169,10 @@ class _Pool:
         """
         q = self.qn[:_ACCESS_FIT_SLOTS]
         caps, g = np.broadcast_to(0.0, q.shape), np.zeros(q.shape[1])
-        _, g_gap, scored = _pf_pass(caps, q, 1.0, g)
-        while g_gap > 0 and (new := _pf_pass(caps, q, 1.0, new_g := _access_step(*scored, g))
-                             )[1] < g_gap:
-            g, (_, g_gap, scored) = new_g, new
+        _, g_gap, for_step = _pf_pass(caps, q, 1.0, g)
+        while g_gap > 0 and (new := _pf_pass(caps, q, 1.0, new_g := _access_step(
+                caps, q, 1.0, g, *for_step)))[1] < g_gap:
+            g, (_, g_gap, for_step) = new_g, new
         return g
 
 
@@ -214,7 +213,8 @@ def _build_pool(
     if key not in shared:
         rng = seeds.substream(settings.seed, seeds.CALIBRATION)
         shared[key] = pool = _pool_of(draw_block(profiles, config, rng, settings.mc_slots))
-        for a in (pool.block.capacities, pool.block.harvests, pool.total, pool.cn, pool.qn):
+        for a in (pool.block.capacities, pool.block.harvests, pool.total, pool.cn, pool.qn,
+                  pool.rows):
             a.flags.writeable = False  # a pass that writes to a shared pool raises ValueError
     return shared[key]
 
@@ -248,14 +248,9 @@ def feasible_range(
     return FeasibleRange(greedy=greedy, maximum=pool.q_max, stderr_maximum=stderr)
 
 
-def estimate_constraints(
-    scheme: str,
-    duals: DualState,
-    profiles: Sequence[UserProfile],
-    config: SystemConfig,
-    settings: CalibrationSettings,
-    rng: np.random.Generator | None = None,
-) -> ConstraintEstimate:
+def estimate_constraints(scheme: str, duals: DualState, profiles: Sequence[UserProfile],
+                         config: SystemConfig, settings: CalibrationSettings,
+                         rng: np.random.Generator | None = None) -> ConstraintEstimate:
     """Replay a calibrated scheduler on fresh slots and average the constraints.
 
     Fresh means independent of the calibration pool: by default the
@@ -397,28 +392,32 @@ def _reject_above(bound: float, q_req: float, tol_e: float, fairness: str, withi
 
 
 def _pf_pass(caps, harvests, nu_t: float, g: np.ndarray) -> tuple:
-    """One PF pass over (M, N) arrays: the selections, their access gap and, for
-    ``_access_step``, (score columns, selections), so the step scores no user again."""
-    cols = list(score_columns(caps, harvests, nu_t, g=g))
-    sel = sweep_argbest(c[:] for c in cols)  # views: the sweep copies, not overwrites, cols[0]
-    return sel, _PfRule.gap(np.bincount(sel, minlength=len(cols)) / len(sel)), (cols, sel)
+    """One PF pass over (M, N) arrays: the selections, their access gap and, for the
+    step, (best score, its lead over the second, selections), kept as the kernel sweeps."""
+    best, second = np.full(len(caps), -np.inf), np.full(len(caps), -np.inf)
+
+    def tracked(columns):
+        for s in columns:  # slot-length temporaries only
+            np.maximum(second, np.minimum(best, s), out=second)
+            np.maximum(best, s, out=best)
+            yield s
+
+    sel = sweep_argbest(tracked(score_columns(caps, harvests, nu_t, g=g)))
+    access = np.bincount(sel, minlength=caps.shape[1]) / len(sel)
+    return sel, _PfRule.gap(access), (best, np.subtract(best, second, out=second), sel)
 
 
-def _access_step(cols: list, sel: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """PF's step of the offsets g from a ``_pf_pass`` at g, whose columns it uses up:
-    ``g_n += (1 - 1/N) delta_n``, recentred, with delta_n the ceil(M/N)-th largest
-    over the M slots of user n's margin ``score_n - max_{m != n} score_m``.  That rise
-    alone would leave n the top score in 1/N of the slots, so delta_n >= 0 for a user
+def _access_step(caps, harvests, nu_t: float, g: np.ndarray, best, lead, sel) -> np.ndarray:
+    """PF's step of the offsets g of the scores ``caps - nu_t harvests - g``, from a
+    ``_pf_pass`` at g: ``g_n += (1 - 1/N) delta_n``, recentred, with delta_n the ceil(M/N)-th
+    largest over the M slots of user n's margin ``score_n - max_{m != n} score_m``.  That
+    rise alone would leave n the top score in 1/N of the slots, so delta_n >= 0 for a user
     picked more than 1/N and <= 0 for one picked less.  It needs no step size at any
     price; the damping allows for the other offsets moving too.
     """
-    (m, n), best, second = (len(sel), len(cols)), cols[0].copy(), np.full(len(sel), -np.inf)
-    for s in cols[1:]:  # slot-length temporaries only
-        np.maximum(second, np.minimum(best, s), out=second)
-        np.maximum(best, s, out=best)
-    lead = np.subtract(best, second, out=second)  # the selected user's margin over the second
+    m, n = caps.shape
     delta, k = np.empty(n), m - math.ceil(m / n)
-    for j, s in enumerate(cols):
+    for j, s in enumerate(score_columns(caps, harvests, nu_t, g=g)):  # each user once
         s -= best  # the margin over the best user: +0.0 where j ties for it, so
         s += (sel == j) * lead  # adding the lead where j is selected is exact
         s.partition(k)
@@ -448,9 +447,10 @@ class _PfRule:
     def gap(access: np.ndarray) -> float:
         return float(np.max(np.abs(access - 1.0 / len(access))))
 
-    def step(self, pool, nu_t, gamma_t, step, scored: tuple | None = None) -> np.ndarray:
-        """``_access_step`` from the pass ``scored`` at gamma_t, run here if None."""
-        return _access_step(*(scored or self.inner(pool, nu_t, gamma_t)[2]), gamma_t)
+    def step(self, pool, nu_t, gamma_t, step, for_step: tuple | None = None) -> np.ndarray:
+        """``_access_step`` from what the pass at gamma_t keeps for it, run here if None."""
+        return _access_step(pool.cn, pool.qn, nu_t, gamma_t,
+                            *(for_step or self.inner(pool, nu_t, gamma_t)[2]))
 
     certify = None  # calibrate_pf checks its bound once, before any pass
 
@@ -541,12 +541,12 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
         fair = False
         while not fair and k < settings.max_iters:
             k += 1
-            sel, gap, scored = rule.inner(pool, nu_t, mult)
+            sel, gap, for_step = rule.inner(pool, nu_t, mult)
             fair = gap <= tol
-            if fair or k == settings.max_iters:
+            if fair or k == settings.max_iters:  # the pass that ends the probe
                 last = (mult, *pool.evaluate(sel), gap)
             if not fair:
-                mult = rule.step(pool, nu_t, mult, settings.step_size / math.sqrt(k), scored)
+                mult = rule.step(pool, nu_t, mult, settings.step_size / math.sqrt(k), for_step)
         if rule.certify and last[1] < q_req - tol_e and nu_t > 0:
             rule.certify(pool, nu_t, mult, q_req, tol_e, settings)
         if not fair:  # max_iters ran out

@@ -410,16 +410,16 @@ class TestLeanPasses:
             sel = linear_argmax(pool.cn, pool.qn, nu_t)
             assert summary_bytes(pool.evaluate(sel)) == summary_bytes(block.summary(sel))
             for rule, kw in ((_PfRule(), {"g": gamma}), (_EtRule(), {"w": theta})):
-                sel, gap, scored = rule.inner(pool, nu_t, *kw.values())
+                sel, gap, for_step = rule.inner(pool, nu_t, *kw.values())
                 assert sel.tobytes() == linear_argmax(pool.cn, pool.qn, nu_t, **kw).tobytes()
                 qbar, access, rates = summary = block.summary(sel)
                 assert gap == rule.gap(access if rule.scheme == "pf" else rates)
                 assert summary_bytes(pool.evaluate(sel)) == summary_bytes(summary)
                 if rule.scheme == "pf":
-                    out = rule.step(pool, nu_t, gamma, 0.5, scored)
+                    out = rule.step(pool, nu_t, gamma, 0.5, for_step)
                     assert out.tobytes() == pf_step_reference(pool, nu_t, gamma).tobytes()
                 else:
-                    assert scored.tobytes() == rates.tobytes()
+                    assert for_step.tobytes() == rates.tobytes()
 
 
 class TestEqualAccessBound:
