@@ -17,7 +17,7 @@ the public calibrators, so any revision can be timed by the same code:
 
 A per-pass time includes its calibration's once-per-run work (the final
 summary and the residual record).  Each layer runs once to warm up, then R
-times (default 20).  The last line printed is a JSON object: per layer the
+times (default 100).  The last line printed is a JSON object: per layer the
 median milliseconds per pass, the passes of one run, and the environment.
 """
 
@@ -39,7 +39,7 @@ PF_PASSES = 3
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("root", type=Path)
-    parser.add_argument("--reps", type=int, default=20)
+    parser.add_argument("--reps", type=int, default=100)
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
     import numpy as np
