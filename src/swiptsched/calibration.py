@@ -150,11 +150,14 @@ class _Pool:
     qn: np.ndarray         # harvests / q_scale
     rows: np.ndarray       # flat offsets arange(0, M*N, N) of the raw arrays' rows
 
+    def take(self, values: np.ndarray, selections: np.ndarray) -> np.ndarray:
+        """Per slot, the selected user's entry of a raw (M, N) array, without a range check."""
+        return values.reshape(-1).take(self.rows + selections)
+
     def evaluate(self, selections: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """``block.summary`` of the pool's own selections, so without a range check."""
-        flat = self.rows + selections
-        rate = self.block.capacities.reshape(-1).take(flat)
-        idle = self.total - self.block.harvests.reshape(-1).take(flat)
+        """``block.summary`` of the pool's own selections."""
+        rate = self.take(self.block.capacities, selections)
+        idle = self.total - self.take(self.block.harvests, selections)
         return summarize(selections, rate, idle, self.block.n_users)
 
     @cached_property
@@ -219,8 +222,12 @@ def _build_pool(
     return shared[key]
 
 
-def _calibration_pool(q_req: float, profiles: Sequence[UserProfile], config: SystemConfig,
-                      settings: CalibrationSettings) -> tuple[_Pool, float]:
+def _calibration_pool(
+    q_req: float,
+    profiles: Sequence[UserProfile],
+    config: SystemConfig,
+    settings: CalibrationSettings,
+) -> tuple[_Pool, float]:
     """The pool and the resolved energy tolerance; rejects a negative target
     (ValueError) and one above the pool maximum plus tolerance (InfeasibleError)."""
     if q_req < 0:
@@ -248,9 +255,14 @@ def feasible_range(
     return FeasibleRange(greedy=greedy, maximum=pool.q_max, stderr_maximum=stderr)
 
 
-def estimate_constraints(scheme: str, duals: DualState, profiles: Sequence[UserProfile],
-                         config: SystemConfig, settings: CalibrationSettings,
-                         rng: np.random.Generator | None = None) -> ConstraintEstimate:
+def estimate_constraints(
+    scheme: str,
+    duals: DualState,
+    profiles: Sequence[UserProfile],
+    config: SystemConfig,
+    settings: CalibrationSettings,
+    rng: np.random.Generator | None = None,
+) -> ConstraintEstimate:
     """Replay a calibrated scheduler on fresh slots and average the constraints.
 
     Fresh means independent of the calibration pool: by default the
@@ -315,8 +327,7 @@ def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
     def qbar_at(nu_t: float) -> float:
         probed.append(nu_t)
         # the harvest term of ``pool.evaluate`` alone
-        flat = pool.rows + linear_argmax(pool.cn, pool.qn, nu_t)
-        idle = pool.total - pool.block.harvests.reshape(-1).take(flat)
+        idle = pool.total - pool.take(pool.block.harvests, linear_argmax(pool.cn, pool.qn, nu_t))
         return float(idle.sum()) / pool.block.n_slots
 
     return _price(qbar_at, q_req, tol), len(probed)
@@ -345,8 +356,12 @@ def _result(scheme: str, pool: _Pool, q_req: float, tol_e: float, fingerprint: s
                      fingerprint=fingerprint, **duals)
 
 
-def calibrate_mt(q_req: float, profiles: Sequence[UserProfile], config: SystemConfig,
-                 settings: CalibrationSettings) -> DualState:
+def calibrate_mt(
+    q_req: float,
+    profiles: Sequence[UserProfile],
+    config: SystemConfig,
+    settings: CalibrationSettings,
+) -> DualState:
     """Find the smallest energy price nu meeting the harvest target.
 
     ``_mt_price`` searches the pool with the energy tolerance.  If the
@@ -397,12 +412,11 @@ def _pf_pass(caps, harvests, nu_t: float, g: np.ndarray) -> tuple:
     best, second = np.full(len(caps), -np.inf), np.full(len(caps), -np.inf)
 
     def tracked(columns):
-        for s in columns:  # slot-length temporaries only
+        for s in columns:  # best holds the maximum of the columns before s
             np.maximum(second, np.minimum(best, s), out=second)
-            np.maximum(best, s, out=best)
             yield s
 
-    sel = sweep_argbest(tracked(score_columns(caps, harvests, nu_t, g=g)))
+    sel = sweep_argbest(tracked(score_columns(caps, harvests, nu_t, g=g)), out=best)
     access = np.bincount(sel, minlength=caps.shape[1]) / len(sel)
     return sel, _PfRule.gap(access), (best, np.subtract(best, second, out=second), sel)
 
@@ -482,8 +496,7 @@ class _EtRule:
     def inner(self, pool: _Pool, nu_t: float, theta: np.ndarray) -> tuple:
         """One ET pass: the selections, their rate spread and the rates ``step`` reads."""
         sel = linear_argmax(pool.cn, pool.qn, nu_t, w=theta)
-        rate = pool.block.capacities.reshape(-1).take(pool.rows + sel)
-        rates = np.bincount(sel, rate, len(theta)) / len(sel)
+        rates = np.bincount(sel, pool.take(pool.block.capacities, sel), len(theta)) / len(sel)
         return sel, self.gap(rates), rates
 
     @staticmethod
@@ -561,8 +574,13 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
                   probes[nu_t])
 
 
-def calibrate_pf(q_req: float, profiles: Sequence[UserProfile], config: SystemConfig,
-                 settings: CalibrationSettings, warm_start: DualState | None = None) -> DualState:
+def calibrate_pf(
+    q_req: float,
+    profiles: Sequence[UserProfile],
+    config: SystemConfig,
+    settings: CalibrationSettings,
+    warm_start: DualState | None = None,
+) -> DualState:
     """Calibrate (nu, gamma) so access is uniform and the harvest target binds.
 
     A target above the equal-access ``_fair_bound`` at ``pool.access_offsets``,
@@ -579,8 +597,13 @@ def calibrate_pf(q_req: float, profiles: Sequence[UserProfile], config: SystemCo
                        system_fingerprint(config, profiles))
 
 
-def calibrate_et(q_req: float, profiles: Sequence[UserProfile], config: SystemConfig,
-                 settings: CalibrationSettings, warm_start: DualState | None = None) -> DualState:
+def calibrate_et(
+    q_req: float,
+    profiles: Sequence[UserProfile],
+    config: SystemConfig,
+    settings: CalibrationSettings,
+    warm_start: DualState | None = None,
+) -> DualState:
     """Calibrate (nu, theta) so per-user throughputs equalize under the target.
 
     ET means max-min throughput; theta >= 0 on the unit simplex is the

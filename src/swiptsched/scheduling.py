@@ -101,7 +101,8 @@ def score_columns(caps: np.ndarray, harvests: np.ndarray, nu: float, w: np.ndarr
         yield score
 
 
-def sweep_argbest(columns: Iterable[np.ndarray], lowest: bool = False) -> np.ndarray:
+def sweep_argbest(columns: Iterable[np.ndarray], lowest: bool = False,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Per-slot index of the first maximum (minimum if ``lowest``) of a sequence of columns.
 
     That is ``argmax`` (``argmin``) along the user axis of the stacked
@@ -110,12 +111,16 @@ def sweep_argbest(columns: Iterable[np.ndarray], lowest: bool = False) -> np.nda
     ``j * [better]``: j only grows, so that is the last column to displace
     the best, as a masked copy of j would give, but without its branch.
     The picks are bytes up to column 255.  Only slot-length temporaries
-    are allocated.
+    are allocated.  The running best is kept in ``out`` if given, which
+    holds the best before each column while that column is produced and
+    the best score at the end.
     """
     better, keep = (np.less, np.minimum) if lowest else (np.greater, np.maximum)
     columns = iter(columns)
     best = next(columns)
-    if not best.flags.owndata:
+    if out is not None:
+        out[...], best = best, out
+    elif not best.flags.owndata:
         best = best.copy()
     picks = np.zeros(len(best), dtype=np.uint8)
     for j, score in enumerate(columns, 1):

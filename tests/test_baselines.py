@@ -332,6 +332,9 @@ class TestPeeledRanks:
         for lowest, expected in ((False, work.argmax(axis=1)), (True, work.argmin(axis=1))):
             picks = sweep_argbest((work[:, j] for j in range(n)), lowest=lowest)
             assert picks.dtype == expected.dtype and np.array_equal(picks, expected)
+            out = np.empty(m)  # the running best, handed back
+            assert np.array_equal(sweep_argbest(work.T, lowest=lowest, out=out), expected)
+            assert np.array_equal(out, work[np.arange(m), expected])
 
     def test_n32_ranks_match_stable_argsort(self):
         # rounded gains tie often; ranks 1, 2 and 16 peel from the top, 31 and 32 from the bottom

@@ -165,8 +165,8 @@ class TestLayerMode:
                    for m in entry["metrics"].values())
 
     def test_layer_tool_times_this_checkout(self):
-        proc = subprocess.run([sys.executable, str(bench_pairs.LAYER_TOOL), str(bench_pairs.ROOT),
-                               "--reps", "1"], capture_output=True, text=True, timeout=300)
+        proc = subprocess.run([sys.executable, str(bench_pairs.LAYER_TOOL), str(bench_pairs.ROOT)],
+                              capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
         assert set(layers) == set(LAYERS) and all(v["value"] > 0 for v in layers.values())

@@ -1,6 +1,6 @@
 """Time one calibration pass per scheme, in process, on the benchmark's pinned pool.
 
-    python tools/layer_passes.py ROOT [--reps R]
+    python tools/layer_passes.py ROOT
 
 ROOT is a tree holding ``src`` and ``perfbench``, as ``bench_pairs.py``
 builds them; the package is imported from ROOT/src.  The pool is that of
@@ -16,8 +16,8 @@ the public calibrators, so any revision can be timed by the same code:
   of the way), per pass.
 
 A per-pass time includes its calibration's once-per-run work (the final
-summary and the residual record).  Each layer runs once to warm up, then R
-times (default 100).  The last line printed is a JSON object: per layer the
+summary and the residual record).  Each layer runs once to warm up, then
+``REPS`` times.  The last line printed is a JSON object: per layer the
 median milliseconds per pass, the passes of one run, and the environment.
 """
 
@@ -34,12 +34,12 @@ from time import perf_counter
 
 GEOMETRY = 11
 PF_PASSES = 3
+REPS = 100
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("root", type=Path)
-    parser.add_argument("--reps", type=int, default=100)
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
     import numpy as np
@@ -69,7 +69,7 @@ def main(argv: list[str]) -> int:
         result = {}
         for name, calibrate in layers.items():
             per_pass = []
-            for _ in range(args.reps + 1):
+            for _ in range(REPS + 1):
                 t0 = perf_counter()
                 try:
                     residuals = calibrate().calibration_residuals
