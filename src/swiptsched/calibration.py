@@ -22,8 +22,9 @@ Every calibrator takes the same three steps:
   * ``_result`` writes the residual record and returns the DualState,
     or raises ConvergenceError carrying that record.
 
-Every pass schedules the pool with the online kernel (``linear_argmax``'s
-column scores and ``sweep_argbest``) and computes only what the search reads:
+Every pass, and each fairness bound (``_fair_bound``), runs the online kernel:
+``sweep_argbest`` of ``score_columns``, the scheduler's one score ``w*C - nu*Q - g``
+per user column.  A pass computes only what the search reads:
 an MT probe the idle harvest, a PF pass the access shares, an ET pass the
 rates; ``_Pool.evaluate`` summarizes the pass that ends a probe.  The pool's
 normalized arrays, oracle instances' included, are user-major (Fortran
@@ -390,12 +391,11 @@ def _fair_bound(pool: _Pool, lam: np.ndarray, resource, tol: float) -> float:
     for throughput lam must sum to zero, and rates within tol_rate of
     their mean, at most 1/N, give tol = tol_rate / N.
     """
-    resource = np.broadcast_to(resource, pool.qn.shape)
-    low = pool.qn[:, 0] + lam[0] * resource[:, 0]
-    for u in range(1, len(lam)):  # running minimum: slot-length temporaries only
-        np.minimum(low, pool.qn[:, u] + lam[u] * resource[:, u], out=low)
+    high = np.empty(len(pool.qn))  # max_n (-lam_n R_sn - qn_sn) = -min_n (qn_sn + lam_n R_sn)
+    sweep_argbest(score_columns(np.broadcast_to(resource, pool.qn.shape), pool.qn, 1.0, w=-lam),
+                  out=high)
     lam_u = float(lam.mean()) + tol * float(np.abs(lam - np.median(lam)).sum())  # >= lam.u
-    return float(pool.total.mean()) - pool.q_scale * (float(low.mean()) - lam_u)
+    return float(pool.total.mean()) + pool.q_scale * (float(high.mean()) + lam_u)
 
 
 def _reject_above(bound: float, q_req: float, tol_e: float, fairness: str, within: str) -> None:
@@ -451,9 +451,6 @@ class _PfRule:
         gamma_t = np.asarray(warm.gamma, dtype=float) / pool.c_scale
         return gamma_t - gamma_t.mean()
 
-    def select(self, pool: _Pool, nu_t: float, gamma_t: np.ndarray) -> np.ndarray:
-        return linear_argmax(pool.cn, pool.qn, nu_t, g=gamma_t)
-
     def inner(self, pool: _Pool, nu_t: float, gamma_t: np.ndarray) -> tuple:
         return _pf_pass(pool.cn, pool.qn, nu_t, gamma_t)
 
@@ -461,10 +458,9 @@ class _PfRule:
     def gap(access: np.ndarray) -> float:
         return float(np.max(np.abs(access - 1.0 / len(access))))
 
-    def step(self, pool, nu_t, gamma_t, step, for_step: tuple | None = None) -> np.ndarray:
-        """``_access_step`` from what the pass at gamma_t keeps for it, run here if None."""
-        return _access_step(pool.cn, pool.qn, nu_t, gamma_t,
-                            *(for_step or self.inner(pool, nu_t, gamma_t)[2]))
+    def step(self, pool, nu_t, gamma_t, step, for_step: tuple) -> np.ndarray:
+        """``_access_step`` from what the pass at gamma_t keeps for it."""
+        return _access_step(pool.cn, pool.qn, nu_t, gamma_t, *for_step)
 
     certify = None  # calibrate_pf checks its bound once, before any pass
 

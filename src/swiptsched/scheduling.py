@@ -70,35 +70,31 @@ def linear_argmax(
     scored thousands of times, and row-major arrays of fewer than
     ``channel._SWEEP_USERS`` users, such as the online schedulers'
     sub-blocks, are scored one user column at a time into a running
-    maximum, which allocates only slot-length temporaries.  Wider
-    row-major arrays are scored whole and reduced by ``np.argmax``.  The sweep
+    maximum, which allocates only slot-length temporaries.  Wider row-major
+    arrays are scored whole by the same ``_score`` and reduced by ``np.argmax``.  The sweep
     is ``sweep_argbest`` of ``score_columns``, so either way ties go to the lowest index.
     """
     n = caps.shape[1]
     if n > 0 and (caps.flags.f_contiguous or n < _SWEEP_USERS):
         return sweep_argbest(score_columns(caps, harvests, nu, w, g))
-    if w is None:
-        scores = caps - nu * harvests if nu else caps.copy()
-    else:
-        scores = caps * w
-        if nu:
-            scores -= nu * harvests
-    if g is not None:
-        scores -= g
-    return scores.argmax(axis=1)  # the method skips np.argmax's Python wrapper
+    return _score(caps, harvests, nu, w, g).argmax(axis=1)  # skips np.argmax's wrapper
+
+
+def _score(caps, harvests, nu: float, w=None, g=None) -> np.ndarray:
+    """``w * caps - nu * harvests - g`` of a user column (scalar ``w``, ``g``) or of (slots, users)
+    arrays, absent terms skipped: ``caps`` itself if none applies, else an array allocated here."""
+    score = caps if w is None else caps * w
+    for term in (nu * harvests if nu else None, g):
+        if term is not None:  # in place only once score is no longer caps
+            score = np.subtract(score, term, out=None if score is caps else score)
+    return score
 
 
 def score_columns(caps: np.ndarray, harvests: np.ndarray, nu: float, w: np.ndarray | None = None,
                   g: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """The score columns of ``linear_argmax``, one user at a time: a column
-    views ``caps`` while no term has been applied to it, else owns its data."""
+    """The ``_score`` of each user column in turn: a view of ``caps`` when no term applies."""
     for j in range(caps.shape[1]):
-        score = caps[:, j] if w is None else caps[:, j] * w[j]
-        if nu:
-            score = score - nu * harvests[:, j]
-        if g is not None:  # in place unless score still views caps
-            score = np.subtract(score, g[j], out=score if score.flags.owndata else None)
-        yield score
+        yield _score(caps[:, j], harvests[:, j], nu, *(None if v is None else v[j] for v in (w, g)))
 
 
 def sweep_argbest(columns: Iterable[np.ndarray], lowest: bool = False,

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "behaviour_gate.py"
 _spec = importlib.util.spec_from_file_location("behaviour_gate", _PATH)
 behaviour_gate = importlib.util.module_from_spec(_spec)
@@ -42,3 +44,23 @@ class TestCompare:
         assert "differs: added.csv (missing -> " in report
         assert "differs: gone.csv (" in report and "-> missing)" in report
         assert "+2\n" in report and "-1\n" in report
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["-h"], 0), (["--against", "HEAD", "--help"], 0),
+        (["-o"], 2), (["--out", "x"], 2), (["--against", "HEAD", "--verbose"], 2),
+        (["--against", "-x", "out"], 2), ([], 2), (["a", "b"], 2),
+    ])
+    def test_options_print_the_usage_and_run_nothing(self, argv, code, tmp_path, monkeypatch,
+                                                      capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"ran {args}")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(behaviour_gate.subprocess, "run", no_run)
+        monkeypatch.setattr(behaviour_gate, "run_gate", no_run)
+        assert behaviour_gate.main(argv) == code
+        out, err = capsys.readouterr()
+        assert "python tools/behaviour_gate.py OUTDIR" in (out if code == 0 else err)
+        assert list(tmp_path.iterdir()) == []

@@ -97,15 +97,20 @@ class TestRunBench:
         assert repr(last_line) in message
 
 
+def parent_src_tar(data: bytes) -> bytes:
+    """A tar archive holding ``src/swiptsched/__init__.py`` with ``data``."""
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w") as tar:
+        info = tarfile.TarInfo("src/swiptsched/__init__.py")
+        info.size = len(data)
+        tar.addfile(info, io.BytesIO(data))
+    return buffer.getvalue()
+
+
 class TestMakeTrees:
     def test_both_sides_side_by_side_with_the_same_perfbench(self, tmp_path):
-        buffer = io.BytesIO()
-        with tarfile.open(fileobj=buffer, mode="w") as tar:
-            data = b"PARENT = True\n"
-            info = tarfile.TarInfo("src/swiptsched/__init__.py")
-            info.size = len(data)
-            tar.addfile(info, io.BytesIO(data))
-        roots = bench_pairs.make_trees(tmp_path, buffer.getvalue())
+        data = b"PARENT = True\n"
+        roots = bench_pairs.make_trees(tmp_path, parent_src_tar(data))
         assert roots == {"parent": tmp_path / "parent", "change": tmp_path / "change"}
         assert (roots["parent"] / "src/swiptsched/__init__.py").read_bytes() == data
         checkout = bench_pairs.ROOT
@@ -131,6 +136,13 @@ class TestLayerMode:
         out = bench_pairs.run_layers(Path("."), "change")
         assert out["metrics"] == dict.fromkeys(LAYERS, 0.5)
         assert out["digest"] == dict.fromkeys(LAYERS, 3) and out["failed"] == 0
+
+    def test_selection_hash_is_the_digest_where_given(self, monkeypatch):
+        layers = {name: {"value": 0.5, "passes": 3} for name in LAYERS}
+        layers["select_pf_n32_ms"] = {"value": 0.5, "selections": "0123abcd"}
+        self.fake_run(monkeypatch, json.dumps({"layers": layers, "env": {}}))
+        digest = bench_pairs.run_layers(Path("."), "change")["digest"]
+        assert digest == {**dict.fromkeys(LAYERS, 3), "select_pf_n32_ms": "0123abcd"}
 
     @pytest.mark.parametrize("last_line", [
         LINE.replace("0.5", "NaN", 1),
@@ -171,3 +183,36 @@ class TestLayerMode:
         layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
         assert set(layers) == set(LAYERS) and all(v["value"] > 0 for v in layers.values())
         assert layers["pf_step_pass_ms"]["passes"] == 3  # cut off by max_iters: every pass steps
+        selects = [v for name, v in layers.items() if name.startswith("select_")]
+        assert len(selects) == 5 and all(len(v["selections"]) == 16 for v in selects)
+
+
+class TestRevisions:
+    def test_each_appended_entry_keeps_its_revisions(self, monkeypatch, tmp_path):
+        # src is edited while the runs go on: the flag reads the tree as it was copied
+        state = {"head": "", "dirty": False}
+        tar = parent_src_tar(b"PARENT = True\n")
+
+        def fake_run(argv, **kw):
+            command = argv[3:]
+            if command[0] == "archive":
+                return subprocess.CompletedProcess(argv, 0, tar, b"")
+            out = {"rev-parse": state["head"] if command[-1] == "HEAD" else "p-" + command[-1],
+                   "status": " M src/swiptsched/scheduling.py" if state["dirty"] else ""}
+            return subprocess.CompletedProcess(argv, 0, out[command[0]], "")
+
+        def fake_layers(root, side):
+            state["dirty"] = True
+            return {"metrics": dict.fromkeys(LAYERS, 1.0), "attempted": len(LAYERS),
+                    "failed": 0, "correct": True, "digest": dict.fromkeys(LAYERS, 3), "env": {}}
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        monkeypatch.setattr(bench_pairs, "run_layers", fake_layers)
+        out = tmp_path / "bench.json"
+        for head in ("c1", "c2"):
+            state.update(head=head, dirty=False)
+            argv = ["--against", "base", "--layers", "--pairs", "1", "--out", str(out)]
+            assert bench_pairs.main(argv) == 0
+        assert [e["revisions"] for e in json.loads(out.read_text())["entries"]] == [
+            {"parent": "p-base", "change": head, "change_src_matches_head": True}
+            for head in ("c1", "c2")]

@@ -331,13 +331,14 @@ class TestCalibratePf:
         caps, harvests, gamma = data
         t, n = caps.shape
         pool = _pool_of(FiniteInstance(caps, harvests, q_req=0.0).block)
-        gamma = gamma - gamma.mean()
-        out = _PfRule().step(pool, nu_t, gamma, 0.5, None)
+        gamma, rule = gamma - gamma.mean(), _PfRule()
+        sel, _, for_step = rule.inner(pool, nu_t, gamma)  # the production pass
+        out = rule.step(pool, nu_t, gamma, 0.5, for_step)
         scale = 1.0 + np.abs(gamma).max() + np.abs(out).max()
         assert np.all(np.isfinite(out)) and abs(out.mean()) <= 1e-12 * scale
         # a user picked more than 1/N never has its offset lowered relative
         # to a user picked less
-        counts = np.bincount(_PfRule().select(pool, nu_t, gamma), minlength=n)
+        counts = np.bincount(sel, minlength=n)
         rise = out - gamma
         over, under = counts * n > t, counts * n < t
         assert np.all(rise[over, None] >= rise[None, under] - 1e-12 * scale)
@@ -376,8 +377,8 @@ class TestPfStep:
         # the arithmetic rival score against np.where, ties for the best and N = 1, 2 included
         caps, harvests, gamma = case
         with np.errstate(invalid="ignore"):  # all-zero capacities: 0 / 0; one user: 0 * inf
-            pool = _pool_of(FiniteInstance(caps, harvests, q_req=0.0).block)
-            out = _PfRule().step(pool, nu_t, gamma, 0.5, None)
+            pool, rule = _pool_of(FiniteInstance(caps, harvests, q_req=0.0).block), _PfRule()
+            out = rule.step(pool, nu_t, gamma, 0.5, rule.inner(pool, nu_t, gamma)[2])
             assert out.tobytes() == pf_step_reference(pool, nu_t, gamma).tobytes()
 
 
@@ -422,6 +423,24 @@ class TestLeanPasses:
                     assert for_step.tobytes() == rates.tobytes()
 
 
+def fair_bound_reference(pool, lam, resource, tol) -> float:
+    """``_fair_bound`` with its per-slot minimum taken by a running ``np.minimum``."""
+    resource = np.broadcast_to(resource, pool.qn.shape)
+    low = pool.qn[:, 0] + lam[0] * resource[:, 0]
+    for u in range(1, len(lam)):
+        np.minimum(low, pool.qn[:, u] + lam[u] * resource[:, u], out=low)
+    lam_u = float(lam.mean()) + tol * float(np.abs(lam - np.median(lam)).sum())
+    return float(pool.total.mean()) - pool.q_scale * (float(low.mean()) - lam_u)
+
+
+def assert_fair_bound(pool, lam, resource, tol) -> float:
+    """``_fair_bound``, asserted equal to ``fair_bound_reference`` bit for bit."""
+    bound = _fair_bound(pool, lam, resource, tol)
+    reference = fair_bound_reference(pool, lam, resource, tol)
+    assert np.float64(bound).tobytes() == np.float64(reference).tobytes(), (bound, reference)
+    return bound
+
+
 class TestEqualAccessBound:
     """The equal-access ``_fair_bound`` is a proof: no schedule within the access tolerance
     harvests more, whatever the offsets it is evaluated at."""
@@ -460,7 +479,7 @@ class TestEqualAccessBound:
             if best is None:
                 continue
             for offsets in (g, np.zeros_like(g), pool.access_offsets):
-                bound = _fair_bound(pool, offsets, 1.0, tol_access)
+                bound = assert_fair_bound(pool, offsets, 1.0, tol_access)
                 assert bound >= best - 1e-12 * max(abs(best), pool.q_scale)
 
     def test_bound_is_tight_at_the_offsets(self, config5, profiles5):
@@ -538,7 +557,7 @@ class TestEqualThroughputBound:
             if best is None:
                 continue
             for mu in (lam - lam.mean(), np.zeros(n)):
-                bound = _fair_bound(pool, mu, pool.cn, tol_rate / n)
+                bound = assert_fair_bound(pool, mu, pool.cn, tol_rate / n)
                 assert bound >= best - 1e-12 * max(abs(best), pool.q_scale)
 
 

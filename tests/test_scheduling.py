@@ -14,6 +14,7 @@ from swiptsched import (
     linear_argmax,
     make_optimal_scheduler,
 )
+from swiptsched.scheduling import _score, score_columns
 
 
 def rows(*values) -> np.ndarray:
@@ -207,6 +208,16 @@ class TestMemoryLayout:
             expected = linear_argmax(caps, harv, nu, **kw)
             assert np.array_equal(linear_argmax(caps_f, harv_f, nu, **kw), expected)
             assert np.array_equal(expected, np.argmax(reference_scores(caps, harv, nu, **kw), axis=1))
+            # the whole-array score is the columns' byte for byte, in both layouts; only
+            # with no term does a column view caps (``_access_step`` writes into the others)
+            for price in (0.0, nu or 1.0):
+                bare = not kw and price == 0.0
+                for c, h in ((caps, harv), (caps_f, harv_f)):
+                    columns = list(score_columns(c, h, price, **kw))
+                    whole = _score(c, h, price, **kw)
+                    assert whole.tobytes() == np.column_stack(columns).tobytes()
+                    assert (whole is c) == bare
+                    assert all(np.shares_memory(col, c) == bare for col in columns)
 
 
 class TestSchedulerProperties:

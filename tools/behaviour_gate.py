@@ -14,6 +14,9 @@ OUTDIR receives the config, every output file, ``stdout.txt`` and
 ``SHA256SUMS``.  Commands run inside OUTDIR with relative paths, so the
 logs do not depend on where OUTDIR is.
 
+``-h`` or ``--help`` prints this text; any other argument that starts
+with ``-`` prints it too and exits 2, before any command runs.
+
 With ``--against REV`` the script extracts REV's ``src`` with
 ``git archive``, runs the same commands on both trees into
 ``OUTDIR/this`` and ``OUTDIR/against``, prints each file whose sha256
@@ -145,10 +148,13 @@ def compare(old: Path, new: Path) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
+    if any(arg in ("-h", "--help") for arg in argv):
+        print(__doc__)
+        return 0
     rev = None
     if len(argv) == 3 and argv[0] == "--against":
         rev, argv = argv[1], argv[2:]
-    if len(argv) != 1:
+    if len(argv) != 1 or any(arg.startswith("-") for arg in (rev or "", *argv)):
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0])

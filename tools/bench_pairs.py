@@ -27,16 +27,20 @@ count for neither side) and a verdict:
 * ``regression`` or ``no regression``: whether the change's median is
   worse than the parent's by more than the bound.
 
-The entry also records failed operations and output digests per run,
-the environment and both revisions.  An existing OUT gets the entry
-appended, so one file can hold several workloads.
+The entry also records failed operations, whether the output digests
+of every pair are equal, and both revisions, with whether the change's
+``src`` matched HEAD when it was copied.  An existing OUT gets the entry
+appended, so one file can hold several workloads and revisions; its
+``environment`` is that of the last run set.
 
 ``--layers`` pairs in-process timings instead: each run is one
 ``tools/layer_passes.py`` subprocess on a side's tree, which times one
 calibration pass per scheme (an MT probe, a PF pass that steps, an ET
-pass) on the benchmark's pinned pool.  Its metrics are the milliseconds
-per pass, summarized as above with the bound ``LAYER_BOUND``, and its
-digest is the pass count of each layer, which must be equal on both sides.
+pass) on the benchmark's pinned pool, and ``select_block`` on one run-loop
+sub-block per scheme at N=5 and N=32.  Its metrics are the milliseconds
+per pass or call, summarized as above with the bound ``LAYER_BOUND``, and
+its digest is each layer's pass count or hash of its selections, which
+must be equal on both sides.
 The entry's workload is ``layers``.  Standard library only.
 """
 
@@ -59,7 +63,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GAIN_SHARE = 0.9
 MIN_PAIRS = 10  # fewer pairs can show no gain
 LAYER_TOOL = ROOT / "tools" / "layer_passes.py"
-LAYERS = ("mt_probe_ms", "pf_step_pass_ms", "et_pass_ms")
+LAYERS = ("mt_probe_ms", "pf_step_pass_ms", "et_pass_ms", "select_mt_n5_ms", "select_pf_n5_ms",
+          "select_et_n5_ms", "select_mt_n32_ms", "select_pf_n32_ms")
 LAYER_BOUND = 0.25  # as the end-to-end seconds metrics
 
 
@@ -141,12 +146,14 @@ def run_bench(root: Path, side: str, workload: str, seed: int, seconds: float) -
 
 def run_layers(root: Path, side: str) -> dict:
     """One ``tools/layer_passes.py`` run on ``root``, shaped as ``run_bench``'s result:
-    the milliseconds per pass of ``LAYERS`` and, as the digest, their pass counts."""
+    the milliseconds per pass or call of ``LAYERS`` and, as the digest, each
+    layer's hash of its selections or else its pass count."""
     def parse(result: dict, lines: list[str]) -> dict:
         layers = {name: result["layers"][name] for name in LAYERS}
         return {"metrics": {name: float(v["value"]) for name, v in layers.items()},
                 "attempted": len(layers), "failed": 0, "correct": True,
-                "digest": {name: v["passes"] for name, v in layers.items()},
+                "digest": {name: v["selections"] if "selections" in v else v["passes"]
+                           for name, v in layers.items()},
                 "env": result["env"]}
 
     return _run_result([sys.executable, str(LAYER_TOOL), str(root)], root,
@@ -197,6 +204,9 @@ def main(argv: list[str]) -> int:
         return 2
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
+        # taken as the change's src is copied, which an edit during the runs cannot move
+        revisions = {"parent": git("rev-parse", args.against), "change": git("rev-parse", "HEAD"),
+                     "change_src_matches_head": git("status", "--porcelain", "src") == ""}
         roots = make_trees(Path(tmp), archive.stdout)
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -222,6 +232,7 @@ def main(argv: list[str]) -> int:
         "seeds": None if args.layers else [args.seed, args.seed + args.pairs - 1],
         "pairs": args.pairs,
         "run_seconds": None if args.layers else seconds,
+        "revisions": revisions,
         "first_in_pair": "parent on odd pairs (1st, 3rd, ...), change on even pairs",
         "metrics": metrics,
         "ops_failed": {side: [f"{r['failed']}/{r['attempted']}" for r in rs]
@@ -231,15 +242,9 @@ def main(argv: list[str]) -> int:
     }
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.is_file() else {"entries": []}
-    doc.update({
-        "revisions": {"parent": git("rev-parse", args.against),
-                      "change": git("rev-parse", "HEAD"),
-                      "change_src_matches_head": git("status", "--porcelain", "src") == ""},
-        # both trees lie outside git, so the runs' own git_commit reads "unknown"
-        "environment": {**{k: v for k, v in runs["change"][0]["env"].items()
-                           if k != "git_commit"},
-                        "tool_python": platform.python_version()},
-    })
+    # both trees lie outside git, so the runs' own git_commit reads "unknown"
+    doc["environment"] = {**{k: v for k, v in runs["change"][0]["env"].items()
+                             if k != "git_commit"}, "tool_python": platform.python_version()}
     doc["entries"].append(entry)
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, m in metrics.items():

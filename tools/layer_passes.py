@@ -1,4 +1,4 @@
-"""Time one calibration pass per scheme, in process, on the benchmark's pinned pool.
+"""Time one calibration pass per scheme and one online selection, in process.
 
     python tools/layer_passes.py ROOT
 
@@ -16,14 +16,24 @@ the public calibrators, so any revision can be timed by the same code:
   of the way), per pass.
 
 A per-pass time includes its calibration's once-per-run work (the final
-summary and the residual record).  Each layer runs once to warm up, then
-``REPS`` times.  The last line printed is a JSON object: per layer the
-median milliseconds per pass, the passes of one run, and the environment.
+summary and the residual record).
+
+Five more layers time ``select_block`` on one 256 KiB sub-block of the
+run loop (``SUB_BLOCK_BYTES`` per array: 6553 slots at N=5, 1024 at
+N=32), drawn row-major from a fixed generator at the run-online
+workload's geometry 12, with the duals that workload calibrates in its
+set-up: ``select_{mt,pf,et}_n5_ms`` and ``select_{mt,pf}_n32_ms``, per call.
+
+Each layer runs once to warm up, then ``REPS`` times.  The last line
+printed is a JSON object: per layer the median milliseconds per pass or
+call and, as the layer's digest, the passes of one calibration run or a
+hash of the selections; then the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import statistics
@@ -35,6 +45,10 @@ from time import perf_counter
 GEOMETRY = 11
 PF_PASSES = 3
 REPS = 100
+SELECT_GEOMETRY = 12  # run-online's
+SELECT_PLAN = {5: ("mt", "pf", "et"), 32: ("mt", "pf")}
+SUB_BLOCK_BYTES = 1 << 18
+
 
 
 def main(argv: list[str]) -> int:
@@ -78,6 +92,24 @@ def main(argv: list[str]) -> int:
                 per_pass.append((perf_counter() - t0) * 1e3 / residuals["iterations"])
             result[name] = {"value": statistics.median(per_pass[1:]),
                             "passes": residuals["iterations"]}
+    for n, schemes in SELECT_PLAN.items():  # duals as run-online's set-up calibrates them
+        config, profiles = workloads.scenario(n, SELECT_GEOMETRY)
+        settings = workloads.calibration_settings(SELECT_GEOMETRY)
+        q = workloads.target(profiles, config, settings, workloads.RunOnline.FRACTION)
+        q_et = workloads.target(profiles, config, settings, workloads.RunOnline.ET_FRACTION)
+        block = ss.draw_block(profiles, config, np.random.default_rng(SELECT_GEOMETRY),
+                              SUB_BLOCK_BYTES // (8 * n))
+        for scheme in schemes:
+            scheduler = ss.make_optimal_scheduler(scheme, workloads.calibrate(
+                scheme, q_et if scheme == "et" else q, profiles, config, settings))
+            per_call = []
+            for _ in range(REPS + 1):
+                t0 = perf_counter()
+                selections = scheduler.select_block(block)
+                per_call.append((perf_counter() - t0) * 1e3)
+            digest = hashlib.sha256(np.asarray(selections, dtype=np.int64).tobytes())
+            result[f"select_{scheme}_n{n}_ms"] = {"value": statistics.median(per_call[1:]),
+                                                  "selections": digest.hexdigest()[:16]}
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "machine": platform.machine()}
     print(json.dumps({"layers": result, "env": env}))
