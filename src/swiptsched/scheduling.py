@@ -93,8 +93,8 @@ def _score(caps, harvests, nu: float, w=None, g=None) -> np.ndarray:
 def score_columns(caps: np.ndarray, harvests: np.ndarray, nu: float, w: np.ndarray | None = None,
                   g: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """The ``_score`` of each user column in turn: a view of ``caps`` when no term applies."""
-    for j in range(caps.shape[1]):
-        yield _score(caps[:, j], harvests[:, j], nu, *(None if v is None else v[j] for v in (w, g)))
+    for j, column in enumerate(caps.T):
+        yield _score(column, harvests[:, j], nu, w if w is None else w[j], g if g is None else g[j])
 
 
 def sweep_argbest(columns: Iterable[np.ndarray], lowest: bool = False,
