@@ -50,7 +50,6 @@ SELECT_PLAN = {5: ("mt", "pf", "et"), 32: ("mt", "pf")}
 SUB_BLOCK_BYTES = 1 << 18
 
 
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("root", type=Path)
