@@ -16,19 +16,21 @@ Every calibrator takes the same three steps:
     with the energy price nu, so nu is bracketed by doubling and then
     bisected.  An MT probe is one pass (``_mt_price``, which the oracle
     also runs); a PF or ET probe is an inner fairness solve on gamma or
-    theta (``_fair_price``), warm-started from the previous probe.  PF
-    rejects a target above the weak-duality ``_fair_bound`` before any
-    pass, ET at a probe below the target.
+    theta (``_fair_price``), warm-started from the previous probe, whose
+    passes each take one quantile step of the multipliers with no step
+    size (``_margin_quantiles``).  PF rejects a target above the
+    weak-duality ``_fair_bound`` before any pass, ET at a probe below it.
   * ``_result`` writes the residual record and returns the DualState,
     or raises ConvergenceError carrying that record.
 
 Every pass, and each fairness bound (``_fair_bound``), runs the online kernel:
 ``sweep_argbest`` of ``score_columns``, the scheduler's one score ``w*C - nu*Q - g``
-per user column.  A pass computes only what the search reads:
-an MT probe the idle harvest, a PF pass the access shares, an ET pass the
-rates; ``_Pool.evaluate`` summarizes the pass that ends a probe.  The pool's
-normalized arrays, oracle instances' included, are user-major (Fortran
-order), swept a contiguous column at a time; the raw arrays stay row-major.
+per user column.  A pass computes only what the search reads: an MT probe
+the idle harvest, a PF or ET pass (``_fair_pass``) the access shares or the
+rates and, for its step, each slot's best and second score; ``_Pool.evaluate``
+summarizes the pass that ends a probe.  The pool's normalized arrays, oracle
+instances' included, are user-major (Fortran order), swept a contiguous
+column at a time; the raw arrays stay row-major.
 
 Capacities are normalized by a typical per-slot maximum capacity and
 harvests by the maximum average harvest, so the normalized price is
@@ -91,7 +93,8 @@ class CalibrationSettings:
     ``tol_access`` is absolute on access frequencies and ``tol_rate``
     is relative on the per-user rate spread.  ``max_iters`` caps the
     pool passes of one calibration: one that needs more raises
-    ConvergenceError.  ``step_size`` drives ET's theta step only.
+    ConvergenceError.  ``step_size`` is validated but unused (no step
+    has a step size), kept for the callers that still set it.
     """
 
     mc_slots: int = 100_000
@@ -166,17 +169,21 @@ class _Pool:
         """Offsets g of the equal-access ``_fair_bound``, under which the argmin
         of ``qn + g`` over users (PF's schedule at an infinite energy price)
         comes closest to an equal share of the first ``_ACCESS_FIT_SLOTS`` slots.
-        PF's own ``_pf_pass`` and ``_access_step`` fit g on zero capacities at unit
+        PF's own passes and ``_access_step`` fit g on zero capacities at unit
         price from zero offsets, keeping the offsets of the smallest access gap: it
         stops at a gap of 0 (one user at once) or at the first step that does not
         shrink it.  Fitted once per pool, however many PF targets of a sweep ask for it.
         """
         q = self.qn[:_ACCESS_FIT_SLOTS]
         caps, g = np.broadcast_to(0.0, q.shape), np.zeros(q.shape[1])
-        _, g_gap, for_step = _pf_pass(caps, q, 1.0, g)
-        while g_gap > 0 and (new := _pf_pass(caps, q, 1.0, new_g := _access_step(
-                caps, q, 1.0, g, *for_step)))[1] < g_gap:
-            g, (_, g_gap, for_step) = new_g, new
+
+        def fit(g):  # the access gap at g and what the step reads
+            sel, for_step = _fair_pass(caps, q, 1.0, g=g)
+            return _PfRule.gap(np.bincount(sel, minlength=len(g)) / len(q)), for_step
+        g_gap, for_step = fit(g)
+        while g_gap > 0 and (new := fit(new_g := _access_step(caps, q, 1.0, g, for_step)))[0] \
+                < g_gap:
+            g, (g_gap, for_step) = new_g, new
         return g
 
 
@@ -406,9 +413,9 @@ def _reject_above(bound: float, q_req: float, tol_e: float, fairness: str, withi
                               q_req=q_req, achievable=bound)
 
 
-def _pf_pass(caps, harvests, nu_t: float, g: np.ndarray) -> tuple:
-    """One PF pass over (M, N) arrays: the selections, their access gap and, for the
-    step, (best score, its lead over the second, selections), kept as the kernel sweeps."""
+def _fair_pass(caps, harvests, nu_t: float, w=None, g=None) -> tuple:
+    """One PF or ET pass over (M, N) arrays: the selections and, for the step, (best score,
+    its lead over the second, selections), kept as the kernel sweeps."""
     best, second = np.full(len(caps), -np.inf), np.full(len(caps), -np.inf)
 
     def tracked(columns):
@@ -416,27 +423,36 @@ def _pf_pass(caps, harvests, nu_t: float, g: np.ndarray) -> tuple:
             np.maximum(second, np.minimum(best, s), out=second)
             yield s
 
-    sel = sweep_argbest(tracked(score_columns(caps, harvests, nu_t, g=g)), out=best)
-    access = np.bincount(sel, minlength=caps.shape[1]) / len(sel)
-    return sel, _PfRule.gap(access), (best, np.subtract(best, second, out=second), sel)
+    sel = sweep_argbest(tracked(score_columns(caps, harvests, nu_t, w, g)), out=best)
+    return sel, (best, np.subtract(best, second, out=second), sel)
 
 
-def _access_step(caps, harvests, nu_t: float, g: np.ndarray, best, lead, sel) -> np.ndarray:
-    """PF's step of the offsets g of the scores ``caps - nu_t harvests - g``, from a
-    ``_pf_pass`` at g: ``g_n += (1 - 1/N) delta_n``, recentred, with delta_n the ceil(M/N)-th
-    largest over the M slots of user n's margin ``score_n - max_{m != n} score_m``.  That
-    rise alone would leave n the top score in 1/N of the slots, so delta_n >= 0 for a user
-    picked more than 1/N and <= 0 for one picked less.  It needs no step size at any
-    price; the damping allows for the other offsets moving too.
-    """
-    m, n = caps.shape
-    delta, k = np.empty(n), m - math.ceil(m / n)
-    for j, s in enumerate(score_columns(caps, harvests, nu_t, g=g)):  # each user once
+def _margin_quantiles(caps, harvests, nu_t, ks, best, lead, sel, w=None, g=None) -> np.ndarray:
+    """Per user j, from a ``_fair_pass`` at (w, g), the ``ks[j]``-th largest over the slots of
+    j's margin ``score_j - max_{m != j} score_m`` per unit of its multiplier, by which raising
+    g_j or lowering w_j alone leaves j the top score in ks[j] slots.  For w the margin is
+    divided by caps_j on the slots where caps_j > 0, and the rest, which add no rate, are
+    left out (ks[j] capped at their number; 0 if there are none)."""
+    delta = np.zeros(caps.shape[1])
+    for j, s in enumerate(score_columns(caps, harvests, nu_t, w, g)):  # each user once
         s -= best  # the margin over the best user: +0.0 where j ties for it, so
         s += (sel == j) * lead  # adding the lead where j is selected is exact
-        s.partition(k)
-        delta[j] = s[k]
-    g = g + (1 - 1 / n) * delta
+        if w is not None:
+            paid = caps[:, j] > 0
+            s = s[paid] / caps[:, j][paid]
+        if k := min(ks[j], len(s)):
+            s.partition(len(s) - k)
+            delta[j] = s[len(s) - k]
+    return delta
+
+
+def _access_step(caps, harvests, nu_t: float, g: np.ndarray, for_step: tuple) -> np.ndarray:
+    """PF's step of the offsets g from a ``_fair_pass`` at g: ``g += (1 - 1/N) delta``,
+    recentred, with delta the ``_margin_quantiles`` at ceil(M/N) slots each, >= 0 for a user
+    picked more than 1/N.  The damping allows for the other offsets moving too."""
+    m, n = caps.shape
+    g = g + (1 - 1 / n) * _margin_quantiles(caps, harvests, nu_t, np.full(n, math.ceil(m / n)),
+                                            *for_step, g=g)
     return g - g.mean()
 
 
@@ -444,6 +460,7 @@ class _PfRule:
     """Equal channel access: per-user offsets g = gamma, kept zero-mean by ``_access_step``."""
 
     scheme, tol_key, gap_key = "pf", "tol_access", "access_gap"
+    step = staticmethod(_access_step)
 
     def start(self, pool: _Pool, warm: DualState | None) -> np.ndarray:
         if warm is None or warm.gamma is None:
@@ -452,15 +469,12 @@ class _PfRule:
         return gamma_t - gamma_t.mean()
 
     def inner(self, pool: _Pool, nu_t: float, gamma_t: np.ndarray) -> tuple:
-        return _pf_pass(pool.cn, pool.qn, nu_t, gamma_t)
+        sel, for_step = _fair_pass(pool.cn, pool.qn, nu_t, g=gamma_t)
+        return sel, self.gap(np.bincount(sel, minlength=len(gamma_t)) / len(sel)), for_step
 
     @staticmethod
     def gap(access: np.ndarray) -> float:
         return float(np.max(np.abs(access - 1.0 / len(access))))
-
-    def step(self, pool, nu_t, gamma_t, step, for_step: tuple) -> np.ndarray:
-        """``_access_step`` from what the pass at gamma_t keeps for it."""
-        return _access_step(pool.cn, pool.qn, nu_t, gamma_t, *for_step)
 
     certify = None  # calibrate_pf checks its bound once, before any pass
 
@@ -472,14 +486,7 @@ class _PfRule:
 
 
 class _EtRule:
-    """Equal throughput: per-user rate weights w = theta on the unit simplex.
-
-    The ET dual E[max_n (theta_n C_n - nu Q_n)] is convex on the simplex
-    with the rates as gradient, so theta takes an exponentiated-gradient
-    step ``theta_n *= exp(-step (r_n - min r) / mean r)``, renormalized.
-    The factor is in (0, 1], largest at the minimum rate, so no weight
-    reaches zero (a user of zero weight would never be scheduled again).
-    """
+    """Equal throughput: per-user rate weights w = theta on the unit simplex."""
 
     scheme, tol_key, gap_key = "et", "tol_rate", "rate_spread"
 
@@ -490,19 +497,29 @@ class _EtRule:
         return theta / theta.sum() if theta.sum() > 0 else inv_cap / inv_cap.sum()
 
     def inner(self, pool: _Pool, nu_t: float, theta: np.ndarray) -> tuple:
-        """One ET pass: the selections, their rate spread and the rates ``step`` reads."""
-        sel = linear_argmax(pool.cn, pool.qn, nu_t, w=theta)
-        rates = np.bincount(sel, pool.take(pool.block.capacities, sel), len(theta)) / len(sel)
-        return sel, self.gap(rates), rates
+        """Selections, rate spread and, for the step, counts of paid slots (capacity > 0)."""
+        sel, for_step = _fair_pass(pool.cn, pool.qn, nu_t, w=theta)
+        picked = pool.take(pool.block.capacities, sel)
+        rates = np.bincount(sel, picked, len(theta)) / len(sel)
+        return sel, self.gap(rates), (np.bincount(sel, picked > 0, len(theta)), rates, *for_step)
 
     @staticmethod
     def gap(rates: np.ndarray) -> float:
         mean = float(rates.mean())
         return float((rates.max() - rates.min()) / mean) if mean > 0 else math.inf
 
-    def step(self, pool, nu_t, theta, step, rates) -> np.ndarray:
-        rate_scale = max(float(rates.mean()), 1e-30)
-        theta = theta * np.exp(-step * (rates - rates.min()) / rate_scale)
+    @staticmethod
+    def step(caps, harvests, nu_t: float, theta: np.ndarray, for_step: tuple) -> np.ndarray:
+        """PF's step on the weights: ``theta -= (1 - 1/N) delta``, floored at theta / 2, which
+        keeps every weight positive, and renormalized.  delta is the ``_margin_quantiles`` at
+        k_j = rint(count_j mean(r) / r_j) in [1, M], the slots that give j the mean rate at its
+        rate per slot (ceil(M/N) at r_j = 0).  Capped at theta, where it meets the floor
+        anyway, delta keeps one user's infinite margin out of 0 * inf."""
+        (counts, rates, *for_step), (m, n) = for_step, caps.shape
+        ks, paid = np.full(n, math.ceil(m / n)), rates > 0
+        ks[paid] = np.clip(np.rint(counts[paid] * rates.mean() / rates[paid]), 1, m)
+        delta = _margin_quantiles(caps, harvests, nu_t, ks, *for_step, w=theta)
+        theta = np.maximum(theta - (1 - 1 / n) * np.minimum(delta, theta), theta / 2)
         return theta / theta.sum()
 
     def certify(self, pool, nu_t, theta, q_req, tol_e, settings) -> None:
@@ -529,8 +546,8 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
     A probe at nu_t runs passes from the multipliers the last probe ended
     with (first ``warm_start``'s, whose nu is the first probe).  A pass,
     ``rule.inner``, computes the fairness gap and what ``rule.step`` reads;
-    the step follows at ``step_size / sqrt(k)``, k counting all passes, until
-    the gap is within tolerance.  ``pool.evaluate`` summarizes the pass that
+    the step follows, with no step size, until the gap is within tolerance,
+    k counting all passes.  ``pool.evaluate`` summarizes the pass that
     ends the probe.  A probe below the target runs ``rule.certify``.
     ``_result`` gets the last pass when ``max_iters`` run out, else the
     probe at the price found: converged if its harvest is within
@@ -555,7 +572,7 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
             if fair or k == settings.max_iters:  # the pass that ends the probe
                 last = (mult, *pool.evaluate(sel), gap)
             if not fair:
-                mult = rule.step(pool, nu_t, mult, settings.step_size / math.sqrt(k), for_step)
+                mult = rule.step(pool.cn, pool.qn, nu_t, mult, for_step)
         if rule.certify and last[1] < q_req - tol_e and nu_t > 0:
             rule.certify(pool, nu_t, mult, q_req, tol_e, settings)
         if not fair:  # max_iters ran out

@@ -1,9 +1,12 @@
 import importlib.util
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 import pytest
@@ -185,6 +188,27 @@ class TestLayerMode:
         assert layers["pf_step_pass_ms"]["passes"] == 3  # cut off by max_iters: every pass steps
         selects = [v for name, v in layers.items() if name.startswith("select_")]
         assert len(selects) == 5 and all(len(v["selections"]) == 16 for v in selects)
+
+
+class TestSigterm:
+    def test_terminated_run_removes_its_trees(self, monkeypatch, tmp_path):
+        trees = []
+
+        def terminated(root, side):
+            trees.append(root.parent)
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(30)  # the handler interrupts this
+            raise AssertionError("SIGTERM did not stop the run")
+
+        monkeypatch.setattr(bench_pairs, "run_layers", terminated)
+        monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(tmp_path))
+        before = signal.getsignal(signal.SIGTERM)
+        argv = ["--against", "HEAD", "--layers", "--pairs", "1", "--out", str(tmp_path / "b.json")]
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(argv)
+        assert exc.value.code == 128 + signal.SIGTERM
+        assert len(trees) == 1 and not trees[0].exists() and list(tmp_path.iterdir()) == []
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestRevisions:

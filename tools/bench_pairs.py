@@ -36,22 +36,28 @@ appended, so one file can hold several workloads and revisions; its
 ``--layers`` pairs in-process timings instead: each run is one
 ``tools/layer_passes.py`` subprocess on a side's tree, which times one
 calibration pass per scheme (an MT probe, a PF pass that steps, an ET
-pass) on the benchmark's pinned pool, and ``select_block`` on one run-loop
-sub-block per scheme at N=5 and N=32.  Its metrics are the milliseconds
-per pass or call, summarized as above with the bound ``LAYER_BOUND``, and
-its digest is each layer's pass count or hash of its selections, which
-must be equal on both sides.
+pass) and one whole binding ET calibration on the benchmark's pinned
+pool, and ``select_block`` on one run-loop sub-block per scheme at N=5
+and N=32.  Its metrics are the milliseconds per pass, calibration or
+call, summarized as above with the bound ``LAYER_BOUND``, and its digest
+is each layer's pass count or hash of its selections, equal on both
+sides unless the change moves a pass count.  A per-pass time carries its
+calibration's once-per-run work, so a change that cuts passes raises it
+(``layer_passes.py`` says by how much); ``et_binding_ms`` shows the
+trade.
 The entry's workload is ``layers``.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -63,8 +69,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GAIN_SHARE = 0.9
 MIN_PAIRS = 10  # fewer pairs can show no gain
 LAYER_TOOL = ROOT / "tools" / "layer_passes.py"
-LAYERS = ("mt_probe_ms", "pf_step_pass_ms", "et_pass_ms", "select_mt_n5_ms", "select_pf_n5_ms",
-          "select_et_n5_ms", "select_mt_n32_ms", "select_pf_n32_ms")
+LAYERS = ("mt_probe_ms", "pf_step_pass_ms", "et_pass_ms", "et_binding_ms", "select_mt_n5_ms",
+          "select_pf_n5_ms", "select_et_n5_ms", "select_mt_n32_ms", "select_pf_n32_ms")
 LAYER_BOUND = 0.25  # as the end-to-end seconds metrics
 
 
@@ -177,6 +183,17 @@ def make_trees(tmp: Path, parent_src_tar: bytes) -> dict[str, Path]:
     return roots
 
 
+@contextlib.contextmanager
+def sigterm_exits():
+    """Within, SIGTERM raises SystemExit (status 143), so that a run stopped by ``kill`` still
+    removes its temporary trees; the previous handler is restored on the way out."""
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -203,7 +220,7 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(archive.stderr.decode())
         return 2
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory() as tmp:
+    with sigterm_exits(), tempfile.TemporaryDirectory() as tmp:
         # taken as the change's src is copied, which an edit during the runs cannot move
         revisions = {"parent": git("rev-parse", args.against), "change": git("rev-parse", "HEAD"),
                      "change_src_matches_head": git("status", "--porcelain", "src") == ""}

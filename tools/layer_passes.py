@@ -13,10 +13,16 @@ the public calibrators, so any revision can be timed by the same code:
 * ``pf_step_pass_ms``: PF passes that each step, from zero offsets at the
   binding PF price of that target, cut off after 3 passes, per pass;
 * ``et_pass_ms``: calib-et's ET calibration at geometry 11 (a target 30 %
-  of the way), per pass.
+  of the way), per pass;
+* ``et_binding_ms``: a binding ET calibration on that pool (a target 90 %
+  of the way), per calibration, so that a step that trades fewer passes
+  for dearer ones shows on one number.
 
 A per-pass time includes its calibration's once-per-run work (the final
-summary and the residual record).
+summary and the residual record), so ``et_pass_ms`` rises per pass when
+the pass count falls: at 3 passes a calibration spreads that work over 3
+passes, not 40.  An ET pass also keeps each slot's second-best score for
+the quantile step, which an exponentiated-gradient pass did not need.
 
 Five more layers time ``select_block`` on one 256 KiB sub-block of the
 run loop (``SUB_BLOCK_BYTES`` per array: 6553 slots at N=5, 1024 at
@@ -70,26 +76,30 @@ def main(argv: list[str]) -> int:
     with calibration._pool_share():  # one pool draw for every run
         q_binding = workloads.target(profiles, config, settings, 0.6)
         q_et = workloads.target(profiles, config, settings, 0.3)
+        q_et_binding = workloads.target(profiles, config, settings, 0.9)
         warm = ss.DualState(nu=ss.calibrate_pf(q_binding, profiles, config, settings).nu,
                             gamma=np.zeros(config.n_users))
         cut = replace(settings, max_iters=PF_PASSES)
-        layers = {
-            "mt_probe_ms": lambda: ss.calibrate_mt(q_binding, profiles, config, settings),
-            "pf_step_pass_ms": lambda: ss.calibrate_pf(q_binding, profiles, config, cut,
-                                                       warm_start=warm),
-            "et_pass_ms": lambda: ss.calibrate_et(q_et, profiles, config, settings),
+        layers = {  # name: (calibration, timed per pass)
+            "mt_probe_ms": (lambda: ss.calibrate_mt(q_binding, profiles, config, settings), True),
+            "pf_step_pass_ms": (lambda: ss.calibrate_pf(q_binding, profiles, config, cut,
+                                                        warm_start=warm), True),
+            "et_pass_ms": (lambda: ss.calibrate_et(q_et, profiles, config, settings), True),
+            "et_binding_ms": (lambda: ss.calibrate_et(q_et_binding, profiles, config, settings),
+                              False),
         }
         result = {}
-        for name, calibrate in layers.items():
-            per_pass = []
+        for name, (calibrate, per_pass) in layers.items():
+            times = []
             for _ in range(REPS + 1):
                 t0 = perf_counter()
                 try:
                     residuals = calibrate().calibration_residuals
                 except ss.ConvergenceError as exc:
                     residuals = exc.residuals
-                per_pass.append((perf_counter() - t0) * 1e3 / residuals["iterations"])
-            result[name] = {"value": statistics.median(per_pass[1:]),
+                times.append((perf_counter() - t0) * 1e3
+                             / (residuals["iterations"] if per_pass else 1))
+            result[name] = {"value": statistics.median(times[1:]),
                             "passes": residuals["iterations"]}
     for n, schemes in SELECT_PLAN.items():  # duals as run-online's set-up calibrates them
         config, profiles = workloads.scenario(n, SELECT_GEOMETRY)
