@@ -41,10 +41,10 @@ pool, and ``select_block`` on one run-loop sub-block per scheme at N=5
 and N=32.  Its metrics are the milliseconds per pass, calibration or
 call, summarized as above with the bound ``LAYER_BOUND``, and its digest
 is each layer's pass count or hash of its selections, equal on both
-sides unless the change moves a pass count.  A per-pass time carries its
-calibration's once-per-run work, so a change that cuts passes raises it
-(``layer_passes.py`` says by how much); ``et_binding_ms`` shows the
-trade.
+sides unless the change moves a pass count or a calibrated dual.  A
+per-pass time carries its calibration's once-per-run work, so a change
+that cuts passes raises it (``layer_passes.py`` says by how much);
+``et_binding_ms`` shows the trade.
 The entry's workload is ``layers``.  Standard library only.
 """
 
