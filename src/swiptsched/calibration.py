@@ -147,7 +147,7 @@ class _Pool:
 
     block: SlotBlock
     total: np.ndarray      # per-slot harvest sum, reused by every pass
-    c_scale: float         # typical per-slot max capacity
+    c_scale: float         # typical per-slot max capacity, or 1.0 when that is 0
     q_max: float           # maximum achievable average harvest
     q_scale: float         # q_max, or 1.0 when that is 0
     cn: np.ndarray         # capacities / c_scale
@@ -191,9 +191,9 @@ def _pool_of(block: SlotBlock) -> _Pool:
     """Normalize a block by its mean maximum capacity and maximum average harvest."""
     total = row_reduce(block.harvests)
     q_max = float(np.mean(block.max_harvest(total)))
-    c_scale = float(np.mean(row_reduce(block.capacities, np.maximum)))
-    # all-zero efficiencies: price energy against capacity 1:1
-    q_scale = q_max if q_max > 0 else 1.0
+    c_max = float(np.mean(row_reduce(block.capacities, np.maximum)))
+    # all-zero capacities or efficiencies: price energy against capacity 1:1
+    c_scale, q_scale = (scale if scale > 0 else 1.0 for scale in (c_max, q_max))
     # No pass reads the gains; dropping them also frees their memory.
     return _Pool(SlotBlock(None, block.capacities, block.harvests), total,
                  c_scale, q_max, q_scale, np.divide(block.capacities, c_scale, order="F"),
@@ -342,19 +342,22 @@ def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
 
 
 def _result(scheme: str, pool: _Pool, q_req: float, tol_e: float, fingerprint: str,
-            nu_t: float, qbar: float, k: int, ok: bool, pooled: dict, fair: tuple = (),
+            nu_t: float, summary: Sequence, k: int, ok: bool, fair: tuple = (),
             **duals) -> DualState:
     """The calibrated DualState, or ConvergenceError carrying the same residuals.
 
-    The residuals list scheme, q_req, tol_energy, the fairness tolerance,
-    energy_gap, the fairness gap, qbar_pool, the ``pooled`` fields,
-    iterations, converged, c_scale and q_scale.  ``fair`` is (tolerance
-    key, tolerance, gap key, gap), empty for MT; ``nu_t`` is normalized.
+    Every scheme's residuals list scheme, q_req, tol_energy, the fairness tolerance,
+    energy_gap, the fairness gap, qbar_pool, access_freq_pool, per_user_rate_pool (from
+    the reported pass's pool ``summary`` (qbar, access, rates)), iterations, converged,
+    c_scale and q_scale.  ``fair`` is (tolerance key, tolerance, gap key, gap), empty
+    for MT; ``nu_t`` is normalized.
     """
+    qbar, access, rates = summary
     tol, gap = ({fair[0]: fair[1]}, {fair[2]: fair[3]}) if fair else ({}, {})
     res = {"scheme": scheme, "q_req": q_req, "tol_energy": tol_e, **tol,
-           "energy_gap": qbar - q_req, **gap, "qbar_pool": qbar, **pooled, "iterations": k,
-           "converged": ok, "c_scale": pool.c_scale, "q_scale": pool.q_scale}
+           "energy_gap": qbar - q_req, **gap, "qbar_pool": qbar,
+           "access_freq_pool": access.tolist(), "per_user_rate_pool": rates.tolist(),
+           "iterations": k, "converged": ok, "c_scale": pool.c_scale, "q_scale": pool.q_scale}
     if not ok:
         why = (f"did not converge in {k} iterations ({fair[2].replace('_', ' ')} {fair[3]:.4g}, "
                if fair else f"price search took {k} passes, more than max_iters (")
@@ -379,10 +382,9 @@ def calibrate_mt(
     """
     pool, tol_e = _calibration_pool(q_req, profiles, config, settings)
     nu_t, evals = _mt_price(pool, q_req, tol_e)
-    qbar, access, rates = pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t))
-    return _result("mt", pool, q_req, tol_e, system_fingerprint(config, profiles), nu_t, qbar,
-                   evals, evals <= settings.max_iters, {"access_freq_pool": access.tolist(),
-                                                         "per_user_rate_pool": rates.tolist()})
+    return _result("mt", pool, q_req, tol_e, system_fingerprint(config, profiles), nu_t,
+                   pool.evaluate(linear_argmax(pool.cn, pool.qn, nu_t)), evals,
+                   evals <= settings.max_iters)
 
 
 def _fair_bound(pool: _Pool, lam: np.ndarray, resource, tol: float) -> float:
@@ -478,9 +480,6 @@ class _PfRule:
 
     certify = None  # calibrate_pf checks its bound once, before any pass
 
-    def fields(self, access: np.ndarray, rates: np.ndarray, gamma_t: np.ndarray) -> dict:
-        return {"access_freq_pool": access.tolist(), "per_user_rate_pool": rates.tolist()}
-
     def duals(self, gamma_t: np.ndarray, pool: _Pool) -> dict:
         return {"gamma": (gamma_t - gamma_t.mean()) * pool.c_scale}
 
@@ -531,9 +530,6 @@ class _EtRule:
         _reject_above(bound, q_req, tol_e, "equal throughput",
                       f"rate spread is within {settings.tol_rate:g} of the mean rate")
 
-    def fields(self, access: np.ndarray, rates: np.ndarray, theta: np.ndarray) -> dict:
-        return {"per_user_rate_pool": rates.tolist(), "theta_sum": float(theta.sum())}
-
     def duals(self, theta: np.ndarray, pool: _Pool) -> dict:
         return {"theta": theta / theta.sum()}
 
@@ -557,10 +553,9 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
     mult, k, probes, last = rule.start(pool, warm_start), 0, {}, None
 
     def result(nu_t: float, ok: bool, state: tuple) -> DualState:
-        mult, qbar, access, rates, gap = state
-        return _result(rule.scheme, pool, q_req, tol_e, fingerprint, nu_t, qbar, k, ok,
-                       rule.fields(access, rates, mult), (rule.tol_key, tol, rule.gap_key, gap),
-                       **rule.duals(mult, pool))
+        mult, *summary, gap = state
+        return _result(rule.scheme, pool, q_req, tol_e, fingerprint, nu_t, summary, k, ok,
+                       (rule.tol_key, tol, rule.gap_key, gap), **rule.duals(mult, pool))
 
     def harvest_at(nu_t: float) -> float:
         nonlocal mult, k, last

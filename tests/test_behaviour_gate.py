@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,43 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert "python tools/behaviour_gate.py OUTDIR" in (out if code == 0 else err)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestAgainst:
+    def test_both_sides_run_from_copies_side_by_side(self, monkeypatch, tmp_path):
+        # the live src is copied once, so an edit made during the run reaches neither side
+        calls = []
+
+        def fake_gate(src, out):
+            calls.append((src, out, (src / "swiptsched/calibration.py").read_bytes()))
+            out.mkdir(parents=True)
+
+        monkeypatch.setattr(behaviour_gate, "run_gate", fake_gate)
+        out = tmp_path / "out"
+        assert behaviour_gate.main(["--against", "HEAD", str(out)]) == 0
+        (against, against_out, _), (this, this_out, this_data) = calls
+        assert (against_out, this_out) == (out / "against", out / "this")
+        assert against.parent.parent == this.parent.parent
+        assert (against.parent.name, this.parent.name) == ("parent", "change")
+        assert this != behaviour_gate.SRC and not this.exists()
+        assert this_data == (behaviour_gate.SRC / "swiptsched/calibration.py").read_bytes()
+
+
+class TestSigterm:
+    def test_terminated_run_removes_its_trees(self, monkeypatch, tmp_path):
+        trees = []
+
+        def terminated(src, out):
+            trees.append(src.parent.parent)
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(30)  # the handler interrupts this
+            raise AssertionError("SIGTERM did not stop the run")
+
+        monkeypatch.setattr(behaviour_gate, "run_gate", terminated)
+        monkeypatch.setattr(behaviour_gate.tempfile, "tempdir", str(tmp_path))
+        before = signal.getsignal(signal.SIGTERM)
+        with pytest.raises(SystemExit) as exc:
+            behaviour_gate.main(["--against", "HEAD", str(tmp_path / "out")])
+        assert exc.value.code == 128 + signal.SIGTERM
+        assert len(trees) == 1 and not trees[0].exists() and list(tmp_path.iterdir()) == []
+        assert signal.getsignal(signal.SIGTERM) is before

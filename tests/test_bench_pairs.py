@@ -175,9 +175,30 @@ class TestLayerMode:
         assert sides[:4] == ["parent", "change", "change", "parent"] and len(sides) == 20
         entry = json.loads(out.read_text())["entries"][0]
         assert entry["workload"] == "layers" and entry["digests_equal"]
+        assert entry["digests_differ"] == []
         assert set(entry["metrics"]) == set(LAYERS)
         assert all(m["verdict"] == "gain" and m["win_fraction"] == 1.0
                    for m in entry["metrics"].values())
+
+    def test_digests_differ_names_the_one_layer_that_differs(self, monkeypatch, tmp_path):
+        # select_et_n5_ms's selections differ in the second of three pairs only
+        runs = []
+
+        def fake_layers(root, side):
+            runs.append(side)
+            digest = dict.fromkeys(LAYERS, 3)
+            if side == "change" and len(runs) in (3, 4):
+                digest["select_et_n5_ms"] = "0123abcd"
+            return {"metrics": dict.fromkeys(LAYERS, 1.0), "attempted": len(LAYERS),
+                    "failed": 0, "correct": True, "digest": digest, "env": {}}
+
+        monkeypatch.setattr(bench_pairs, "run_layers", fake_layers)
+        out = tmp_path / "bench.json"
+        argv = ["--against", "HEAD", "--layers", "--pairs", "3", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        entry = json.loads(out.read_text())["entries"][0]
+        assert not entry["digests_equal"]
+        assert entry["digests_differ"] == ["select_et_n5_ms"]
 
     def test_layer_tool_times_this_checkout(self):
         proc = subprocess.run([sys.executable, str(bench_pairs.LAYER_TOOL), str(bench_pairs.ROOT)],

@@ -303,15 +303,14 @@ class TestCalibratePf:
             if k < max_iters:
                 mult = (pf_step_reference if rule.scheme == "pf" else et_step_reference)(
                     pool, 0.0, mult)
+        assert res["access_freq_pool"] == access.tolist()
         assert res["per_user_rate_pool"] == rates.tolist()
         assert res["energy_gap"] == qbar
         assert res["iterations"] == max_iters and not res["converged"]
         if rule.scheme == "pf":
-            assert res["access_freq_pool"] == access.tolist()
             assert res["access_gap"] == _PfRule.gap(access)
         else:
             assert res["rate_spread"] == _EtRule.gap(rates)
-            assert res["theta_sum"] == float(mult.sum())
 
     def test_pass_budget(self, config5, profiles5, settings, q_range):
         # about 20 passes: the budget leaves room for pool noise and still
@@ -768,20 +767,24 @@ class TestPool:
         assert np.array_equal(pool.cn, pool.block.capacities / pool.c_scale)
         assert np.array_equal(pool.qn, pool.block.harvests / pool.q_scale)
 
+    SUBNORMAL = np.zeros((2, 12))
+    SUBNORMAL[1, 3] = 5e-324  # the mean row maximum, 5e-324 / 2, rounds to 0
+
     @pytest.mark.parametrize("n", range(1, 13))
     @hypothesis.settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_scales_equal_row_reductions_bit_for_bit(self, n, data):
-        # the column sweeps below 8 users against numpy's sum, min and max over rows
-        m = data.draw(st.integers(1, 30))
-        cells = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=m * n,
-                         max_size=m * n)
-        caps, harvests = (np.reshape(data.draw(cells), (m, n)) for _ in range(2))
-        with np.errstate(invalid="ignore"):  # all-zero capacities: 0 / 0 in cn
-            pool = _pool_of(channel.SlotBlock(None, caps, harvests))
+    @given(arrays=st.integers(1, 30).flatmap(lambda m: st.tuples(*[
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=12 * m,
+                 max_size=12 * m).map(lambda v: np.reshape(v, (m, 12)))] * 2)))
+    @hypothesis.example(arrays=(SUBNORMAL, np.zeros((2, 12))))
+    def test_scales_equal_row_reductions_bit_for_bit(self, n, arrays):
+        # the column sweeps below 8 users against numpy's sum, min and max over rows; a
+        # mean row maximum or harvest maximum of 0 falls back to a scale of 1, dividing by no 0
+        caps, harvests = (np.ascontiguousarray(a[:, :n]) for a in arrays)
+        pool = _pool_of(channel.SlotBlock(None, caps, harvests))
         assert pool.total.tobytes() == harvests.sum(axis=1).tobytes()
         assert pool.q_max == float(np.mean(harvests.sum(axis=1) - harvests.min(axis=1)))
-        assert pool.c_scale == float(np.mean(caps.max(axis=1)))
+        assert pool.c_scale == (float(np.mean(caps.max(axis=1))) or 1.0)
+        assert pool.q_scale == (pool.q_max or 1.0)
 
     def test_arrays_are_read_only(self, config5, profiles5):
         # a sweep's grid points share one pool: a pass writing to it would change the next
@@ -818,10 +821,23 @@ class TestResidualRecord:
                "qbar_pool", "access_freq_pool", "per_user_rate_pool", "iterations",
                "converged", "c_scale", "q_scale"],
         "et": ["scheme", "q_req", "tol_energy", "tol_rate", "energy_gap", "rate_spread",
-               "qbar_pool", "per_user_rate_pool", "theta_sum", "iterations", "converged",
-               "c_scale", "q_scale"],
+               "qbar_pool", "access_freq_pool", "per_user_rate_pool", "iterations",
+               "converged", "c_scale", "q_scale"],
     }
     CALIBRATORS = {"mt": calibrate_mt, "pf": calibrate_pf, "et": calibrate_et}
+
+    def test_one_key_order_for_every_scheme(self, config5, profiles5):
+        # PF's and ET's records are MT's with the scheme's tolerance after tol_energy and its
+        # gap after energy_gap
+        settings = CalibrationSettings(mc_slots=5000, seed=7)
+        mt = list(calibrate_mt(0.0, profiles5, config5, settings).calibration_residuals)
+        for scheme, tol, gap in (("pf", "tol_access", "access_gap"),
+                                 ("et", "tol_rate", "rate_spread")):
+            duals = self.CALIBRATORS[scheme](0.0, profiles5, config5, settings)
+            expected = list(mt)
+            expected.insert(expected.index("tol_energy") + 1, tol)
+            expected.insert(expected.index("energy_gap") + 1, gap)
+            assert list(duals.calibration_residuals) == expected
 
     @pytest.mark.parametrize("scheme", ["mt", "pf", "et"])
     def test_key_order(self, scheme, config5, profiles5, tmp_path):

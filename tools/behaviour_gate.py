@@ -17,8 +17,11 @@ logs do not depend on where OUTDIR is.
 ``-h`` or ``--help`` prints this text; any other argument that starts
 with ``-`` prints it too and exits 2, before any command runs.
 
-With ``--against REV`` the script extracts REV's ``src`` with
-``git archive``, runs the same commands on both trees into
+With ``--against REV`` the script builds its trees as
+``tools/bench_pairs.py`` does: REV's ``src`` from ``git archive`` and a
+copy of this checkout's ``src``, side by side in one temporary directory
+that SIGTERM also removes, so an edit made during the run reaches
+neither side.  It runs the same commands on both trees into
 ``OUTDIR/this`` and ``OUTDIR/against``, prints each file whose sha256
 differs (with a unified diff for text files) and exits 1 on any
 difference.
@@ -28,15 +31,16 @@ from __future__ import annotations
 
 import difflib
 import hashlib
-import io
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # also when loaded from elsewhere
+import bench_pairs  # noqa: E402
+
+SRC = bench_pairs.ROOT / "src"
 
 CONFIG = """\
 n_users = 4
@@ -161,16 +165,13 @@ def main(argv: list[str]) -> int:
     if rev is None:
         print(run_gate(SRC, out), end="")
         return 0
-    archive = subprocess.run(["git", "-C", str(SRC.parent), "archive", rev, "src"],
-                             capture_output=True)
-    if archive.returncode != 0:
-        sys.stderr.write(archive.stderr.decode())
+    archive = bench_pairs.archive_src(rev)
+    if archive is None:
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        run_gate(Path(tmp) / "src", out / "against")
-    run_gate(SRC, out / "this")
+    with bench_pairs.sigterm_exits(), tempfile.TemporaryDirectory() as tmp:
+        roots = bench_pairs.make_trees(Path(tmp), archive)
+        run_gate(roots["parent"] / "src", out / "against")
+        run_gate(roots["change"] / "src", out / "this")
     report = compare(out / "against", out / "this")
     sys.stdout.write("".join(report) or f"no difference against {rev}\n")
     return 1 if report else 0

@@ -41,8 +41,9 @@ pool, and ``select_block`` on one run-loop sub-block per scheme at N=5
 and N=32.  Its metrics are the milliseconds per pass, calibration or
 call, summarized as above with the bound ``LAYER_BOUND``, and its digest
 is each layer's pass count or hash of its selections, equal on both
-sides unless the change moves a pass count or a calibrated dual.  A
-per-pass time carries its calibration's once-per-run work, so a change
+sides unless the change moves a pass count or a calibrated dual; the
+entry's ``digests_differ`` lists the layers whose digest differs in any
+pair.  A per-pass time carries its calibration's once-per-run work, so a change
 that cuts passes raises it (``layer_passes.py`` says by how much);
 ``et_binding_ms`` shows the trade.
 The entry's workload is ``layers``.  Standard library only.
@@ -166,6 +167,15 @@ def run_layers(root: Path, side: str) -> dict:
                        f"{side} layer timing", parse)
 
 
+def archive_src(rev: str) -> bytes | None:
+    """A tar archive of REV's ``src`` from ``git archive``, or None once git's error is shown."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
+    if archive.returncode != 0:
+        sys.stderr.write(archive.stderr.decode())
+        return None
+    return archive.stdout
+
+
 def make_trees(tmp: Path, parent_src_tar: bytes) -> dict[str, Path]:
     """The parent's and the change's trees, ``tmp/parent`` and ``tmp/change``.
 
@@ -214,17 +224,15 @@ def main(argv: list[str]) -> int:
         parser.error("--pairs must be at least 1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against, "src"],
-                             capture_output=True)
-    if archive.returncode != 0:
-        sys.stderr.write(archive.stderr.decode())
+    archive = archive_src(args.against)
+    if archive is None:
         return 2
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with sigterm_exits(), tempfile.TemporaryDirectory() as tmp:
         # taken as the change's src is copied, which an edit during the runs cannot move
         revisions = {"parent": git("rev-parse", args.against), "change": git("rev-parse", "HEAD"),
                      "change_src_matches_head": git("status", "--porcelain", "src") == ""}
-        roots = make_trees(Path(tmp), archive.stdout)
+        roots = make_trees(Path(tmp), archive)
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -257,6 +265,9 @@ def main(argv: list[str]) -> int:
         "digests_equal": all(p["digest"] == c["digest"]
                              for p, c in zip(runs["parent"], runs["change"])),
     }
+    if args.layers:
+        entry["digests_differ"] = [name for name in LAYERS if any(
+            p["digest"][name] != c["digest"][name] for p, c in zip(runs["parent"], runs["change"]))]
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.is_file() else {"entries": []}
     # both trees lie outside git, so the runs' own git_commit reads "unknown"
