@@ -43,9 +43,9 @@ call, summarized as above with the bound ``LAYER_BOUND``, and its digest
 is each layer's pass count or hash of its selections, equal on both
 sides unless the change moves a pass count or a calibrated dual; the
 entry's ``digests_differ`` lists the layers whose digest differs in any
-pair.  A per-pass time carries its calibration's once-per-run work, so a change
-that cuts passes raises it (``layer_passes.py`` says by how much);
-``et_binding_ms`` shows the trade.
+pair.  A per-pass time carries its calibration's once-per-run work, so
+a change that cuts passes raises it (``layer_passes.py`` says by how
+much); ``et_binding_ms`` shows the trade.
 The entry's workload is ``layers``.  Standard library only.
 """
 
