@@ -10,8 +10,8 @@ pool of fading slots; fresh slots serve only out-of-sample validation
 Every calibrator takes the same three steps:
 
   * Setup: ``_calibration_pool`` draws the pool (once per sweep, in a
-    ``_pool_share``), resolves the energy tolerance and rejects a target
-    above the pool maximum.
+    ``_pool_share``; a long one a ``channel.draw_sub_blocks`` sub-block at a
+    time), resolves the energy tolerance and rejects a target above its maximum.
   * One price search, ``_price``: the pool harvest does not decrease
     with the energy price nu, so nu is bracketed by doubling and then
     bisected.  An MT probe is one pass (``_mt_price``, which the oracle
@@ -45,7 +45,8 @@ import hashlib
 import json
 import math
 import numbers
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -53,13 +54,14 @@ from typing import Sequence
 
 import numpy as np
 
-from . import seeds
+from . import channel, seeds
 from .channel import (ConfigError, SlotBlock, SystemConfig, UserProfile, draw_block,
-                      row_reduce, slot_outcomes, summarize)
+                      draw_sub_blocks, row_reduce, slot_outcomes, summarize)
 from .scheduling import (DualState, linear_argmax, make_optimal_scheduler, score_columns,
                          sweep_argbest)
 
 _ACCESS_FIT_SLOTS = 1000
+_ONE_BLOCK_POOL = 4  # sub-blocks per array up to which a pool is drawn as one block (README)
 
 
 class InfeasibleError(RuntimeError):
@@ -150,6 +152,7 @@ class _Pool:
     c_scale: float         # typical per-slot max capacity, or 1.0 when that is 0
     q_max: float           # maximum achievable average harvest
     q_scale: float         # q_max, or 1.0 when that is 0
+    stderr_q_max: float    # standard error of q_max, the mean of the per-slot maxima
     cn: np.ndarray         # capacities / c_scale
     qn: np.ndarray         # harvests / q_scale
     rows: np.ndarray       # flat offsets arange(0, M*N, N) of the raw arrays' rows
@@ -187,18 +190,41 @@ class _Pool:
         return g
 
 
-def _pool_of(block: SlotBlock) -> _Pool:
-    """Normalize a block by its mean maximum capacity and maximum average harvest."""
-    total = row_reduce(block.harvests)
-    q_max = float(np.mean(block.max_harvest(total)))
-    c_max = float(np.mean(row_reduce(block.capacities, np.maximum)))
+def _pool_of(block: SlotBlock, parts=None) -> _Pool:
+    """Normalize a block by its mean maximum capacity and maximum average harvest.
+
+    ``parts`` are its (first row, sub-block) pairs as ``draw_sub_blocks`` fills them (by
+    default the block alone).  Each is reduced while in cache, then divided, given parts ``cn``
+    by a helper while the caller divides ``qn``: elementwise, so no bit depends on the order.
+    """
+    total, top, c_top = (np.empty(block.n_slots) for _ in range(3))
+    spans, order = [], "F" if block.n_users < channel._SWEEP_USERS else "C"  # as row_reduce does
+    for start, part in parts or ((0, block),):
+        spans.append(rows := slice(start, start + part.n_slots))
+        total[rows] = row_reduce(part.harvests)
+        np.subtract(total[rows], row_reduce(part.harvests, np.minimum), out=top[rows])
+        c_top[rows] = row_reduce(part.capacities, np.maximum)
+    q_max, c_max, m = float(np.mean(top)), float(np.mean(c_top)), block.n_slots
+    # top.std(ddof=1) in numpy's operation order, in place of the spent c_top
+    var = float(np.square(np.subtract(top, q_max, out=c_top), out=c_top).sum()) / (m - 1 or 1)
     # all-zero capacities or efficiencies: price energy against capacity 1:1
     c_scale, q_scale = (scale if scale > 0 else 1.0 for scale in (c_max, q_max))
-    # No pass reads the gains; dropping them also frees their memory.
-    return _Pool(SlotBlock(None, block.capacities, block.harvests), total,
-                 c_scale, q_max, q_scale, np.divide(block.capacities, c_scale, order="F"),
-                 np.divide(block.harvests, q_scale, order="F"),
-                 np.arange(0, block.capacities.size, block.n_users))
+    cn, qn = (np.empty(block.capacities.shape, order="F") for _ in range(2))  # caller's arena
+
+    def normalize(raw, scale, out):
+        for rows in spans:
+            np.divide(raw[rows], scale, out=out[rows], order=order)
+    if parts is None:  # one block, drawn without a helper thread
+        normalize(block.capacities, c_scale, cn)
+        normalize(block.harvests, q_scale, qn)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            cn_done = helper.submit(normalize, block.capacities, c_scale, cn)
+            normalize(block.harvests, q_scale, qn)
+        cn_done.result()
+    return _Pool(SlotBlock(None, block.capacities, block.harvests), total, c_scale, q_max,
+                 q_scale, math.sqrt(var) / math.sqrt(m) if m > 1 else math.nan,
+                 cn, qn, np.arange(0, block.capacities.size, block.n_users))
 
 
 _shared: dict | None = None  # (fingerprint, seed, mc_slots) -> _Pool, in a _pool_share
@@ -222,8 +248,13 @@ def _build_pool(
     shared = {} if _shared is None else _shared
     key = (system_fingerprint(config, profiles), settings.seed, settings.mc_slots)
     if key not in shared:
-        rng = seeds.substream(settings.seed, seeds.CALIBRATION)
-        shared[key] = pool = _pool_of(draw_block(profiles, config, rng, settings.mc_slots))
+        rng, m = seeds.substream(settings.seed, seeds.CALIBRATION), settings.mc_slots
+        if 8 * m * len(profiles) <= _ONE_BLOCK_POOL * channel._SUB_BLOCK_BYTES:
+            shared[key] = pool = _pool_of(draw_block(profiles, config, rng, m))
+        else:
+            block = SlotBlock(None, *(np.empty((m, len(profiles))) for _ in range(2)))
+            with closing(draw_sub_blocks(profiles, config, rng, [m], block)) as parts:
+                shared[key] = pool = _pool_of(block, parts)
         for a in (pool.block.capacities, pool.block.harvests, pool.total, pool.cn, pool.qn,
                   pool.rows):
             a.flags.writeable = False  # a pass that writes to a shared pool raises ValueError
@@ -258,9 +289,7 @@ def feasible_range(
     """Estimate the reachable [greedy, maximum] average-harvest interval."""
     pool = _build_pool(profiles, config, settings)
     greedy, _, _ = pool.evaluate(linear_argmax(pool.cn, pool.qn, 0.0))
-    per_slot_max = pool.block.max_harvest(pool.total)
-    stderr = float(per_slot_max.std(ddof=1) / math.sqrt(settings.mc_slots))
-    return FeasibleRange(greedy=greedy, maximum=pool.q_max, stderr_maximum=stderr)
+    return FeasibleRange(greedy=greedy, maximum=pool.q_max, stderr_maximum=pool.stderr_q_max)
 
 
 def estimate_constraints(
@@ -274,11 +303,9 @@ def estimate_constraints(
     """Replay a calibrated scheduler on fresh slots and average the constraints.
 
     Fresh means independent of the calibration pool: by default the
-    validation substream of ``settings.seed`` is used.  The
-    ``settings.mc_slots`` slots are one chunk of ``channel.slot_outcomes``:
-    a helper thread fills their variates one sub-block ahead and is the only
-    reader of ``rng``, at most two sub-blocks are alive at once, and the result is
-    that of scheduling and summarizing one block of all the slots, bit for bit.
+    validation substream of ``settings.seed`` is used.  The ``settings.mc_slots``
+    slots are one chunk of ``channel.slot_outcomes``, whose result is that of
+    scheduling and summarizing one block of all the slots, bit for bit.
     """
     if rng is None:
         rng = seeds.substream(settings.seed, seeds.VALIDATION)
@@ -342,7 +369,7 @@ def _mt_price(pool: _Pool, q_req: float, tol: float) -> tuple[float, int]:
 
 
 def _result(scheme: str, pool: _Pool, q_req: float, tol_e: float, fingerprint: str,
-            nu_t: float, summary: Sequence, k: int, ok: bool, fair: tuple = (),
+            nu_t: float, summary: Sequence, k: int, ok: bool, fair: tuple = (), why: str = "",
             **duals) -> DualState:
     """The calibrated DualState, or ConvergenceError carrying the same residuals.
 
@@ -350,7 +377,7 @@ def _result(scheme: str, pool: _Pool, q_req: float, tol_e: float, fingerprint: s
     energy_gap, the fairness gap, qbar_pool, access_freq_pool, per_user_rate_pool (from
     the reported pass's pool ``summary`` (qbar, access, rates)), iterations, converged,
     c_scale and q_scale.  ``fair`` is (tolerance key, tolerance, gap key, gap), empty
-    for MT; ``nu_t`` is normalized.
+    for MT; ``nu_t`` is normalized; ``why`` ends the ConvergenceError message.
     """
     qbar, access, rates = summary
     tol, gap = ({fair[0]: fair[1]}, {fair[2]: fair[3]}) if fair else ({}, {})
@@ -359,9 +386,9 @@ def _result(scheme: str, pool: _Pool, q_req: float, tol_e: float, fingerprint: s
            "access_freq_pool": access.tolist(), "per_user_rate_pool": rates.tolist(),
            "iterations": k, "converged": ok, "c_scale": pool.c_scale, "q_scale": pool.q_scale}
     if not ok:
-        why = (f"did not converge in {k} iterations ({fair[2].replace('_', ' ')} {fair[3]:.4g}, "
-               if fair else f"price search took {k} passes, more than max_iters (")
-        raise ConvergenceError(f"{scheme} calibration {why}energy gap {qbar - q_req:.4g} W)",
+        what = (f"did not converge in {k} iterations ({fair[2].replace('_', ' ')} {fair[3]:.4g}, "
+                if fair else f"price search took {k} passes, more than max_iters (")
+        raise ConvergenceError(f"{scheme} calibration {what}energy gap {qbar - q_req:.4g} W){why}",
                                residuals=res)
     return DualState(nu=nu_t * pool.c_scale / pool.q_scale, calibration_residuals=res,
                      fingerprint=fingerprint, **duals)
@@ -545,33 +572,35 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
     the step follows, with no step size, until the gap is within tolerance,
     k counting all passes.  ``pool.evaluate`` summarizes the pass that
     ends the probe.  A probe below the target runs ``rule.certify``.
-    ``_result`` gets the last pass when ``max_iters`` run out, else the
-    probe at the price found: converged if its harvest is within
-    ``tol_e`` of the target, or above it at price 0.
+    ``_result`` gets the last pass when ``max_iters`` run out (after one pass at price 0 on
+    all-zero capacities, where every slot scores alike), else the probe at the price found:
+    converged if its harvest is within ``tol_e`` of the target, or above it at price 0.
     """
     tol = getattr(settings, rule.tol_key)
     mult, k, probes, last = rule.start(pool, warm_start), 0, {}, None
 
-    def result(nu_t: float, ok: bool, state: tuple) -> DualState:
+    def result(nu_t: float, ok: bool, state: tuple, why: str = "") -> DualState:
         mult, *summary, gap = state
         return _result(rule.scheme, pool, q_req, tol_e, fingerprint, nu_t, summary, k, ok,
-                       (rule.tol_key, tol, rule.gap_key, gap), **rule.duals(mult, pool))
+                       (rule.tol_key, tol, rule.gap_key, gap), why, **rule.duals(mult, pool))
 
     def harvest_at(nu_t: float) -> float:
         nonlocal mult, k, last
-        fair = False
-        while not fair and k < settings.max_iters:
+        fair, stuck = False, nu_t == 0 and pool.c_scale == 1.0 and not pool.cn.any()
+        budget = min(k + 1, settings.max_iters) if stuck else settings.max_iters
+        while not fair and k < budget:
             k += 1
             sel, gap, for_step = rule.inner(pool, nu_t, mult)
             fair = gap <= tol
-            if fair or k == settings.max_iters:  # the pass that ends the probe
+            if fair or k == budget:  # the pass that ends the probe
                 last = (mult, *pool.evaluate(sel), gap)
             if not fair:
                 mult = rule.step(pool.cn, pool.qn, nu_t, mult, for_step)
         if rule.certify and last[1] < q_req - tol_e and nu_t > 0:
             rule.certify(pool, nu_t, mult, q_req, tol_e, settings)
-        if not fair:  # max_iters ran out
-            result(nu_t, False, last)
+        if not fair:  # the budget ran out
+            result(nu_t, False, last, ": every pool capacity is 0, so at price 0 no pass "
+                   "can change the selection" if stuck else "")
         probes[nu_t] = last
         return last[1]
 

@@ -16,13 +16,13 @@ where P is the transmit power, sigma_n^2 the receiver noise power and
 xi_n the RF-to-DC conversion efficiency.  Slots are unit length, so
 harvested power and harvested energy coincide.
 
-``slot_outcomes`` is the one slot loop of long runs, their replays and
-out-of-sample validation.  It draws, selects and scores sub-blocks of
-about 256 KiB per array, which stay in L2 cache.  A helper thread fills
-the exponential variates of the next sub-block while the caller
-transforms, selects and scores the current one.  Only that thread reads
-the generator, in slot order, and at most two sub-blocks are alive at
-once, so no variate and no result bit changes.
+``draw_sub_blocks`` is the one prefetching draw loop.  It draws sub-blocks
+of about 256 KiB per array, which stay in L2 cache, while a helper thread
+fills the exponential variates of the next one; only that thread reads the
+generator, in slot order, so no variate changes.  ``slot_outcomes``, the slot
+loop of long runs, their replays and out-of-sample validation, selects and
+scores each sub-block.  A calibration pool of more than four sub-blocks is
+written a sub-block at a time, each reduced while in cache, with no gains array.
 
 With a handful of users a numpy call over the user axis of each slot
 pays its per-loop cost once per slot, so the loop makes none where that
@@ -38,8 +38,10 @@ import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -210,14 +212,9 @@ class SlotBlock:
         """Mean idle harvest, access shares and per-user rates of a selection."""
         return summarize(selections, *self.outcome(selections), self.n_users)
 
-    def max_harvest(self, total: np.ndarray | None = None) -> np.ndarray:
-        """Largest idle harvest of each slot: the weakest harvester is scheduled.
-
-        ``total`` is the row total of the harvests, ``row_reduce(harvests)``.
-        """
-        if total is None:
-            total = row_reduce(self.harvests)
-        return total - row_reduce(self.harvests, np.minimum)
+    def max_harvest(self) -> np.ndarray:
+        """Largest idle harvest of each slot: the weakest harvester is scheduled."""
+        return row_reduce(self.harvests) - row_reduce(self.harvests, np.minimum)
 
 
 def row_reduce(values: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
@@ -350,52 +347,51 @@ def draw_block(
     return SlotBlock(gains, capacities, harvests, omega)
 
 
-class _Filled:
-    """A generator stand-in for ``draw_block`` whose draw waits for the helper's fill."""
+def draw_sub_blocks(profiles: Sequence[UserProfile], config: SystemConfig,
+                    rng: np.random.Generator, chunks: Sequence[int], out: SlotBlock | None = None):
+    """(first slot, block) of each ``draw_block`` sub-block of ``chunks`` (slot counts).
 
-    def __init__(self, fill):
-        self.fill = fill
-
-    def standard_exponential(self, out):
-        self.fill.result()
+    A single helper thread fills the exponential variates of sub-block i + 1 while the
+    caller transforms and uses sub-block i; it is joined when the loop ends, raises or is
+    closed.  Capacities and harvests overwrite the last sub-block's, or fill ``out``'s rows.
+    """
+    step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles) or 1))  # no users: draw_block raises
+    sizes = [min(step, m - lo) for m in chunks for lo in range(0, m, step)]
+    shape, first = (max(sizes), len(profiles)), 0
+    spare, dest = np.empty((2, *shape)), out or SlotBlock(None, *np.empty((2, *shape)))
+    factors = user_factors(profiles, config, shape[0])  # tiled once, to the sub-block shape
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        # fill i + 1, submitted before sub-block i is transformed, reuses block i - 1
+        fills = (helper.submit(rng.standard_exponential, out=spare[i % 2][:size])
+                 for i, size in enumerate(sizes))
+        pending = next(fills)
+        for i, size in enumerate(sizes):
+            fill, pending, at = pending, next(fills, None), first if out else 0
+            into = SlotBlock(spare[i % 2], dest.capacities[at:], dest.harvests[at:])
+            # draw_block, looked up per call so that a wrapper sees every one, waits for the fill
+            filled = SimpleNamespace(standard_exponential=lambda out, fill=fill: fill.result())
+            yield first, draw_block(profiles, config, filled, size, into, factors)
+            first += size
 
 
 def slot_outcomes(profiles: Sequence[UserProfile], config: SystemConfig,
                   rng: np.random.Generator, n_slots: int, chunk_slots: int, choose):
     """Per chunk of ``chunk_slots`` slots, its (selections, rate, idle) buffers.
 
-    Each chunk is filled one sub-block at a time: ``choose(start, block)``
-    selects in the sub-block whose first slot is ``start`` and
-    ``SlotBlock.outcome`` scores it.  A single helper thread fills the
-    exponential variates of sub-block i + 1 from ``rng`` while the caller
-    transforms them (``draw_block``), selects and scores sub-block i; the
-    helper is joined when the loop ends, raises or is closed.  It fills two
-    blocks the caller allocates, in turn, so a block is overwritten once
-    scored.  The per-user factors are tiled once, to the sub-block shape.
+    Each chunk is filled one ``draw_sub_blocks`` sub-block at a time:
+    ``choose(start, block)`` selects in the sub-block whose first slot is
+    ``start`` and ``SlotBlock.outcome`` scores it.
     """
-    step = max(1, _SUB_BLOCK_BYTES // (8 * len(profiles) or 1))  # no users: draw_block raises
     chunks = [min(chunk_slots, n_slots - start) for start in range(0, n_slots, chunk_slots)]
-    sizes = [min(step, m - lo) for m in chunks for lo in range(0, m, step)]
-    shape = (max(sizes), len(profiles))
-    spare = [SlotBlock(*(np.empty(shape) for _ in range(3))) for _ in range(2)]
-    factors = user_factors(profiles, config, shape[0])
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        # fill i + 1, submitted before sub-block i is transformed, reuses block i - 1
-        fills = ((spare[i % 2], helper.submit(rng.standard_exponential,
-                                              out=spare[i % 2].gains[:size]))
-                 for i, size in enumerate(sizes))
-        pending, start = next(fills), 0
+    with closing(draw_sub_blocks(profiles, config, rng, chunks)) as blocks:
         for m in chunks:
-            out = np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)
-            for lo in range(0, m, step):
-                (into, fill), pending = pending, next(fills, None)
-                # looked up per sub-block, so a wrapper installed on it sees every call
-                block = draw_block(profiles, config, _Filled(fill), min(step, m - lo), into,
-                                   factors)
-                selections = choose(start + lo, block)
+            out, lo = (np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)), 0
+            while lo < m:
+                start, block = next(blocks)
+                selections = choose(start, block)
                 for buf, part in zip(out, (selections, *block.outcome(selections))):
                     buf[lo : lo + block.n_slots] = part
-            start += m
+                lo += block.n_slots
             yield out
 
 

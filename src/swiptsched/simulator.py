@@ -5,9 +5,8 @@ and accumulates the averages the tradeoff curves are made of: the
 scheduled users' capacities (average sum rate) and the idle users'
 harvests (average sum harvested power).  Chunks of ``CHUNK_SLOTS`` fix
 the float summation order.  Within a chunk, ``channel.slot_outcomes``
-works in L2-sized sub-blocks; a helper thread, the only reader of the run
-generator, fills the variates of each one ahead while the caller
-transforms, selects and scores the one before, and no result bit changes.
+draws (``channel.draw_sub_blocks``), selects and scores L2-sized
+sub-blocks, and no result bit changes.
 
 ``sweep_q_req`` traces a rate-energy curve for one of the optimal
 schemes by calibrating and running at each harvest target of a grid;

@@ -143,9 +143,11 @@ class TestLayerMode:
     def test_selection_hash_is_the_digest_where_given(self, monkeypatch):
         layers = {name: {"value": 0.5, "passes": 3} for name in LAYERS}
         layers["select_pf_n32_ms"] = {"value": 0.5, "selections": "0123abcd"}
+        layers["pool_build_n32_ms"] = {"value": 0.5, "digest": "4567cdef"}  # a pool's hash
         self.fake_run(monkeypatch, json.dumps({"layers": layers, "env": {}}))
         digest = bench_pairs.run_layers(Path("."), "change")["digest"]
-        assert digest == {**dict.fromkeys(LAYERS, 3), "select_pf_n32_ms": "0123abcd"}
+        assert digest == {**dict.fromkeys(LAYERS, 3), "select_pf_n32_ms": "0123abcd",
+                          "pool_build_n32_ms": "4567cdef"}
 
     @pytest.mark.parametrize("last_line", [
         LINE.replace("0.5", "NaN", 1),
@@ -209,6 +211,8 @@ class TestLayerMode:
         assert layers["pf_step_pass_ms"]["passes"] == 3  # cut off by max_iters: every pass steps
         selects = [v for name, v in layers.items() if name.startswith("select_")]
         assert len(selects) == 5 and all(len(v["selections"]) == 16 for v in selects)
+        pools = [v for name, v in layers.items() if name.startswith("pool_build_")]
+        assert len(pools) == 2 and all(len(v["digest"]) == 16 for v in pools)
 
 
 class TestSigterm:

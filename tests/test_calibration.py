@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -785,6 +786,53 @@ class TestPool:
         assert pool.q_max == float(np.mean(harvests.sum(axis=1) - harvests.min(axis=1)))
         assert pool.c_scale == (float(np.mean(caps.max(axis=1))) or 1.0)
         assert pool.q_scale == (pool.q_max or 1.0)
+        top = harvests.sum(axis=1) - harvests.min(axis=1)
+        if len(top) > 1:  # numpy's std, bit for bit
+            assert pool.stderr_q_max == float(top.std(ddof=1) / math.sqrt(len(top)))
+
+    # mc_slots against the sub-block rows (32768, 6553, 4681, 4096, 2048 and 1024 at these
+    # N): none a multiple; 32766, 20481 and 4097 end in a one-row sub-block, and pools of
+    # at most 4 sub-blocks per array (1001, 20000 and 3000 slots) are drawn as one block
+    @pytest.mark.parametrize("n, mc_slots", [
+        (1, 1001), (1, 140_001), (5, 20_000), (5, 32_766), (7, 20_000), (8, 20_481),
+        (16, 10_000), (32, 3000), (32, 4097), (32, 20_000)])
+    def test_sub_block_draw_equals_one_block_bit_for_bit(self, n, mc_slots):
+        config = SystemConfig(n_users=n, seed=40 + n)
+        profiles = make_profiles(config)
+        pool = _build_pool(profiles, config, CalibrationSettings(mc_slots=mc_slots, seed=3))
+        # the reference: one whole-block draw, numpy's row reductions and divides
+        block = draw_block(profiles, config, seeds.substream(3, seeds.CALIBRATION), mc_slots)
+        total = block.harvests.sum(axis=1)
+        top = total - block.harvests.min(axis=1)
+        c_scale = float(np.mean(block.capacities.max(axis=1))) or 1.0
+        q_max = float(np.mean(top))
+        assert (pool.c_scale, pool.q_max, pool.q_scale) == (c_scale, q_max, q_max or 1.0)
+        assert pool.stderr_q_max == float(top.std(ddof=1) / math.sqrt(mc_slots))
+        expected = [block.capacities, block.harvests, total, block.capacities / c_scale,
+                    block.harvests / pool.q_scale, np.arange(0, mc_slots * n, n)]
+        got = [pool.block.capacities, pool.block.harvests, pool.total, pool.cn, pool.qn,
+               pool.rows]
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert pool.block.capacities.flags.c_contiguous and pool.block.harvests.flags.c_contiguous
+        assert pool.cn.flags.f_contiguous and pool.qn.flags.f_contiguous
+
+    def test_build_holds_no_whole_pool_gains_array(self):
+        # the pool's four (M, N) arrays and about 1.5 MB of sub-block buffers, factor
+        # tiles and slot-length arrays: a whole-pool gains array would add 5.1 MB
+        config = SystemConfig(n_users=32, seed=7)
+        profiles, m = make_profiles(config), 20_000
+        settings = CalibrationSettings(mc_slots=m, seed=7)
+        _build_pool(profiles, config, settings)  # imports and first-call set-up
+        tracemalloc.start()
+        try:
+            _build_pool(profiles, config, settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m * config.n_users * 8 + 2_000_000
 
     def test_arrays_are_read_only(self, config5, profiles5):
         # a sweep's grid points share one pool: a pass writing to it would change the next

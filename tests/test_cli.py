@@ -297,6 +297,25 @@ class TestZeroEfficiency:
         assert all(row["avg_sum_harvest_watts"] == 0.0 for row in rows)
 
 
+class TestZeroCapacity:
+    """At path-loss exponent 40 every capacity rounds to 0: at price 0 no pass can move
+    the selection, so PF and ET stop after their first pass instead of at max_iters."""
+
+    @pytest.mark.parametrize("scheme, gap", [("pf", "access gap 0.6667"),
+                                             ("et", "rate spread inf")])
+    def test_fair_schemes_stop_after_one_pass(self, scheme, gap, tmp_path, capsys):
+        config = tmp_path / "far.cfg"
+        config.write_text("n_users = 3\nseed = 4\npath_loss_exponent = 40\n")
+        assert run_cli(
+            "run", "--config", str(config), "--scheme", scheme, "--q-req", "0",
+            "--mc-slots", "2000", "--out", str(tmp_path / "run.csv"),
+        ) == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert f"did not converge in 1 iterations ({gap}, " in err
+        assert "every pool capacity is 0, so at price 0 no pass can change the selection" in err
+        assert not (tmp_path / "run.csv").exists()
+
+
 class TestSavedDualsBinding:
     @staticmethod
     def write_config(tmp_path, name, tx_power_dbm, seed):

@@ -37,11 +37,12 @@ appended, so one file can hold several workloads and revisions; its
 ``tools/layer_passes.py`` subprocess on a side's tree, which times one
 calibration pass per scheme (an MT probe, a PF pass that steps, an ET
 pass) and one whole binding ET calibration on the benchmark's pinned
-pool, and ``select_block`` on one run-loop sub-block per scheme at N=5
-and N=32.  Its metrics are the milliseconds per pass, calibration or
-call, summarized as above with the bound ``LAYER_BOUND``, and its digest
-is each layer's pass count or hash of its selections, equal on both
-sides unless the change moves a pass count or a calibrated dual; the
+pool, ``select_block`` on one run-loop sub-block per scheme at N=5
+and N=32, and one pool build at N=5 and at N=32.  Its metrics are the
+milliseconds per pass, calibration, call or build, summarized as above
+with the bound ``LAYER_BOUND``, and its digest is each layer's pass
+count, hash of its selections or hash of its pool, equal on both sides
+unless the change moves a pass count, a calibrated dual or a pool bit; the
 entry's ``digests_differ`` lists the layers whose digest differs in any
 pair.  A per-pass time carries its calibration's once-per-run work, so
 a change that cuts passes raises it (``layer_passes.py`` says by how
@@ -71,7 +72,8 @@ GAIN_SHARE = 0.9
 MIN_PAIRS = 10  # fewer pairs can show no gain
 LAYER_TOOL = ROOT / "tools" / "layer_passes.py"
 LAYERS = ("mt_probe_ms", "pf_step_pass_ms", "et_pass_ms", "et_binding_ms", "select_mt_n5_ms",
-          "select_pf_n5_ms", "select_et_n5_ms", "select_mt_n32_ms", "select_pf_n32_ms")
+          "select_pf_n5_ms", "select_et_n5_ms", "select_mt_n32_ms", "select_pf_n32_ms",
+          "pool_build_n5_ms", "pool_build_n32_ms")
 LAYER_BOUND = 0.25  # as the end-to-end seconds metrics
 
 
@@ -153,13 +155,13 @@ def run_bench(root: Path, side: str, workload: str, seed: int, seconds: float) -
 
 def run_layers(root: Path, side: str) -> dict:
     """One ``tools/layer_passes.py`` run on ``root``, shaped as ``run_bench``'s result:
-    the milliseconds per pass or call of ``LAYERS`` and, as the digest, each
-    layer's hash of its selections or else its pass count."""
+    the milliseconds per pass, call or build of ``LAYERS`` and, as the digest, each
+    layer's pool hash, hash of its selections or else its pass count."""
     def parse(result: dict, lines: list[str]) -> dict:
         layers = {name: result["layers"][name] for name in LAYERS}
         return {"metrics": {name: float(v["value"]) for name, v in layers.items()},
                 "attempted": len(layers), "failed": 0, "correct": True,
-                "digest": {name: v["selections"] if "selections" in v else v["passes"]
+                "digest": {name: v.get("digest", v.get("selections", v.get("passes")))
                            for name, v in layers.items()},
                 "env": result["env"]}
 

@@ -30,10 +30,16 @@ N=32), drawn row-major from a fixed generator at the run-online
 workload's geometry 12, with the duals that workload calibrates in its
 set-up: ``select_{mt,pf,et}_n5_ms`` and ``select_{mt,pf}_n32_ms``, per call.
 
+Two more time ``calibration._build_pool`` on a 20000-slot pool outside a
+``_pool_share``, so that every call draws and normalizes the pool, per
+build: ``pool_build_n5_ms`` at calib-et's geometry 11 with N=5 and
+``pool_build_n32_ms`` at run-online's geometry 12 with N=32.
+
 Each layer runs once to warm up, then ``REPS`` times.  The last line
-printed is a JSON object: per layer the median milliseconds per pass or
-call and, as the layer's digest, the passes of one calibration run or a
-hash of the selections; then the environment.
+printed is a JSON object: per layer the median milliseconds per pass,
+call or build and, as the layer's digest, the passes of one calibration
+run, a hash of the selections or a hash of the pool's arrays and scales;
+then the environment.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ PF_PASSES = 3
 REPS = 100
 SELECT_GEOMETRY = 12  # run-online's
 SELECT_PLAN = {5: ("mt", "pf", "et"), 32: ("mt", "pf")}
+POOL_PLAN = {"pool_build_n5_ms": (5, GEOMETRY), "pool_build_n32_ms": (32, SELECT_GEOMETRY)}
 SUB_BLOCK_BYTES = 1 << 18
 
 
@@ -119,6 +126,19 @@ def main(argv: list[str]) -> int:
             digest = hashlib.sha256(np.asarray(selections, dtype=np.int64).tobytes())
             result[f"select_{scheme}_n{n}_ms"] = {"value": statistics.median(per_call[1:]),
                                                   "selections": digest.hexdigest()[:16]}
+    for name, (n, geometry) in POOL_PLAN.items():  # outside a _pool_share: every call draws
+        config, profiles = workloads.scenario(n, geometry)
+        settings = workloads.calibration_settings(geometry)
+        per_build = []
+        for _ in range(REPS + 1):
+            t0 = perf_counter()
+            pool = calibration._build_pool(profiles, config, settings)
+            per_build.append((perf_counter() - t0) * 1e3)
+        digest = hashlib.sha256(repr((pool.c_scale, pool.q_max, pool.q_scale)).encode())
+        for a in (pool.block.capacities, pool.block.harvests, pool.total, pool.cn, pool.qn):
+            digest.update(a.tobytes())
+        result[name] = {"value": statistics.median(per_build[1:]),
+                        "digest": digest.hexdigest()[:16]}
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "machine": platform.machine()}
     print(json.dumps({"layers": result, "env": env}))
