@@ -13,10 +13,12 @@ Every calibrator takes the same three steps:
     ``_pool_share``; a long one a ``channel.draw_sub_blocks`` sub-block at a
     time), resolves the energy tolerance and rejects a target above its maximum.
   * One price search, ``_price``: the pool harvest does not decrease
-    with the energy price nu, so nu is bracketed by doubling and then
-    bisected.  An MT probe is one pass (``_mt_price``, which the oracle
+    with the energy price nu, so nu is bracketed by doubling from 1/4 and
+    the bracket narrowed by the Illinois method, aimed at the middle of the
+    tolerance band.  An MT probe is one pass (``_mt_price``, which the oracle
     also runs); a PF or ET probe is an inner fairness solve on gamma or
-    theta (``_fair_price``), warm-started from the previous probe, whose
+    theta (``_fair_price``), started between two probed prices from the
+    multipliers interpolated in nu, else from the last probe's, whose
     passes each take one quantile step of the multipliers with no step
     size (``_margin_quantiles``).  PF rejects a target above the
     weak-duality ``_fair_bound`` before any pass, ET at a probe below it.
@@ -33,10 +35,11 @@ instances' included, are user-major (Fortran order), swept a contiguous
 column at a time; the raw arrays stay row-major.
 
 Capacities are normalized by a typical per-slot maximum capacity and
-harvests by the maximum average harvest, so the normalized price is
-O(1) in every geometry.  Returned DualState values are physical (gamma
-in bits/channel-use, nu in bits per channel-use per Watt); gamma is
-zero-mean and theta sums to one, gauges that change no argmax.
+harvests by the maximum average harvest; binding normalized prices still
+span 0.0005 to 8 on the benchmark's pinned geometries (README).  Returned
+DualState values are physical (gamma in bits/channel-use, nu in bits per
+channel-use per Watt); gamma is zero-mean and theta sums to one, gauges
+that change no argmax.
 """
 
 from __future__ import annotations
@@ -322,36 +325,47 @@ def _price(harvest_at, q_req: float, tol: float, nu0: float = 0.0) -> float:
     ``harvest_at(nu_t)`` is the pool harvest at price nu_t.  A first probe
     at ``nu0`` that reaches the target is the answer if nu0 is 0 or its
     harvest is at most ``q_req + tol``, else [0, nu0] is the bracket
-    unless 0 reaches it too; one that misses doubles from nu0 (or 1)
-    until the target is reached.  Bisection stops at a harvest at most
-    ``q_req + tol`` or a bracket 1e-13 of its top, and returns the top.
+    unless 0 reaches it too; one that misses doubles from nu0 (or 1/4)
+    until the target is reached.  The bracket then narrows by the Illinois
+    method aimed at ``q_req``: the probe is the secant root of the ends'
+    residuals qbar - q_req, and an end that survives twice in a row has its
+    residual halved.  The midpoint is probed instead where the secant root is
+    not strictly inside, or once an end has survived three probes in a row, so
+    that a residual far smaller than the other's (as at ``tol`` 0) cannot stall
+    the bracket.  It stops at a harvest at most ``q_req + tol`` or a bracket
+    1e-13 of its top, and returns the top.
     """
     target = q_req - tol
     qbar_hi = harvest_at(nu0)
     if qbar_hi >= target:
         if nu0 == 0.0 or qbar_hi <= q_req + tol:
             return nu0
-        if harvest_at(0.0) >= target:
+        if (qbar_lo := harvest_at(0.0)) >= target:
             return 0.0
         lo, hi = 0.0, nu0
     else:
-        lo, hi = nu0, 2.0 * nu0 or 1.0
+        lo, hi, qbar_lo = nu0, 2.0 * nu0 or 0.25, qbar_hi
         qbar_hi = harvest_at(hi)
-        for _ in range(81):  # beyond that no price is resolvable
+        for _ in range(83):  # to 2^81 from 1/4: beyond that no price is resolvable
             if qbar_hi >= target:
                 break
-            lo, hi = hi, hi * 2.0
+            lo, hi, qbar_lo = hi, hi * 2.0, qbar_hi
             qbar_hi = harvest_at(hi)
-    # invariant: qbar(lo) < target <= qbar(hi)
+    # invariant: qbar(lo) < target <= qbar(hi); in the loop f_lo < 0 < f_hi, from q_req
+    f_lo, f_hi, kept = qbar_lo - q_req, qbar_hi - q_req, 0  # kept: lo (< 0) or hi survived
     for _ in range(200):
         if qbar_hi <= q_req + tol or (hi - lo) <= 1e-13 * hi:
             break
-        mid = 0.5 * (lo + hi)
-        qbar_mid = harvest_at(mid)
-        if qbar_mid >= target:
-            hi, qbar_hi = mid, qbar_mid
+        nu = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if abs(kept) >= 3 or not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
+        qbar = harvest_at(nu)
+        if qbar >= target:
+            hi, qbar_hi, f_hi, kept = nu, qbar, qbar - q_req, min(kept, 0) - 1
+            f_lo /= 2 if kept < -1 else 1  # lo survived twice in a row
         else:
-            lo = mid
+            lo, f_lo, kept = nu, qbar - q_req, max(kept, 0) + 1
+            f_hi /= 2 if kept > 1 else 1  # hi did
     return hi
 
 
@@ -567,7 +581,9 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
     """``_price`` over the scheme's inner fairness solve.
 
     A probe at nu_t runs passes from the multipliers the last probe ended
-    with (first ``warm_start``'s, whose nu is the first probe).  A pass,
+    with (first ``warm_start``'s, whose nu is the first probe), or, between
+    two probed prices, from the linear interpolation in nu of those that ended
+    the nearest probe on each side.  A pass,
     ``rule.inner``, computes the fairness gap and what ``rule.step`` reads;
     the step follows, with no step size, until the gap is within tolerance,
     k counting all passes.  ``pool.evaluate`` summarizes the pass that
@@ -586,6 +602,11 @@ def _fair_price(rule: _PfRule | _EtRule, pool: _Pool, q_req: float, tol_e: float
 
     def harvest_at(nu_t: float) -> float:
         nonlocal mult, k, last
+        below = max((nu for nu in probes if nu < nu_t), default=None)
+        above = min((nu for nu in probes if nu > nu_t), default=None)
+        if below is not None and above is not None:  # a convex combination keeps the gauge
+            t = (nu_t - below) / (above - below)
+            mult = (1 - t) * probes[below][0] + t * probes[above][0]
         fair, stuck = False, nu_t == 0 and pool.c_scale == 1.0 and not pool.cn.any()
         budget = min(k + 1, settings.max_iters) if stuck else settings.max_iters
         while not fair and k < budget:

@@ -209,6 +209,9 @@ class TestLayerMode:
         layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
         assert set(layers) == set(LAYERS) and all(v["value"] > 0 for v in layers.values())
         assert layers["pf_step_pass_ms"]["passes"] == 3  # cut off by max_iters: every pass steps
+        # whole cold calibrations at the 60 % target: MT's is the search mt_probe_ms times
+        assert layers["mt_binding_ms"]["passes"] == layers["mt_probe_ms"]["passes"]
+        assert layers["pf_binding_ms"]["passes"] > layers["pf_step_pass_ms"]["passes"]
         selects = [v for name, v in layers.items() if name.startswith("select_")]
         assert len(selects) == 5 and all(len(v["selections"]) == 16 for v in selects)
         pools = [v for name, v in layers.items() if name.startswith("pool_build_")]

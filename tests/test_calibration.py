@@ -1,3 +1,4 @@
+import bisect
 import importlib.util
 import json
 import math
@@ -721,18 +722,38 @@ class TestReachableEtTargets:
         assert passes <= 400
 
 
+@st.composite
+def step_searches(draw):
+    """A non-decreasing step harvest in nu, as (jump prices, levels) with one more level
+    than jumps, and a reachable (q_req, tol, nu0): tol is often 0, as the oracle calls
+    ``_price``, and the target q_req - tol often a level exactly or 2^-40 above one."""
+    jumps = sorted(draw(st.lists(st.floats(2.0 ** -6, 2.0 ** 6), min_size=1, max_size=6)))
+    rises = st.sampled_from([0.0, 2.0 ** -40, 1.0]) | st.floats(0.0, 10.0)
+    levels = tuple(np.cumsum([draw(st.floats(0.0, 10.0))]
+                             + draw(st.lists(rises, min_size=len(jumps), max_size=len(jumps)))))
+    tol = draw(st.just(0.0) | st.floats(1e-9, 2.0))
+    level = draw(st.sampled_from(levels))
+    q_req = draw(st.sampled_from([0.0, 2.0 ** -40]).map(lambda above: level + above + tol)
+                 | st.floats(levels[0], levels[-1] + tol))
+    hypothesis.assume(q_req - tol <= levels[-1])
+    nu0 = draw(st.just(0.0) | st.floats(2.0 ** -6, 2.0 ** 6))
+    return tuple(jumps), tuple(float(v) for v in levels), q_req, tol, nu0
+
+
 class TestPrice:
     """``_price`` on synthetic non-decreasing step harvests (window q_req +- tol)."""
 
     @pytest.mark.parametrize("harvest, q_req, nu0, price, first_probes", [
         # a warm price overshoots the window and price 0 reaches the target
         (lambda nu: 3 + math.floor(nu), 3.0, 4.0, 0.0, [4.0, 0.0]),
-        # it overshoots and price 0 misses: bisection over [0, nu0]
-        (lambda nu: math.floor(nu), 3.0, 8.0, 3.0, [8.0, 0.0, 4.0, 2.0, 3.0]),
-        # no price lands in the window: bisection to the step at 3
-        (lambda nu: 10 * math.floor(nu), 25.0, 8.0, 3.0, [8.0, 0.0, 4.0, 2.0, 3.0]),
-        # a cold miss doubles from 1 until the target is reached
-        (lambda nu: math.floor(nu), 5.0, 0.0, 5.0, [0.0, 1.0, 2.0, 4.0, 8.0, 6.0, 5.0]),
+        # it overshoots and price 0 misses: the secant of [0, nu0] lands on the step at 3
+        (lambda nu: math.floor(nu), 3.0, 8.0, 3.0, [8.0, 0.0, 3.0]),
+        # no price lands in the window: the bracket closes on the step at 3 from both
+        # sides, the secant of [0, 8] first
+        (lambda nu: 10 * math.floor(nu), 25.0, 8.0, pytest.approx(3.0, rel=1e-12),
+         [8.0, 0.0, 2.5]),
+        # a cold miss doubles from 1/4 until the target is reached, then the secant
+        (lambda nu: math.floor(nu), 5.0, 0.0, 5.0, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 5.0]),
     ], ids=["overshoot_zero_reaches", "overshoot_bisects", "step_past_window", "cold_doubles"])
     def test_branches(self, harvest, q_req, nu0, price, first_probes):
         tol = 0.5
@@ -750,6 +771,108 @@ class TestPrice:
         assert harvest(nu) >= q_req - tol
         assert (harvest(nu) <= q_req + tol or nu == 0.0
                 or harvest(nu * (1 - 2e-13)) < q_req - tol)
+
+    def test_cold_doubling_reaches_two_to_the_81(self):
+        probes = []
+
+        def harvest_at(nu):
+            probes.append(nu)
+            return float(nu >= 2.0 ** 81)
+
+        assert _price(harvest_at, 1.0, 0.0) == 2.0 ** 81
+        assert probes == [0.0] + [2.0 ** e for e in range(-2, 82)]
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @given(step_searches())
+    # at tol = 0 a residual 2^-40 of the other end's: Illinois alone halves the far end's
+    # residual about 40 times each time the near end moves, and ran out of probes
+    @hypothesis.example(((0.883,), (0.0, 4.0), 2.0 ** -40, 0.0, 0.0))
+    @hypothesis.example(((3.0,), (1 - 2.0 ** -50, 2.0), 1.0, 0.0, 0.0))
+    @hypothesis.example(((3.0,), (0.0, 1 + 2.0 ** -50), 1.0, 0.0, 0.0))
+    # a jump exactly at q_req - tol, and a plateau the window holds
+    @hypothesis.example(((0.5, 2.0, 9.0), (0.0, 1.0, 1.0, 4.0), 1.5, 0.5, 0.0))
+    @hypothesis.example(((0.5, 2.0, 9.0), (0.0, 1.0, 1.0, 4.0), 1.0, 0.0, 16.0))
+    def test_step_harvests(self, search):
+        jumps, levels, q_req, tol, nu0 = search
+        target, probes = q_req - tol, []
+
+        def harvest(nu):
+            return levels[bisect.bisect_right(jumps, nu)]
+
+        def harvest_at(nu):
+            probes.append(nu)
+            return harvest(nu)
+
+        nu = _price(harvest_at, q_req, tol, nu0)
+        missed = [p for p in probes if harvest(p) < target]
+        inside = [p for i, p in enumerate(probes)  # probes inside an earlier bracket
+                  if any(a < p and harvest(a) < target for a in probes[:i])
+                  and any(b > p and harvest(b) >= target for b in probes[:i])]
+        assert len(inside) <= 200
+        assert harvest(nu) >= target
+        # price 0 is the smallest price; any other answer lies in the window or tops
+        # a bracket within 1e-13 of it
+        assert (nu == 0.0 or harvest(nu) <= q_req + tol
+                or nu - max(missed) <= 1e-13 * nu), (nu, len(probes))
+
+
+class TestFairPriceStarts:
+    """Where each PF or ET probe's passes start: between two probed prices, from the
+    linear interpolation in nu of the multipliers that ended the nearest probe on each
+    side; elsewhere, from those the last probe ended with."""
+
+    @staticmethod
+    def probes(rule_cls, monkeypatch) -> list:
+        """(nu_t, multipliers of each pass) per probe of the calibrations run after it."""
+        probes, inner = [], rule_cls.inner
+
+        def recorded(self, pool, nu_t, mult):
+            if not probes or probes[-1][0] != nu_t:
+                probes.append((nu_t, []))
+            probes[-1][1].append(mult.copy())
+            return inner(self, pool, nu_t, mult)
+        monkeypatch.setattr(rule_cls, "inner", recorded)
+        return probes
+
+    @pytest.mark.parametrize("scheme", ["pf", "et"])
+    def test_interpolated_between_probed_prices(self, scheme, config5, profiles5, settings,
+                                                q_range, monkeypatch):
+        rule_cls, calibrate = {"pf": (_PfRule, calibrate_pf), "et": (_EtRule, calibrate_et)}[scheme]
+        probes = self.probes(rule_cls, monkeypatch)
+        q_req = q_range.greedy + 0.8 * (q_range.maximum - q_range.greedy)  # 3-4 such probes
+        duals = calibrate(q_req, profiles5, config5, settings)
+        assert duals.calibration_residuals["converged"]
+        assert sum(len(passes) for _, passes in probes) == duals.calibration_residuals["iterations"]
+        ended, interpolated = {}, 0
+        for i, (nu_t, passes) in enumerate(probes):
+            below = max((nu for nu in ended if nu < nu_t), default=None)
+            above = min((nu for nu in ended if nu > nu_t), default=None)
+            start = passes[0]
+            if below is not None and above is not None:
+                t = (nu_t - below) / (above - below)
+                expected = (1 - t) * ended[below] + t * ended[above]
+                interpolated += 1
+            elif i:
+                expected = probes[i - 1][1][-1]
+            else:
+                expected = start
+            assert start.tobytes() == expected.tobytes(), (i, nu_t)
+            if scheme == "pf":
+                assert abs(start.mean()) <= 1e-12
+            else:
+                assert start.min() > 0 and abs(start.sum() - 1.0) <= 1e-12
+            ended[nu_t] = passes[-1]
+        assert interpolated >= 1
+
+    @pytest.mark.parametrize("scheme", ["pf", "et"])
+    def test_target_met_at_price_zero_is_one_probe(self, scheme, config5, profiles5, settings,
+                                                   q_range, monkeypatch):
+        # calib-et's path: a slack target stops at price 0 with no search
+        rule_cls, calibrate = {"pf": (_PfRule, calibrate_pf), "et": (_EtRule, calibrate_et)}[scheme]
+        probes = self.probes(rule_cls, monkeypatch)
+        duals = calibrate(0.5 * q_range.greedy, profiles5, config5, settings)
+        assert duals.nu == 0.0 and [nu_t for nu_t, _ in probes] == [0.0]
+        assert len(probes[0][1]) == duals.calibration_residuals["iterations"]
 
 
 class TestFeasibleRange:

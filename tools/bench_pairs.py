@@ -71,9 +71,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GAIN_SHARE = 0.9
 MIN_PAIRS = 10  # fewer pairs can show no gain
 LAYER_TOOL = ROOT / "tools" / "layer_passes.py"
-LAYERS = ("mt_probe_ms", "pf_step_pass_ms", "et_pass_ms", "et_binding_ms", "select_mt_n5_ms",
-          "select_pf_n5_ms", "select_et_n5_ms", "select_mt_n32_ms", "select_pf_n32_ms",
-          "pool_build_n5_ms", "pool_build_n32_ms")
+LAYERS = ("mt_probe_ms", "pf_step_pass_ms", "et_pass_ms", "et_binding_ms", "mt_binding_ms",
+          "pf_binding_ms", "select_mt_n5_ms", "select_pf_n5_ms", "select_et_n5_ms",
+          "select_mt_n32_ms", "select_pf_n32_ms", "pool_build_n5_ms", "pool_build_n32_ms")
 LAYER_BOUND = 0.25  # as the end-to-end seconds metrics
 
 

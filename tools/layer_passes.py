@@ -5,7 +5,7 @@
 ROOT is a tree holding ``src`` and ``perfbench``, as ``bench_pairs.py``
 builds them; the package is imported from ROOT/src.  The pool is that of
 the sweep-pf workload and of calib-et's geometry 11: N=5 users placed by
-geometry seed 11 and a 20000-slot pool.  Three layers are timed through
+geometry seed 11 and a 20000-slot pool.  Six layers are timed through
 the public calibrators, so any revision can be timed by the same code:
 
 * ``mt_probe_ms``: a binding MT price search (a target 60 % of the way
@@ -16,13 +16,18 @@ the public calibrators, so any revision can be timed by the same code:
   of the way), per pass;
 * ``et_binding_ms``: a binding ET calibration on that pool (a target 90 %
   of the way), per calibration, so that a step that trades fewer passes
-  for dearer ones shows on one number.
+  for dearer ones shows on one number;
+* ``mt_binding_ms`` and ``pf_binding_ms``: the whole cold MT and PF
+  calibrations at the 60 % target, per calibration, so that a price search
+  that trades fewer probes for dearer ones shows on one number too.
 
-A per-pass time includes its calibration's once-per-run work (the final
-summary and the residual record), so ``et_pass_ms`` rises per pass when
-the pass count falls: at 3 passes a calibration spreads that work over 3
-passes, not 40.  An ET pass also keeps each slot's second-best score for
-the quantile step, which an exponentiated-gradient pass did not need.
+A per-pass or per-probe time includes its calibration's once-per-run work
+(the final summary and the residual record), so it rises when the count
+falls: ``et_pass_ms`` when ET's 40 passes became 3, and ``mt_probe_ms``
+when the Illinois bracket cut the MT search's probes, since that work is
+then spread over fewer of them.  An ET pass also keeps each slot's
+second-best score for the quantile step, which an exponentiated-gradient
+pass did not need.
 
 Five more layers time ``select_block`` on one 256 KiB sub-block of the
 run loop (``SUB_BLOCK_BYTES`` per array: 6553 slots at N=5, 1024 at
@@ -94,6 +99,8 @@ def main(argv: list[str]) -> int:
             "et_pass_ms": (lambda: ss.calibrate_et(q_et, profiles, config, settings), True),
             "et_binding_ms": (lambda: ss.calibrate_et(q_et_binding, profiles, config, settings),
                               False),
+            "mt_binding_ms": (lambda: ss.calibrate_mt(q_binding, profiles, config, settings), False),
+            "pf_binding_ms": (lambda: ss.calibrate_pf(q_binding, profiles, config, settings), False),
         }
         result = {}
         for name, (calibrate, per_pass) in layers.items():
