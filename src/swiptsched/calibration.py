@@ -352,7 +352,7 @@ def _price(harvest_at, q_req: float, tol: float, nu0: float = 0.0) -> float:
             lo, hi, qbar_lo = hi, hi * 2.0, qbar_hi
             qbar_hi = harvest_at(hi)
     # invariant: qbar(lo) < target <= qbar(hi); in the loop f_lo < 0 < f_hi, from q_req
-    f_lo, f_hi, kept = qbar_lo - q_req, qbar_hi - q_req, 0  # kept: lo (< 0) or hi survived
+    f_lo, f_hi, kept = qbar_lo - q_req, qbar_hi - q_req, 0  # kept: probes lo (-) or hi survived
     for _ in range(200):
         if qbar_hi <= q_req + tol or (hi - lo) <= 1e-13 * hi:
             break
@@ -365,7 +365,7 @@ def _price(harvest_at, q_req: float, tol: float, nu0: float = 0.0) -> float:
             f_lo /= 2 if kept < -1 else 1  # lo survived twice in a row
         else:
             lo, f_lo, kept = nu, qbar - q_req, max(kept, 0) + 1
-            f_hi /= 2 if kept > 1 else 1  # hi did
+            f_hi /= 2 if kept > 1 else 1  # hi survived twice in a row
     return hi
 
 
